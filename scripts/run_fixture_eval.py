@@ -24,7 +24,8 @@ def main() -> None:
     ap.add_argument("--alpha", type=float, default=0.2)
     ap.add_argument("--beta", type=float, default=0.5)
     ap.add_argument("--k", type=int, default=10)
-    ap.add_argument("--threads", type=int, default=0)
+    ap.add_argument("--threads", type=int, default=1,
+                    help="accepted for compatibility; starts no workers")
     args = ap.parse_args()
 
     fx = synth_fixture(seed=args.seed, n_classes=args.n_classes,

@@ -29,7 +29,8 @@ def main() -> None:
                     default=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
     ap.add_argument("--betas", type=parse_floats,
                     default=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
-    ap.add_argument("--threads", type=int, default=0)
+    ap.add_argument("--threads", type=int, default=1,
+                    help="accepted for compatibility; starts no workers")
     ap.add_argument("--out", default="sweep.csv")
     args = ap.parse_args()
 

@@ -23,7 +23,10 @@ when metadata is actually requested.
 from __future__ import annotations
 
 import json
+import os
 import struct
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -240,20 +243,47 @@ def bank_append(builder: BankBuilder, vector, record: CaptionRecord | None = Non
     return builder.append(vector, record)
 
 
+@contextmanager
+def replace_atomically(path: Path, mode: str):
+    """Write to a new file beside ``path`` that replaces it once complete.
+
+    A reader that memory-maps the old file keeps the old inode, so saving a
+    bank onto the file it was loaded from cannot truncate the pages being
+    read, and a failed write leaves the old file as it was. There is no
+    fsync: this does not make the file durable across a power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def bank_save(bank: EmbeddingBank, path) -> None:
-    """Write the bank file and its metadata sidecar."""
+    """Write the bank file and its metadata sidecar.
+
+    A bank loaded with a sidecar keeps its records; a bank without records
+    gets ``item-<id>`` placeholders.
+    """
     path = Path(path)
     tag_bytes = bank.space_tag.encode("utf-8")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, DTYPE_F32,
                           bank.dim, bank.count, len(tag_bytes))
     payload = np.ascontiguousarray(bank.vectors, dtype="<f4")
+    records = bank._records
+    if records is None and bank._meta_path is not None:
+        records = bank._load_records()
     try:
-        with open(path, "wb") as fh:
+        with replace_atomically(path, "wb") as fh:
             fh.write(header)
             fh.write(tag_bytes)
             fh.write(payload.tobytes())
-        with open(_meta_path(path), "w", encoding="utf-8") as fh:
-            records = bank._records
+        with replace_atomically(_meta_path(path), "w") as fh:
             for i in range(bank.count):
                 rec = records[i] if records is not None else None
                 if rec is None:

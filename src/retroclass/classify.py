@@ -5,42 +5,62 @@ norms), so they are insensitive to whether the prototype matrix was
 renormalized after interpolation. Ranking ties break toward the lowest
 class index. With enrichment disabled the pipeline reduces exactly to
 argmax(query . prototype) over the zero-shot prototypes.
+
+Scoring works on stacks of query rows; the one-query functions are the same
+code applied to one row. Each query's logits come from its own
+matrix-vector product and dot-product norm, never from a product across
+queries, so a query's result is bitwise the same whatever the batch size.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import errors
-from .enrich import EnrichmentConfig, PrototypeSet, enrich_query, gather_captions
-from .index import QueryEmbedding, Retriever
+from .enrich import (EnrichmentConfig, HitTable, PrototypeSet, fuse_rows,
+                     retrieve_rows, row_error, row_norms)
+from .index import QueryEmbedding, Retriever, check_threads
 
 
-def logits(query_vector, prototypes) -> np.ndarray:
-    """Cosine of the query against every prototype row, as float64."""
+def logits_rows(queries, prototypes) -> np.ndarray:
+    """Cosine of each query row against every prototype row, (n, C) float64."""
     matrix = prototypes.matrix if isinstance(prototypes, PrototypeSet) else \
         np.asarray(prototypes, dtype=np.float32)
     if matrix.ndim != 2 or matrix.shape[0] < 1:
         raise errors.ValidationError("prototype matrix must be (n_classes, dim)")
-    q = np.asarray(query_vector, dtype=np.float64).reshape(-1)
-    if q.shape[0] != matrix.shape[1]:
+    q = np.asarray(queries, dtype=np.float64)
+    if q.shape[1] != matrix.shape[1]:
         raise errors.DimensionMismatch(
-            f"query dim {q.shape[0]} != prototype dim {matrix.shape[1]}")
-    qnorm = np.linalg.norm(q)
-    if qnorm <= 1e-12:
-        raise errors.ZeroVector("query vector has near-zero norm")
+            f"query dim {q.shape[1]} != prototype dim {matrix.shape[1]}")
+    qnorms = row_norms(q)
+    bad = np.flatnonzero(qnorms <= 1e-12)
+    if bad.size:
+        raise row_error(errors.ZeroVector, "query", int(bad[0]), q.shape[0],
+                        "query vector has near-zero norm")
     p64 = matrix.astype(np.float64)
     pnorms = np.linalg.norm(p64, axis=1)
     if np.any(pnorms <= 1e-12):
         bad = int(np.flatnonzero(pnorms <= 1e-12)[0])
         raise errors.DegeneratePrototype(f"prototype row {bad} has near-zero norm")
-    cos = (p64 @ q) / (pnorms * qnorm)
-    return np.clip(cos, -1.0, 1.0)
+    raw = np.empty((q.shape[0], matrix.shape[0]), dtype=np.float64)
+    for i, row in enumerate(q):
+        raw[i] = p64 @ row
+    return np.clip(raw / (pnorms * qnorms[:, None]), -1.0, 1.0)
+
+
+def rank_rows(logit_rows: np.ndarray) -> np.ndarray:
+    """Class indices of each row, score-desc, ties to the lowest index."""
+    return np.argsort(-logit_rows, axis=1, kind="stable")
+
+
+def logits(query_vector, prototypes) -> np.ndarray:
+    """Cosine of the query against every prototype row, as float64."""
+    q = np.asarray(query_vector, dtype=np.float64).reshape(1, -1)
+    return logits_rows(q, prototypes)[0]
 
 
 def predict_topk(logit_vector, m: int) -> list[tuple[int, float]]:
@@ -49,8 +69,8 @@ def predict_topk(logit_vector, m: int) -> list[tuple[int, float]]:
     n = arr.shape[0]
     if m < 1 or m > n:
         raise errors.InvalidM(f"m must be in [1, {n}], got {m}")
-    order = np.lexsort((np.arange(n), -arr))[:m]
-    return [(int(i), float(arr[i])) for i in order]
+    order = rank_rows(arr[None, :])[0, :m]
+    return list(zip(order.tolist(), arr[order].tolist()))
 
 
 @dataclass(frozen=True)
@@ -67,6 +87,60 @@ class Prediction:
                 "enriched": self.enriched}
 
 
+def select_prototypes(zeroshot: PrototypeSet, enriched: PrototypeSet | None,
+                      config: EnrichmentConfig | None) -> PrototypeSet:
+    """The prototype set queries are scored against under ``config``."""
+    if config is None:
+        return zeroshot
+    if config.alpha > 0 and enriched is None:
+        raise errors.ValidationError(
+            "enriched prototypes are required when alpha > 0")
+    return enriched if enriched is not None else zeroshot
+
+
+def retrieve_query_hits(queries: list[QueryEmbedding],
+                        retriever: Retriever | None, k: int) -> HitTable:
+    """Top-k captions of every query, for the query enrichment branch."""
+    if retriever is None:
+        raise errors.ValidationError(
+            "a caption retriever is required when beta > 0")
+    tag = retriever.bank.space_tag
+    for i, query in enumerate(queries):
+        if query.space_tag != tag:
+            raise row_error(errors.SpaceMismatch, "query", i, len(queries),
+                            f"query space {query.space_tag!r} != caption "
+                            f"bank space {tag!r}")
+    return retrieve_rows(retriever, [q.vector for q in queries], k, tag)
+
+
+def query_matrix(queries: list[QueryEmbedding], dim: int) -> np.ndarray:
+    """The query vectors stacked as (n, dim) float32."""
+    for i, query in enumerate(queries):
+        if query.vector.shape[0] != dim:
+            raise row_error(errors.DimensionMismatch, "query", i, len(queries),
+                            f"query dim {query.vector.shape[0]} != "
+                            f"prototype dim {dim}")
+    if not queries:
+        return np.empty((0, dim), dtype=np.float32)
+    return np.vstack([q.vector for q in queries])
+
+
+def rank_queries(queries: np.ndarray, prototypes: PrototypeSet,
+                 hits: HitTable | None, caption_vectors,
+                 config: EnrichmentConfig | None) -> tuple[np.ndarray, np.ndarray]:
+    """Rank every class for each query row: (class order, logits), both (n, C).
+
+    With beta > 0 each query is first interpolated with the centroid of its
+    retrieved captions; ``hits`` index ``caption_vectors`` at ``config.k``.
+    """
+    if config is not None and config.beta > 0:
+        queries, _ = fuse_rows(queries, hits, caption_vectors, config.beta,
+                               config.tau_it, config.use_temperature_it,
+                               config.renormalize_output, "query")
+    scores = logits_rows(queries, prototypes)
+    return rank_rows(scores), scores
+
+
 def classify_query(query: QueryEmbedding,
                    zeroshot: PrototypeSet,
                    enriched: PrototypeSet | None = None,
@@ -81,31 +155,8 @@ def classify_query(query: QueryEmbedding,
     supplied when beta > 0 (the query is interpolated with its own retrieved
     caption centroid before scoring).
     """
-    active = config is not None and (config.alpha > 0 or config.beta > 0)
-    proto = zeroshot
-    qv = query.vector
-    if config is not None:
-        if config.alpha > 0:
-            if enriched is None:
-                raise errors.ValidationError(
-                    "enriched prototypes are required when alpha > 0")
-            proto = enriched
-        elif enriched is not None:
-            proto = enriched
-        if config.beta > 0:
-            if retriever is None:
-                raise errors.ValidationError(
-                    "a caption retriever is required when beta > 0")
-            if query.space_tag != retriever.bank.space_tag:
-                raise errors.SpaceMismatch(
-                    f"query space {query.space_tag!r} != caption bank space "
-                    f"{retriever.bank.space_tag!r}")
-            hits = retriever.topk(qv, config.k, space_tag=query.space_tag)
-            retrieved = gather_captions(hits, retriever.bank)
-            qv = enrich_query(qv, retrieved, config).vector
-    scores = logits(qv, proto)
-    ranked = predict_topk(scores, scores.shape[0])
-    return Prediction(query_id=query_id, topk=tuple(ranked), enriched=active)
+    return classify_batch([query], zeroshot, enriched, retriever, config,
+                          first_query_id=query_id)[0]
 
 
 def classify_batch(queries: list[QueryEmbedding],
@@ -113,25 +164,30 @@ def classify_batch(queries: list[QueryEmbedding],
                    enriched: PrototypeSet | None = None,
                    retriever: Retriever | None = None,
                    config: EnrichmentConfig | None = None,
-                   threads: int = 0,
+                   threads: int = 1,
                    first_query_id: int = 0) -> list[Prediction]:
-    """Classify queries independently; output order matches input order."""
-    if threads < 0:
-        raise errors.ValidationError(f"threads must be >= 0, got {threads}")
+    """Classify queries independently; output order matches input order.
 
-    def one(i: int) -> Prediction:
-        try:
-            return classify_query(queries[i], zeroshot, enriched, retriever,
-                                  config, query_id=first_query_id + i)
-        except errors.RetroclassError as exc:
-            raise type(exc)(f"query {i}: {exc}") from exc
-
-    n = len(queries)
-    workers = threads if threads > 0 else min(8, (n or 1))
-    if workers == 1 or n <= 1:
-        return [one(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(n)))
+    Each prediction is bitwise what :func:`classify_query` gives for that
+    query alone. ``threads`` is accepted and validated but starts no
+    workers; BLAS does its own threading.
+    """
+    check_threads(threads)
+    if not queries:
+        return []
+    prototypes = select_prototypes(zeroshot, enriched, config)
+    active = config is not None and (config.alpha > 0 or config.beta > 0)
+    hits = caption_vectors = None
+    if config is not None and config.beta > 0:
+        hits = retrieve_query_hits(queries, retriever, config.k)
+        caption_vectors = retriever.bank.vectors
+    order, scores = rank_queries(
+        query_matrix(queries, prototypes.matrix.shape[1]), prototypes, hits,
+        caption_vectors, config)
+    ranked = np.take_along_axis(scores, order, axis=1)
+    return [Prediction(first_query_id + i, tuple(zip(ids, vals)), active)
+            for i, (ids, vals) in enumerate(zip(order.tolist(),
+                                                ranked.tolist()))]
 
 
 def write_predictions(predictions: list[Prediction], path) -> None:

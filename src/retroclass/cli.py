@@ -5,8 +5,9 @@ classify, eval, sweep, fixture. Exit codes: 0 success, 2 invalid input,
 3 corrupt data, 4 internal invariant violation. Set RETROCLASS_LOG to
 error|warn|info|debug to control logging (default warn).
 
-Every command is deterministic for fixed inputs and seeds; --threads picks
-a worker-pool width (0 = auto) and never changes results.
+Every command is deterministic for fixed inputs and seeds. --threads is
+accepted and validated (it must be >= 0) but starts no workers; BLAS
+threads come from OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -290,8 +291,8 @@ def _add_eval_io(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nprobe", type=int, default=None)
     parser.add_argument("--config", help="enrichment config JSON")
     parser.add_argument("--dataset-tag", default="synthetic")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="worker pool width, 0 = auto; never affects results")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; starts no workers")
     parser.add_argument("--merge-after", action="store_true",
                         help="merge alias prototypes after enrichment")
 
@@ -336,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_retrieve.add_argument("--k", type=int, required=True)
     p_retrieve.add_argument("--index", help="IVF index file (exact scan if absent)")
     p_retrieve.add_argument("--nprobe", type=int, default=None)
-    p_retrieve.add_argument("--threads", type=int, default=0)
+    p_retrieve.add_argument("--threads", type=int, default=1,
+                            help="accepted for compatibility; starts no workers")
     p_retrieve.add_argument("--out", required=True, help="hits JSONL")
     p_retrieve.set_defaults(func=_cmd_retrieve)
 
@@ -362,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--vlm-bank", help="caption bank for query enrichment")
     p_classify.add_argument("--index", help="IVF index over the vlm bank")
     p_classify.add_argument("--nprobe", type=int, default=None)
-    p_classify.add_argument("--threads", type=int, default=0)
+    p_classify.add_argument("--threads", type=int, default=1,
+                            help="accepted for compatibility; starts no workers")
     p_classify.add_argument("--out", required=True, help="predictions JSONL")
     p_classify.set_defaults(func=_cmd_classify)
 

@@ -11,6 +11,11 @@ Numerics: weights and centroid accumulation run in float64; centroids and
 interpolated outputs round to float32. A temperature near 0 concentrates
 weight on the best-scoring caption; a large temperature approaches a plain
 average.
+
+Fusion works on stacks of rows (:func:`fuse_rows`); the one-vector functions
+are that code applied to one row. Every step is elementwise or runs along one
+row (row softmax, centroid sums taken in hit order, one dot-product norm per
+row), so a row's result is bitwise the same whatever the batch it is in.
 """
 
 from __future__ import annotations
@@ -92,6 +97,39 @@ class EnrichmentConfig:
         return cls.from_dict(obj)
 
 
+def row_error(exc_type, what: str, row: int, n_rows: int, message: str):
+    """An error about one row of a stack; stacks of several rows name it."""
+    return exc_type(f"{what} {row}: {message}" if n_rows > 1 else message)
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """L2 norm of each float64 row, each one ``sqrt(row.dot(row))``.
+
+    That is what ``np.linalg.norm`` computes for a single vector, so a row's
+    norm does not depend on the rows stacked around it.
+    """
+    return np.sqrt(np.array([row.dot(row) for row in rows], dtype=np.float64))
+
+
+def _softmax_rows(scores: np.ndarray, tau: float) -> np.ndarray:
+    scaled = scores / tau
+    scaled -= scaled.max(axis=1, keepdims=True)
+    weights = np.exp(scaled)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def _centroid_rows(vectors, ids: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row i: sum over j of weights[i, j] * vectors[ids[i, j]], in float64.
+
+    The terms are added in hit order, one hit column at a time, so only
+    (rows, dim) temporaries exist whatever k is.
+    """
+    acc = np.asarray(vectors[ids[:, 0]], dtype=np.float64) * weights[:, :1]
+    for j in range(1, ids.shape[1]):
+        acc += np.asarray(vectors[ids[:, j]], dtype=np.float64) * weights[:, j:j + 1]
+    return acc.astype(np.float32)
+
+
 def softmax_weights(scores, tau: float) -> np.ndarray:
     """Temperature-scaled softmax with max subtraction.
 
@@ -105,10 +143,7 @@ def softmax_weights(scores, tau: float) -> np.ndarray:
         raise errors.InvalidTemperature(f"tau must be positive and finite, got {tau}")
     if not np.all(np.isfinite(arr)):
         raise errors.ValidationError("scores contain non-finite values")
-    scaled = arr / tau
-    scaled -= scaled.max()
-    weights = np.exp(scaled)
-    return weights / weights.sum()
+    return _softmax_rows(arr[None, :], tau)[0]
 
 
 def uniform_weights(n: int) -> np.ndarray:
@@ -132,8 +167,39 @@ def weighted_centroid(embeddings, weights) -> np.ndarray:
             f"{matrix.shape[0]} embeddings but {w.shape[0]} weights")
     if matrix.shape[0] == 0:
         raise errors.EmptyScores("no embeddings to combine")
-    acc = (matrix.astype(np.float64) * w[:, None]).sum(axis=0)
-    return acc.astype(np.float32)
+    return _centroid_rows(matrix, np.arange(w.shape[0])[None, :], w[None, :])[0]
+
+
+@dataclass(frozen=True)
+class HitTable:
+    """Top-k retrieval results of n queries, as arrays.
+
+    Row i holds ``counts[i]`` hits in its first columns, score-desc with ties
+    id-asc. An IVF probe can return fewer than k hits, or none; the unused
+    cells are 0.
+    """
+
+    ids: np.ndarray      # (n, k) int64
+    scores: np.ndarray   # (n, k) float64, the retrieval scores widened
+    counts: np.ndarray   # (n,) int64
+
+
+def retrieve_rows(retriever: Retriever, vectors, k: int, space_tag: str,
+                  what: str = "query") -> HitTable:
+    """One ``retriever.topk`` call per vector, packed into a HitTable."""
+    n = len(vectors)
+    ids = np.zeros((n, k), dtype=np.int64)
+    scores = np.zeros((n, k), dtype=np.float64)
+    counts = np.zeros(n, dtype=np.int64)
+    for i, vector in enumerate(vectors):
+        try:
+            hits = retriever.topk(vector, k, space_tag=space_tag)
+        except errors.RetroclassError as exc:
+            raise row_error(type(exc), what, i, n, str(exc)) from exc
+        counts[i] = len(hits)
+        ids[i, :len(hits)] = [h.id for h in hits]
+        scores[i, :len(hits)] = [h.score for h in hits]
+    return HitTable(ids, scores, counts)
 
 
 @dataclass(frozen=True)
@@ -191,44 +257,94 @@ class EnrichedVector:
     partial: bool = False
 
 
-def _identity_or_renorm(vec: np.ndarray, renormalize: bool) -> np.ndarray:
-    out = np.array(vec, dtype=np.float32)
+def _unit_rows(rows64: np.ndarray, positions, n_rows: int, what: str,
+               message: str) -> np.ndarray:
+    norms = row_norms(rows64)
+    bad = np.flatnonzero(norms <= 1e-12)
+    if bad.size:
+        raise row_error(errors.DegeneratePrototype, what,
+                        int(positions[bad[0]]), n_rows, message)
+    return (rows64 / norms[:, None]).astype(np.float32)
+
+
+def _identity_or_renorm(rows: np.ndarray, renormalize: bool, what: str,
+                        positions, n_rows: int) -> np.ndarray:
+    out = np.array(rows, dtype=np.float32)
     if renormalize:
-        out64 = out.astype(np.float64)
-        norm = np.linalg.norm(out64)
-        if norm <= 1e-12:
-            raise errors.DegeneratePrototype("vector has near-zero norm")
-        out = (out64 / norm).astype(np.float32)
+        out = _unit_rows(out.astype(np.float64), positions, n_rows, what,
+                         "vector has near-zero norm")
     return out
 
 
-def _interpolate(base: np.ndarray, retrieved: WeightedCaptions | None,
-                 frac: float, tau: float, use_temperature: bool,
-                 renormalize: bool, what: str) -> EnrichedVector:
-    base = np.asarray(base, dtype=np.float32).reshape(-1)
-    if retrieved is None or len(retrieved) == 0:
+def fuse_rows(base, hits: HitTable, vectors, frac: float, tau: float,
+              use_temperature: bool, renormalize: bool,
+              what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Interpolate each base row with the weighted centroid of its hits.
+
+    ``vectors`` holds the caption embeddings the hit ids index. Returns the
+    float32 rows and a mask of partial rows: a row with no hits passes
+    through unchanged. Rows are grouped by hit count, so a row with fewer
+    than k hits is weighted over exactly the hits it has.
+    """
+    base = np.asarray(base, dtype=np.float32)
+    n = base.shape[0]
+    partial = hits.counts == 0
+    for i in np.flatnonzero(partial):
         # graceful degradation: no neighbors means the input passes through
-        log.warning("partial enrichment: empty retrieval set for %s", what)
-        return EnrichedVector(np.array(base), partial=True)
-    if retrieved.embeddings.shape[1] != base.shape[0]:
+        log.warning("partial enrichment: empty retrieval set for %s %d",
+                    what, i)
+    out = np.array(base)
+    live = np.flatnonzero(~partial)
+    if live.size == 0:
+        return out, partial
+    if vectors.shape[1] != base.shape[1]:
         raise errors.DimensionMismatch(
-            f"caption dim {retrieved.embeddings.shape[1]} != vector dim {base.shape[0]}")
+            f"caption dim {vectors.shape[1]} != vector dim {base.shape[1]}")
     if frac == 0.0:
-        return EnrichedVector(_identity_or_renorm(base, renormalize))
-    scores = [h.score for h in retrieved.hits]
-    if use_temperature:
-        weights = softmax_weights(scores, tau)
+        out[live] = _identity_or_renorm(base[live], renormalize, what, live, n)
+        return out, partial
+    for c in np.unique(hits.counts[live]):
+        rows = live[hits.counts[live] == c]
+        ids = hits.ids[rows, :c]
+        scores = hits.scores[rows, :c]
+        if ids.min() < 0 or ids.max() >= vectors.shape[0]:
+            raise errors.IdOutOfRange(
+                f"hit ids outside [0, {vectors.shape[0]})")
+        if use_temperature:
+            if not np.all(np.isfinite(scores)):
+                raise errors.ValidationError("scores contain non-finite values")
+            weights = _softmax_rows(scores, tau)
+        else:
+            weights = np.full(scores.shape, 1.0 / c, dtype=np.float64)
+        centroid = _centroid_rows(vectors, ids, weights)
+        out64 = frac * centroid.astype(np.float64) + \
+            (1.0 - frac) * base[rows].astype(np.float64)
+        if renormalize:
+            out[rows] = _unit_rows(out64, rows, n, what,
+                                   f"interpolated {what} vector has near-zero norm")
+        else:
+            out[rows] = out64.astype(np.float32)
+    return out, partial
+
+
+def _interpolate(base, retrieved: WeightedCaptions | None, frac: float,
+                 tau: float, use_temperature: bool, renormalize: bool,
+                 what: str) -> EnrichedVector:
+    """:func:`fuse_rows` on one row whose hits are already gathered."""
+    base = np.asarray(base, dtype=np.float32).reshape(1, -1)
+    if retrieved is None or len(retrieved) == 0:
+        hits = HitTable(np.zeros((1, 0), np.int64), np.zeros((1, 0)),
+                        np.zeros(1, np.int64))
+        vectors = np.empty((0, base.shape[1]), np.float32)
     else:
-        weights = uniform_weights(len(scores))
-    centroid = weighted_centroid(retrieved.embeddings, weights)
-    out64 = frac * centroid.astype(np.float64) + (1.0 - frac) * base.astype(np.float64)
-    if renormalize:
-        norm = np.linalg.norm(out64)
-        if norm <= 1e-12:
-            raise errors.DegeneratePrototype(
-                f"interpolated {what} vector has near-zero norm")
-        out64 = out64 / norm
-    return EnrichedVector(out64.astype(np.float32))
+        c = len(retrieved)
+        hits = HitTable(np.arange(c)[None, :],
+                        np.array([[h.score for h in retrieved.hits]]),
+                        np.array([c]))
+        vectors = retrieved.embeddings
+    out, partial = fuse_rows(base, hits, vectors, frac, tau, use_temperature,
+                             renormalize, what)
+    return EnrichedVector(out[0], partial=bool(partial[0]))
 
 
 def enrich_prototype(prototype, retrieved: WeightedCaptions | None,
@@ -282,19 +398,25 @@ def zeroshot_prototypes(specs) -> PrototypeSet:
     return PrototypeSet(np.vstack(rows), kind="zeroshot")
 
 
-def enrich_all_prototypes(specs, llm_bank: EmbeddingBank,
-                          vlm_text_bank: EmbeddingBank,
-                          retriever: Retriever,
-                          config: EnrichmentConfig,
-                          merge_aliases: str = "before") -> PrototypeSet:
-    """Enrich every class prototype through caption retrieval.
+@dataclass(frozen=True)
+class PrototypeRows:
+    """The rows prototype enrichment works on.
 
-    Retrieval runs against ``llm_bank`` with each class's retrieval query;
-    fusion embeddings come from ``vlm_text_bank`` at the same ids, so the two
-    banks must be aligned row-for-row. ``merge_aliases`` picks whether alias
-    prototypes merge before enrichment (one retrieval per class) or after
-    (one retrieval per alias, merging the enriched outputs).
+    One row per class, or one per alias when aliases merge after
+    enrichment; ``bounds[c]:bounds[c + 1]`` are class c's rows.
     """
+
+    base: np.ndarray                 # (rows, dim) float32 prototypes
+    queries: tuple[np.ndarray, ...]  # the retrieval query of each row
+    bounds: np.ndarray               # (n_classes + 1,) row offsets
+    class_ids: tuple[int, ...]       # spec.index of each class
+    merge_after: bool
+
+
+def prototype_rows(specs, llm_bank: EmbeddingBank,
+                   vlm_text_bank: EmbeddingBank, retriever: Retriever,
+                   merge_aliases: str = "before") -> PrototypeRows:
+    """Check the enrichment inputs and lay out the rows to enrich."""
     if not specs:
         raise errors.ValidationError("spec list is empty")
     if merge_aliases not in ("before", "after"):
@@ -324,31 +446,65 @@ def enrich_all_prototypes(specs, llm_bank: EmbeddingBank,
                 f"class {spec.name!r} prototype dim {spec.prototypes.shape[1]} "
                 f"!= bank dim {vlm_text_bank.dim}")
 
-    def enrich_one(proto_vec: np.ndarray, query_vec: np.ndarray) -> EnrichedVector:
-        if config.alpha == 0.0:
-            # endpoint short-circuit, skips retrieval entirely
-            return EnrichedVector(
-                _identity_or_renorm(proto_vec, config.renormalize_output))
-        hits = retriever.topk(query_vec, config.k,
-                              space_tag=llm_bank.space_tag)
-        retrieved = gather_captions(hits, vlm_text_bank)
-        return enrich_prototype(proto_vec, retrieved, config)
+    if merge_aliases == "before":
+        base = [spec.merged_prototype() for spec in specs]
+        queries = [spec.merged_retrieval_query() for spec in specs]
+        sizes = [1] * len(specs)
+    else:
+        base = [row for spec in specs for row in spec.prototypes]
+        queries = [row for spec in specs for row in spec.retrieval_queries]
+        sizes = [len(spec.all_names) for spec in specs]
+    return PrototypeRows(np.vstack(base), tuple(queries),
+                         np.concatenate(([0], np.cumsum(sizes))),
+                         tuple(spec.index for spec in specs),
+                         merge_aliases == "after")
 
-    rows = []
-    partial_ids = []
-    for spec in specs:
-        if merge_aliases == "before":
-            result = enrich_one(spec.merged_prototype(),
-                                spec.merged_retrieval_query())
-        else:
-            per_alias = [enrich_one(spec.prototypes[j], spec.retrieval_queries[j])
-                         for j in range(len(spec.all_names))]
-            merged = merge_alias_prototypes(
-                np.vstack([ev.vector for ev in per_alias]))
-            result = EnrichedVector(merged,
-                                    partial=any(ev.partial for ev in per_alias))
-        rows.append(result.vector)
-        if result.partial:
-            partial_ids.append(spec.index)
-    return PrototypeSet(np.vstack(rows), kind="final",
-                        partial=tuple(partial_ids))
+
+def fuse_prototypes(rows: PrototypeRows, hits: HitTable | None,
+                    vlm_text_bank: EmbeddingBank,
+                    config: EnrichmentConfig) -> PrototypeSet:
+    """Enriched prototypes for one config from already retrieved hits.
+
+    ``hits`` holds each row's retrieval from the llm bank at ``config.k``;
+    it may be None when alpha is 0, which needs no retrieval.
+    """
+    if config.alpha == 0.0:
+        # endpoint short-circuit: no retrieval, no partial rows
+        n = rows.base.shape[0]
+        out = _identity_or_renorm(rows.base, config.renormalize_output,
+                                  "prototype", np.arange(n), n)
+        partial = np.zeros(out.shape[0], dtype=bool)
+    else:
+        out, partial = fuse_rows(rows.base, hits, vlm_text_bank.vectors,
+                                 config.alpha, config.tau_tt,
+                                 config.use_temperature_tt,
+                                 config.renormalize_output, "prototype")
+    if rows.merge_after:
+        spans = list(zip(rows.bounds[:-1], rows.bounds[1:]))
+        out = np.vstack([merge_alias_prototypes(out[a:b]) for a, b in spans])
+        partial = np.array([partial[a:b].any() for a, b in spans])
+    return PrototypeSet(out, kind="final",
+                        partial=tuple(cid for cid, p in zip(rows.class_ids, partial)
+                                      if p))
+
+
+def enrich_all_prototypes(specs, llm_bank: EmbeddingBank,
+                          vlm_text_bank: EmbeddingBank,
+                          retriever: Retriever,
+                          config: EnrichmentConfig,
+                          merge_aliases: str = "before") -> PrototypeSet:
+    """Enrich every class prototype through caption retrieval.
+
+    Retrieval runs against ``llm_bank`` with each class's retrieval query;
+    fusion embeddings come from ``vlm_text_bank`` at the same ids, so the two
+    banks must be aligned row-for-row. ``merge_aliases`` picks whether alias
+    prototypes merge before enrichment (one retrieval per class) or after
+    (one retrieval per alias, merging the enriched outputs).
+    """
+    rows = prototype_rows(specs, llm_bank, vlm_text_bank, retriever,
+                          merge_aliases)
+    hits = None
+    if config.alpha > 0:
+        hits = retrieve_rows(retriever, rows.queries, config.k,
+                             llm_bank.space_tag, "prototype")
+    return fuse_prototypes(rows, hits, vlm_text_bank, config)

@@ -14,14 +14,13 @@ by ascending id.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import errors
-from .bank import EmbeddingBank, NORM_ATOL
+from .bank import EmbeddingBank, NORM_ATOL, replace_atomically
 
 INDEX_MAGIC = b"RTRCIVF1"
 INDEX_VERSION = 1
@@ -320,36 +319,35 @@ class Retriever:
         return ivf_search(self.index, query, k, self.nprobe)
 
 
-def batch_topk(queries: list[QueryEmbedding], bank: EmbeddingBank, k: int,
-               index: IvfIndex | None = None, nprobe: int | None = None,
-               threads: int = 0) -> list[list[RetrievalHit]]:
-    """Per-query top-k with order-preserving output.
+def check_threads(threads: int) -> None:
+    """Validate a ``threads`` argument.
 
-    ``threads`` only sets the pool width (0 = auto); every value produces
-    identical results because queries never share mutable state.
+    The value never changes results and starts no workers: queries run one
+    after another and BLAS does its own threading (OPENBLAS_NUM_THREADS).
     """
-    retriever = Retriever(bank, index, nprobe)
-
-    def one(i: int) -> list[RetrievalHit]:
-        q = queries[i]
-        try:
-            if retriever.index is None:
-                return exact_topk(q, bank, k)
-            return ivf_search(retriever.index, q, k, retriever.nprobe)
-        except errors.RetroclassError as exc:
-            raise type(exc)(f"query {i}: {exc}") from exc
-
-    n = len(queries)
     if threads < 0:
         raise errors.ValidationError(f"threads must be >= 0, got {threads}")
-    workers = threads if threads > 0 else min(8, (len(queries) or 1))
-    if workers == 1 or n <= 1:
-        return [one(i) for i in range(n)]
-    out: list[list[RetrievalHit] | None] = [None] * n
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i, hits in zip(range(n), pool.map(one, range(n))):
-            out[i] = hits
-    return out  # type: ignore[return-value]
+
+
+def batch_topk(queries: list[QueryEmbedding], bank: EmbeddingBank, k: int,
+               index: IvfIndex | None = None, nprobe: int | None = None,
+               threads: int = 1) -> list[list[RetrievalHit]]:
+    """Per-query top-k with order-preserving output.
+
+    ``threads`` is validated by :func:`check_threads` and otherwise unused.
+    """
+    check_threads(threads)
+    retriever = Retriever(bank, index, nprobe)
+    out = []
+    for i, q in enumerate(queries):
+        try:
+            if retriever.index is None:
+                out.append(exact_topk(q, bank, k))
+            else:
+                out.append(ivf_search(retriever.index, q, k, retriever.nprobe))
+        except errors.RetroclassError as exc:
+            raise type(exc)(f"query {i}: {exc}") from exc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +359,7 @@ def save_index(index: IvfIndex, path) -> None:
     header = _INDEX_HEADER.pack(INDEX_MAGIC, INDEX_VERSION,
                                 index.n_clusters, index.dim, index.seed)
     try:
-        with open(path, "wb") as fh:
+        with replace_atomically(path, "wb") as fh:
             fh.write(header)
             fh.write(np.ascontiguousarray(index.centroids, "<f4").tobytes())
             for lst in index.lists:

@@ -41,3 +41,29 @@ def rng():
 def unit_rows(rng, n, d):
     m = rng.standard_normal((n, d))
     return m / np.linalg.norm(m, axis=1, keepdims=True)
+
+
+@pytest.fixture(scope="session")
+def alias_specs(small_fixture):
+    """Class specs for ``small_fixture`` where classes carry 0-2 aliases."""
+    from retroclass.bank import EmbeddingBank
+    from retroclass.prompts import PromptTemplate, build_class_specs
+
+    fx = small_fixture
+    rng = np.random.default_rng(77)
+    protos = np.asarray(fx.prototype_bank.vectors, np.float64)
+    rqueries = np.asarray(fx.retrieval_query_bank.vectors, np.float64)
+    classes, proto_rows, rquery_rows = [], [], []
+    for c in range(fx.prototype_bank.count):
+        aliases = [f"alias-{c}-{j}" for j in range(c % 3)]
+        classes.append((f"class-{c:02d}", aliases))
+        proto_rows.append(protos[c])
+        rquery_rows.append(rqueries[c])
+        for _ in aliases:
+            proto_rows.append(protos[c] + 0.3 * rng.standard_normal(protos.shape[1]))
+            rquery_rows.append(rqueries[c] + 0.05 * rng.standard_normal(protos.shape[1]))
+    template = PromptTemplate.generic()
+    return build_class_specs(
+        classes, template, template,
+        EmbeddingBank.from_matrix(np.vstack(proto_rows), "vlm-text"),
+        EmbeddingBank.from_matrix(np.vstack(rquery_rows), "llm-text"))

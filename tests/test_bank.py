@@ -1,11 +1,16 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import retroclass
 from retroclass import errors
 from retroclass.bank import (MAGIC, CaptionRecord, EmbeddingBank, bank_append,
                              bank_create, bank_load, bank_save, check_norms,
@@ -104,6 +109,51 @@ def test_save_load_save_identical_bytes(tmp_path, rng):
     meta1 = p1.with_name(p1.name + ".meta.jsonl")
     meta2 = p2.with_name(p2.name + ".meta.jsonl")
     assert meta1.read_bytes() == meta2.read_bytes()
+
+
+def test_save_onto_own_memmapped_file_keeps_it_intact(tmp_path, rng):
+    """bank_save(bank_load(p), p) once truncated the file under its own
+    memmap and died of SIGBUS; it runs in a child so a crash fails the test."""
+    records = [CaptionRecord(i, f"caption {i}", "unit") for i in range(20000)]
+    bank = make_bank(rng, n=20000, d=64, records=records)
+    path = tmp_path / "self.bank"
+    bank_save(bank, path)
+    meta = path.with_name("self.bank.meta.jsonl")
+    meta_bytes = meta.read_bytes()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(retroclass.__file__).parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from retroclass.bank import bank_load, bank_save; "
+         "bank_save(bank_load(sys.argv[1]), sys.argv[1])", str(path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = bank_load(path)
+    assert np.array_equal(np.asarray(loaded.vectors).view(np.uint32),
+                          np.asarray(bank.vectors).view(np.uint32))
+    assert meta.read_bytes() == meta_bytes
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["self.bank", "self.bank.meta.jsonl"]
+
+
+def test_failed_save_leaves_old_file(tmp_path, rng, monkeypatch):
+    path = tmp_path / "keep.bank"
+    bank_save(make_bank(rng), path)
+    before = path.read_bytes()
+    other = make_bank(rng, n=3)
+
+    def no_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", no_replace)
+    with pytest.raises(errors.IoError, match="disk full"):
+        bank_save(other, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["keep.bank", "keep.bank.meta.jsonl"]
 
 
 def test_load_memmaps_payload(tmp_path, rng):

@@ -6,8 +6,9 @@ from retroclass.classify import (Prediction, classify_batch, classify_query,
                                  logits, predict_topk, read_predictions,
                                  write_predictions)
 from retroclass.enrich import (EnrichmentConfig, PrototypeSet,
-                               enrich_all_prototypes, zeroshot_prototypes)
-from retroclass.index import QueryEmbedding, Retriever
+                               enrich_all_prototypes, enrich_query,
+                               gather_captions, zeroshot_prototypes)
+from retroclass.index import QueryEmbedding, Retriever, exact_topk
 
 
 def unit32(rng, d=8):
@@ -190,6 +191,110 @@ def test_batch_error_carries_query_index(small_fixture, rng):
     retr = Retriever(small_fixture.vlm_bank)
     with pytest.raises(errors.SpaceMismatch, match="query 2"):
         classify_batch(queries + [bad], zs, None, retr, cfg, threads=1)
+
+
+def loop_fuse(base, query, banks, cfg, frac, tau, use_temperature):
+    """One vector's enrichment, written out with 1-D numpy calls."""
+    retrieval_bank, fusion_bank = banks
+    hits = exact_topk(query, retrieval_bank, cfg.k)
+    emb = np.array(fusion_bank.vectors[[h.id for h in hits]]).astype(np.float64)
+    scores = np.array([h.score for h in hits])
+    if use_temperature:
+        scaled = scores / tau
+        scaled -= scaled.max()
+        w = np.exp(scaled)
+        w = w / w.sum()
+    else:
+        w = np.full(len(hits), 1.0 / len(hits))
+    centroid = (emb * w[:, None]).sum(axis=0).astype(np.float32)
+    out = frac * centroid.astype(np.float64) + \
+        (1.0 - frac) * base.astype(np.float64)
+    if cfg.renormalize_output:
+        out = out / np.linalg.norm(out)
+    return out.astype(np.float32)
+
+
+def loop_ranking(qv, prototypes):
+    """One query's ranking, written out with 1-D numpy calls."""
+    p64 = prototypes.astype(np.float64)
+    q = qv.astype(np.float64)
+    cos = np.clip((p64 @ q) / (np.linalg.norm(p64, axis=1) * np.linalg.norm(q)),
+                  -1.0, 1.0)
+    order = np.lexsort((np.arange(cos.shape[0]), -cos))
+    return tuple((int(i), float(cos[i])) for i in order)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+@pytest.mark.parametrize("cfg", [
+    EnrichmentConfig(),
+    EnrichmentConfig(alpha=0.4, beta=0.8, tau_it=2.0, use_temperature_tt=False,
+                     renormalize_output=False),
+], ids=["default", "no-renorm"])
+def test_batch_rows_equal_one_query_calls(golden_fixture, n, cfg):
+    """Every row of a batch is bitwise the one-query result and the result
+    of the same arithmetic done one vector at a time."""
+    fx = golden_fixture
+    specs = fx.build_specs()
+    zs = zeroshot_prototypes(specs)
+    enriched = enrich_all_prototypes(specs, fx.llm_bank, fx.vlm_bank,
+                                     Retriever(fx.llm_bank), cfg)
+    loop_protos = np.vstack([
+        loop_fuse(spec.merged_prototype(),
+                  QueryEmbedding(spec.merged_retrieval_query(), "llm-text"),
+                  (fx.llm_bank, fx.vlm_bank), cfg, cfg.alpha, cfg.tau_tt,
+                  cfg.use_temperature_tt)
+        for spec in specs])
+    assert np.array_equal(enriched.matrix.view(np.uint32),
+                          loop_protos.view(np.uint32))
+    retr = Retriever(fx.vlm_bank)
+    queries = [QueryEmbedding(np.array(fx.queries.vectors[i]), "vlm-text")
+               for i in range(0, 8 * n, 8)]
+    batch = classify_batch(queries, zs, enriched, retr, cfg,
+                           first_query_id=100)
+    assert [p.query_id for p in batch] == list(range(100, 100 + n))
+    for i, pred in enumerate(batch):
+        assert pred == classify_query(queries[i], zs, enriched, retr, cfg,
+                                      query_id=100 + i)
+        qv = loop_fuse(queries[i].vector, queries[i],
+                       (fx.vlm_bank, fx.vlm_bank), cfg, cfg.beta, cfg.tau_it,
+                       cfg.use_temperature_it)
+        assert pred.topk == loop_ranking(qv, enriched.matrix)
+
+
+def test_batch_with_short_and_empty_hit_lists(small_fixture):
+    """Rows with k, fewer than k, or no hits in one batch each match the
+    row-by-row pipeline; an empty row passes through unenriched."""
+    zs, queries = batch_inputs(small_fixture, n=9)
+    cfg = EnrichmentConfig(alpha=0.0, beta=0.5, k=6)
+    kept = {q.vector.tobytes(): (0, 3, cfg.k)[i % 3]
+            for i, q in enumerate(queries)}
+
+    class ShortRetriever(Retriever):
+        def topk(self, vector, k, space_tag=None):
+            hits = super().topk(vector, k, space_tag)
+            return hits[:kept[np.asarray(vector, np.float32).tobytes()]]
+
+    retr = ShortRetriever(small_fixture.vlm_bank)
+    batch = classify_batch(queries, zs, None, retr, cfg)
+    for i, pred in enumerate(batch):
+        hits = retr.topk(queries[i].vector, cfg.k)
+        vec = enrich_query(queries[i].vector,
+                           gather_captions(hits, small_fixture.vlm_bank),
+                           cfg).vector
+        assert pred.topk == tuple(predict_topk(logits(vec, zs), zs.n_classes))
+
+
+def test_batch_dimension_error_carries_query_index(small_fixture):
+    zs, queries = batch_inputs(small_fixture, n=3)
+    bad = QueryEmbedding.from_raw(np.ones(7), "vlm-text")
+    with pytest.raises(errors.DimensionMismatch, match="query 1"):
+        classify_batch([queries[0], bad, queries[2]], zs)
+
+
+def test_batch_negative_threads_rejected(small_fixture):
+    zs, queries = batch_inputs(small_fixture, n=2)
+    with pytest.raises(errors.ValidationError, match="threads"):
+        classify_batch(queries, zs, threads=-1)
 
 
 def test_empty_batch(small_fixture):

@@ -205,6 +205,14 @@ def test_exit_code_validation_error(workdir, tmp_path):
     assert proc.stderr.startswith("error:")
 
 
+def test_negative_threads_is_a_validation_error(workdir, tmp_path):
+    fx = workdir / "fx"
+    proc = run_cli("eval", "--fixture-dir", fx, "--threads", -1,
+                   "--out", tmp_path / "r.json", check=False)
+    assert proc.returncode == 2
+    assert "threads must be >= 0" in proc.stderr
+
+
 def test_exit_code_missing_file(tmp_path):
     proc = run_cli("bank", "inspect", "--bank", tmp_path / "nope.bank",
                    check=False)

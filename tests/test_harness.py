@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from retroclass import errors
-from retroclass.classify import Prediction
-from retroclass.enrich import EnrichmentConfig
+from retroclass import index as index_mod
+from retroclass.classify import Prediction, logits, predict_topk
+from retroclass.enrich import (EnrichmentConfig, enrich_prototype, enrich_query,
+                               gather_captions)
 from retroclass.harness import (CSV_HEADER, EvalReport, SweepGrid, accuracy,
                                 emit_report, load_fixture_dir, report_csv_row,
                                 run_eval, run_sweep, synth_fixture)
+from retroclass.index import build_ivf, ivf_search
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -257,6 +260,106 @@ def test_run_sweep_anchor_point_equals_zero_shot(small_fixture):
     zs = eval_fixture(fx, EnrichmentConfig(alpha=0.0, beta=0.0))
     assert reports[0].acc_at == zs.acc_at
     assert reports[0].config.alpha == 0.0 and reports[0].config.beta == 0.0
+
+
+@pytest.mark.parametrize("merge_aliases", ["before", "after"])
+@pytest.mark.parametrize("renormalize", [True, False])
+def test_run_sweep_reports_equal_per_point_run_eval(small_fixture, alias_specs,
+                                                    merge_aliases, renormalize):
+    fx = small_fixture
+    grid = SweepGrid(alphas=(0.0, 0.3), betas=(0.0, 0.6), taus_tt=(1.0, 0.2),
+                     taus_it=(100.0, 5.0),
+                     toggles=((True, True), (False, False), (True, False)))
+    base = EnrichmentConfig(k=4, renormalize_output=renormalize)
+    reports = run_sweep(grid, alias_specs, fx.queries, list(fx.labels),
+                        fx.llm_bank, fx.vlm_bank, base_config=base,
+                        merge_aliases=merge_aliases)
+    assert len(reports) == 48
+    for report in reports:
+        single = run_eval(alias_specs, fx.queries, list(fx.labels),
+                          fx.llm_bank, fx.vlm_bank, report.config,
+                          merge_aliases=merge_aliases)
+        assert report.to_json_dict(include_timing=False) == \
+            single.to_json_dict(include_timing=False)
+
+
+@pytest.mark.parametrize("alphas, betas, retrieves", [
+    ((0.0, 0.2, 0.4), (0.0, 0.5), "classes+queries"),
+    ((0.0, 0.2), (0.0,), "classes"),
+    ((0.0,), (0.0, 0.5), "queries"),
+    ((0.0,), (0.0,), "nothing"),
+])
+def test_run_sweep_retrieves_once_per_query(small_fixture, monkeypatch,
+                                            alphas, betas, retrieves):
+    fx = small_fixture
+    real = index_mod.exact_topk
+    calls = []
+
+    def counting(query, bank, k):
+        calls.append(bank.space_tag)
+        return real(query, bank, k)
+
+    monkeypatch.setattr(index_mod, "exact_topk", counting)
+    grid = SweepGrid(alphas=alphas, betas=betas, taus_tt=(1.0, 0.5),
+                     toggles=((True, True), (False, False)))
+    run_sweep(grid, fx.build_specs(), fx.queries, list(fx.labels),
+              fx.llm_bank, fx.vlm_bank)
+    n_classes, n_queries = fx.prototype_bank.count, fx.queries.count
+    expected = {"classes+queries": n_classes + n_queries,
+                "classes": n_classes, "queries": n_queries, "nothing": 0}
+    assert len(calls) == expected[retrieves]
+    assert calls.count("llm-text") == (n_classes if "classes" in retrieves else 0)
+
+
+def test_ivf_eval_with_short_hit_lists_matches_row_by_row(small_fixture):
+    """nprobe=1 over lists of about 3 rows gives fewer than k hits; the
+    array path must weight each row over exactly the hits it has."""
+    fx = small_fixture
+    cfg = EnrichmentConfig(k=8)
+    n_lists = fx.llm_bank.count // 3
+    llm_index = build_ivf(fx.llm_bank, n_lists, seed=1)
+    vlm_index = build_ivf(fx.vlm_bank, n_lists, seed=2)
+    report = run_eval(fx.build_specs(), fx.queries, list(fx.labels),
+                      fx.llm_bank, fx.vlm_bank, cfg, llm_index=llm_index,
+                      vlm_index=vlm_index, nprobe=1)
+
+    specs = fx.build_specs()
+    rows, short = [], 0
+    for spec in specs:
+        query = index_mod.QueryEmbedding(spec.merged_retrieval_query(), "llm-text")
+        hits = ivf_search(llm_index, query, cfg.k, 1)
+        short += len(hits) < cfg.k
+        rows.append(enrich_prototype(spec.merged_prototype(),
+                                     gather_captions(hits, fx.vlm_bank),
+                                     cfg).vector)
+    prototypes = np.vstack(rows)
+    preds = []
+    for i in range(fx.queries.count):
+        query = index_mod.QueryEmbedding(fx.queries.vectors[i], "vlm-text")
+        hits = ivf_search(vlm_index, query, cfg.k, 1)
+        short += len(hits) < cfg.k
+        vec = enrich_query(query.vector, gather_captions(hits, fx.vlm_bank),
+                           cfg).vector
+        ranked = predict_topk(logits(vec, prototypes), len(specs))
+        preds.append(Prediction(i, tuple(ranked), True))
+    assert short > 0
+    expect = accuracy(preds, fx.labels, dataset="synthetic", config=cfg)
+    assert report.to_json_dict(include_timing=False) == \
+        expect.to_json_dict(include_timing=False)
+
+
+def test_threads_validated_but_never_change_results(small_fixture):
+    fx = small_fixture
+    grid = SweepGrid(alphas=(0.0, 0.2), betas=(0.0, 0.5))
+    args = (fx.build_specs(), fx.queries, list(fx.labels), fx.llm_bank,
+            fx.vlm_bank)
+    runs = [run_sweep(grid, *args, threads=t) for t in (0, 1, 5)]
+    dicts = [[r.to_json_dict(include_timing=False) for r in run] for run in runs]
+    assert dicts[0] == dicts[1] == dicts[2]
+    with pytest.raises(errors.ValidationError, match="threads"):
+        run_sweep(grid, *args, threads=-1)
+    with pytest.raises(errors.ValidationError, match="threads"):
+        run_eval(*args, EnrichmentConfig(), threads=-1)
 
 
 def test_run_sweep_empty_grid_rejected(small_fixture):
