@@ -24,8 +24,6 @@ def main() -> None:
     ap.add_argument("--alpha", type=float, default=0.2)
     ap.add_argument("--beta", type=float, default=0.5)
     ap.add_argument("--k", type=int, default=10)
-    ap.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility; starts no workers")
     args = ap.parse_args()
 
     fx = synth_fixture(seed=args.seed, n_classes=args.n_classes,
@@ -38,7 +36,7 @@ def main() -> None:
 
     def evaluate(config):
         return run_eval(specs, fx.queries, labels, fx.llm_bank, fx.vlm_bank,
-                        config, threads=args.threads)
+                        config)
 
     zs = evaluate(EnrichmentConfig(alpha=0.0, beta=0.0))
     enr = evaluate(EnrichmentConfig(alpha=args.alpha, beta=args.beta,

@@ -29,8 +29,6 @@ def main() -> None:
                     default=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
     ap.add_argument("--betas", type=parse_floats,
                     default=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
-    ap.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility; starts no workers")
     ap.add_argument("--out", default="sweep.csv")
     args = ap.parse_args()
 
@@ -42,8 +40,7 @@ def main() -> None:
     grid = SweepGrid(alphas=args.alphas, betas=args.betas)
     reports = run_sweep(grid, fx.build_specs(), fx.queries, list(fx.labels),
                         fx.llm_bank, fx.vlm_bank,
-                        base_config=EnrichmentConfig(),
-                        threads=args.threads)
+                        base_config=EnrichmentConfig())
     emit_report(reports, "csv", args.out)
 
     best = max(reports, key=lambda r: (r.acc_at[1], -r.config.alpha,

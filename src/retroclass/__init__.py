@@ -9,8 +9,7 @@ embeddings, exact or inverted-file retrieval, and a handful of interpolation
 weights.
 """
 
-from .bank import (BankBuilder, CaptionRecord, EmbeddingBank, bank_append,
-                   bank_create, bank_load, bank_save, join_metadata)
+from .bank import BankBuilder, CaptionRecord, EmbeddingBank, bank_load, bank_save
 from .classify import (Prediction, classify_batch, classify_query, logits,
                        predict_topk, read_predictions, write_predictions)
 from .enrich import (EnrichedVector, EnrichmentConfig, PrototypeSet,

@@ -23,16 +23,14 @@ when metadata is actually requested.
 from __future__ import annotations
 
 import json
-import os
 import struct
-import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import errors
+from .files import read_jsonl, replace_atomically
 
 MAGIC = b"RTRCBANK"
 FORMAT_VERSION = 1
@@ -62,6 +60,18 @@ class CaptionRecord:
             raise errors.IdOutOfRange(f"record id must be >= 0, got {self.id}")
         if not isinstance(self.text, str) or not self.text:
             raise errors.ValidationError("record text must be a non-empty string")
+
+
+def parse_caption_record(i: int, obj) -> CaptionRecord:
+    """Line ``i`` of a caption JSON-lines file: ``{"id", "text", "source"}``.
+
+    ``id`` is optional and defaults to ``i``, the only value it may hold, so
+    each record stays aligned with bank row ``i``.
+    """
+    rid = obj.get("id", i)
+    if type(rid) is not int or rid != i:
+        raise ValueError(f"carries id {json.dumps(rid)}, expected {i}")
+    return CaptionRecord(i, obj["text"], obj.get("source"))
 
 
 @dataclass(frozen=True)
@@ -166,7 +176,9 @@ class EmbeddingBank:
         if self._records is None:
             if self._meta_path is None:
                 raise errors.CorruptBank("bank has no metadata sidecar")
-            self._records = _read_sidecar(self._meta_path, self.count)
+            self._records = read_jsonl(self._meta_path, "metadata sidecar",
+                                       parse_caption_record,
+                                       errors.CorruptBank, count=self.count)
         return self._records
 
     def metadata(self, ids: list[int] | np.ndarray) -> list[CaptionRecord]:
@@ -235,35 +247,6 @@ class BankBuilder:
 # module-level operations
 
 
-def bank_create(dim: int, space_tag: str) -> BankBuilder:
-    return BankBuilder(dim, space_tag)
-
-
-def bank_append(builder: BankBuilder, vector, record: CaptionRecord | None = None) -> int:
-    return builder.append(vector, record)
-
-
-@contextmanager
-def replace_atomically(path: Path, mode: str):
-    """Write to a new file beside ``path`` that replaces it once complete.
-
-    A reader that memory-maps the old file keeps the old inode, so saving a
-    bank onto the file it was loaded from cannot truncate the pages being
-    read, and a failed write leaves the old file as it was. There is no
-    fsync: this does not make the file durable across a power loss.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def bank_save(bank: EmbeddingBank, path) -> None:
     """Write the bank file and its metadata sidecar.
 
@@ -278,21 +261,18 @@ def bank_save(bank: EmbeddingBank, path) -> None:
     records = bank._records
     if records is None and bank._meta_path is not None:
         records = bank._load_records()
-    try:
-        with replace_atomically(path, "wb") as fh:
-            fh.write(header)
-            fh.write(tag_bytes)
-            fh.write(payload.tobytes())
-        with replace_atomically(_meta_path(path), "w") as fh:
-            for i in range(bank.count):
-                rec = records[i] if records is not None else None
-                if rec is None:
-                    rec = CaptionRecord(i, f"item-{i}")
-                fh.write(json.dumps(
-                    {"id": rec.id, "text": rec.text, "source": rec.source},
-                    ensure_ascii=False) + "\n")
-    except OSError as exc:
-        raise errors.IoError(f"cannot write bank to {path}: {exc}") from exc
+    with replace_atomically(path, "bank", "wb") as fh:
+        fh.write(header)
+        fh.write(tag_bytes)
+        fh.write(payload.tobytes())
+    with replace_atomically(_meta_path(path), "metadata sidecar") as fh:
+        for i in range(bank.count):
+            rec = records[i] if records is not None else None
+            if rec is None:
+                rec = CaptionRecord(i, f"item-{i}")
+            fh.write(json.dumps(
+                {"id": rec.id, "text": rec.text, "source": rec.source},
+                ensure_ascii=False) + "\n")
 
 
 def bank_load(path) -> EmbeddingBank:
@@ -321,6 +301,8 @@ def bank_load(path) -> EmbeddingBank:
                                          byte_offset=12)
             if dim < 1:
                 raise errors.CorruptBank("dim must be >= 1", byte_offset=16)
+            if tag_len == 0:
+                raise errors.CorruptBank("empty space tag", byte_offset=28)
             tag_bytes = fh.read(tag_len)
             if len(tag_bytes) < tag_len:
                 raise errors.CorruptBank("truncated space tag",
@@ -349,35 +331,6 @@ def bank_load(path) -> EmbeddingBank:
     meta = _meta_path(path)
     return EmbeddingBank(vectors, space_tag,
                          meta_path=meta if meta.exists() else None)
-
-
-def _read_sidecar(path: Path, expected_count: int) -> list[CaptionRecord]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise errors.IoError(f"cannot read metadata sidecar {path}: {exc}") from exc
-    if len(lines) != expected_count:
-        raise errors.CorruptBank(
-            f"sidecar has {len(lines)} rows, bank has {expected_count}")
-    records = []
-    for i, line in enumerate(lines):
-        try:
-            obj = json.loads(line)
-            rec = CaptionRecord(int(obj["id"]), obj["text"], obj.get("source"))
-        except (json.JSONDecodeError, KeyError, TypeError,
-                errors.RetroclassError) as exc:
-            raise errors.CorruptBank(f"sidecar line {i} is invalid: {exc}") from exc
-        if rec.id != i:
-            raise errors.CorruptBank(
-                f"sidecar line {i} carries id {rec.id}, expected {i}")
-        records.append(rec)
-    return records
-
-
-def join_metadata(bank: EmbeddingBank, ids) -> list[CaptionRecord]:
-    """Resolve row ids to their caption records, preserving input order."""
-    return bank.metadata(ids)
 
 
 def check_norms(bank: EmbeddingBank, atol: float = NORM_ATOL) -> bool:

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import errors
 from .enrich import (EnrichmentConfig, HitTable, PrototypeSet, fuse_rows,
                      retrieve_rows, row_error, row_norms)
+from .files import read_jsonl, replace_atomically
 from .index import QueryEmbedding, Retriever, check_threads
 
 
@@ -192,29 +192,16 @@ def classify_batch(queries: list[QueryEmbedding],
 
 def write_predictions(predictions: list[Prediction], path) -> None:
     """One JSON object per line: {"query_id", "topk", "enriched"}."""
-    try:
-        with open(Path(path), "w", encoding="utf-8") as fh:
-            for pred in predictions:
-                fh.write(json.dumps(pred.to_json_dict()) + "\n")
-    except OSError as exc:
-        raise errors.IoError(f"cannot write predictions to {path}: {exc}") from exc
+    with replace_atomically(path, "predictions") as fh:
+        for pred in predictions:
+            fh.write(json.dumps(pred.to_json_dict()) + "\n")
+
+
+def _parse_prediction(i: int, obj) -> Prediction:
+    return Prediction(query_id=int(obj["query_id"]),
+                      topk=tuple((int(c), float(s)) for c, s in obj["topk"]),
+                      enriched=bool(obj["enriched"]))
 
 
 def read_predictions(path) -> list[Prediction]:
-    try:
-        with open(Path(path), encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise errors.IoError(f"cannot read predictions at {path}: {exc}") from exc
-    out = []
-    for i, line in enumerate(lines):
-        try:
-            obj = json.loads(line)
-            out.append(Prediction(
-                query_id=int(obj["query_id"]),
-                topk=tuple((int(c), float(s)) for c, s in obj["topk"]),
-                enriched=bool(obj["enriched"]),
-            ))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise errors.CorruptData(f"predictions line {i} is invalid: {exc}") from exc
-    return out
+    return read_jsonl(path, "predictions", _parse_prediction, errors.CorruptData)

@@ -18,19 +18,19 @@ import logging
 import os
 import sys
 import traceback
-from pathlib import Path
 
 import numpy as np
 
 from . import errors
-from .bank import (CaptionRecord, EmbeddingBank, bank_load, bank_save,
-                   check_norms)
+from .bank import (FORMAT_VERSION, CaptionRecord, EmbeddingBank, bank_load,
+                   bank_save, check_norms, parse_caption_record)
 from .classify import classify_batch, write_predictions
 from .enrich import EnrichmentConfig, enrich_all_prototypes
-from .harness import (SweepGrid, emit_report, load_fixture_dir, run_eval,
-                      run_sweep, synth_fixture)
-from .index import (IvfIndex, QueryEmbedding, Retriever, batch_topk,
-                    build_ivf, load_index, save_index)
+from .files import read_json, read_jsonl, replace_atomically
+from .harness import (SweepGrid, emit_report, load_fixture_dir, parse_labels,
+                      run_eval, run_sweep, synth_fixture)
+from .index import (QueryEmbedding, Retriever, batch_topk, build_ivf,
+                    load_index, save_index)
 from .prompts import build_class_specs, load_class_config
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
@@ -47,55 +47,9 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_meta_lines(path: Path, count: int) -> list[CaptionRecord]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if len(lines) != count:
-        raise errors.ValidationError(
-            f"metadata has {len(lines)} lines but vectors have {count} rows")
-    records = []
-    for i, line in enumerate(lines):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise errors.ValidationError(
-                f"metadata line {i} is not valid JSON: {exc}") from exc
-        if "text" not in obj:
-            raise errors.ValidationError(f"metadata line {i} has no text field")
-        rec_id = int(obj.get("id", i))
-        if rec_id != i:
-            raise errors.ValidationError(
-                f"metadata line {i} carries id {rec_id}")
-        records.append(CaptionRecord(rec_id, obj["text"], obj.get("source")))
-    return records
-
-
-def _load_query_bank(path: str) -> EmbeddingBank:
-    return bank_load(path)
-
-
 def _queries_from_bank(bank: EmbeddingBank) -> list[QueryEmbedding]:
     return [QueryEmbedding(bank.vectors[i], bank.space_tag)
             for i in range(bank.count)]
-
-
-def _maybe_index(path: str | None, bank: EmbeddingBank) -> IvfIndex | None:
-    if path is None:
-        return None
-    return load_index(path, bank)
-
-
-def _load_labels(path: str) -> list[int]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise errors.IoError(f"cannot read labels {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise errors.ValidationError(f"labels file is not valid JSON: {exc}") from exc
-    if not isinstance(obj, list):
-        raise errors.ValidationError("labels file must hold a JSON list")
-    return [int(x) for x in obj]
 
 
 def _load_config(path: str | None) -> EnrichmentConfig:
@@ -116,7 +70,8 @@ def _cmd_bank_build(args) -> int:
             f"vector file must hold a 2-D array, got shape {matrix.shape}")
     records = None
     if args.meta is not None:
-        records = _load_meta_lines(Path(args.meta), matrix.shape[0])
+        records = read_jsonl(args.meta, "metadata", parse_caption_record,
+                             count=matrix.shape[0])
     bank = EmbeddingBank.from_matrix(matrix, args.tag, records=records)
     bank_save(bank, args.out)
     return errors.EXIT_OK
@@ -129,13 +84,13 @@ def _cmd_bank_inspect(args) -> int:
         "count": bank.count,
         "space_tag": bank.space_tag,
         "dtype": "float32",
-        "version": 1,
+        "version": FORMAT_VERSION,
     }
     if args.check_norms:
         info["norms_ok"] = check_norms(bank)
     text = json.dumps(info, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with replace_atomically(args.out, "bank info") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -153,20 +108,16 @@ def _cmd_index_build(args) -> int:
 
 def _cmd_retrieve(args) -> int:
     bank = bank_load(args.bank)
-    query_bank = _load_query_bank(args.queries)
-    index = _maybe_index(args.index, bank)
-    queries = _queries_from_bank(query_bank)
+    queries = _queries_from_bank(bank_load(args.queries))
+    index = load_index(args.index, bank) if args.index is not None else None
     hit_lists = batch_topk(queries, bank, args.k, index=index,
                            nprobe=args.nprobe, threads=args.threads)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for i, hits in enumerate(hit_lists):
-                fh.write(json.dumps({
-                    "query_id": i,
-                    "hits": [[h.id, h.score] for h in hits],
-                }) + "\n")
-    except OSError as exc:
-        raise errors.IoError(f"cannot write hits to {args.out}: {exc}") from exc
+    with replace_atomically(args.out, "hits") as fh:
+        for i, hits in enumerate(hit_lists):
+            fh.write(json.dumps({
+                "query_id": i,
+                "hits": [[h.id, h.score] for h in hits],
+            }) + "\n")
     return errors.EXIT_OK
 
 
@@ -179,8 +130,8 @@ def _cmd_enrich_prototypes(args) -> int:
     config = _load_config(args.config)
     specs = build_class_specs(classes, zs_template, rt_template,
                               proto_bank, rquery_bank)
-    retriever = Retriever(llm_bank, _maybe_index(args.index, llm_bank),
-                          args.nprobe)
+    index = load_index(args.index, llm_bank) if args.index is not None else None
+    retriever = Retriever(llm_bank, index, args.nprobe)
     proto_set = enrich_all_prototypes(
         specs, llm_bank, vlm_bank, retriever, config,
         merge_aliases="after" if args.merge_after else "before")
@@ -195,7 +146,7 @@ def _cmd_enrich_prototypes(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    query_bank = _load_query_bank(args.queries)
+    query_bank = bank_load(args.queries)
     proto_bank = bank_load(args.prototypes)
     config = _load_config(args.config)
     from .enrich import PrototypeSet
@@ -206,8 +157,9 @@ def _cmd_classify(args) -> int:
             raise errors.ValidationError(
                 "--vlm-bank is required when config beta > 0")
         vlm_bank = bank_load(args.vlm_bank)
-        retriever = Retriever(vlm_bank, _maybe_index(args.index, vlm_bank),
-                              args.nprobe)
+        index = (load_index(args.index, vlm_bank)
+                 if args.index is not None else None)
+        retriever = Retriever(vlm_bank, index, args.nprobe)
     queries = _queries_from_bank(query_bank)
     predictions = classify_batch(queries, proto_set, proto_set, retriever,
                                  config, threads=args.threads)
@@ -233,8 +185,10 @@ def _eval_inputs(args):
     rquery_bank = bank_load(args.retrieval_bank)
     specs = build_class_specs(classes, zs_template, rt_template,
                               proto_bank, rquery_bank)
-    return (specs, _load_query_bank(args.queries), _load_labels(args.labels),
-            bank_load(args.llm_bank), bank_load(args.vlm_bank))
+    query_bank = bank_load(args.queries)
+    labels = list(read_json(args.labels, "labels", parse_labels))
+    return (specs, query_bank, labels, bank_load(args.llm_bank),
+            bank_load(args.vlm_bank))
 
 
 def _cmd_eval(args) -> int:
@@ -242,8 +196,10 @@ def _cmd_eval(args) -> int:
     config = _load_config(args.config)
     report = run_eval(
         specs, query_bank, labels, llm_bank, vlm_bank, config,
-        llm_index=_maybe_index(args.llm_index, llm_bank),
-        vlm_index=_maybe_index(args.vlm_index, vlm_bank),
+        llm_index=(load_index(args.llm_index, llm_bank)
+                   if args.llm_index is not None else None),
+        vlm_index=(load_index(args.vlm_index, vlm_bank)
+                   if args.vlm_index is not None else None),
         nprobe=args.nprobe, threads=args.threads, dataset=args.dataset_tag,
         merge_aliases="after" if args.merge_after else "before")
     emit_report([report], args.format, args.out)

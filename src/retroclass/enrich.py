@@ -20,15 +20,14 @@ row), so a row's result is bitwise the same whatever the batch it is in.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import errors
 from .bank import EmbeddingBank
+from .files import read_json
 from .index import RetrievalHit, Retriever
 from .prompts import merge_alias_prototypes
 
@@ -59,8 +58,16 @@ class EnrichmentConfig:
     renormalize_output: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.k, int) or isinstance(self.k, bool):
+            raise errors.ValidationError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise errors.ValidationError(f"k must be >= 1, got {self.k}")
+        for name in ("use_temperature_tt", "use_temperature_it",
+                     "renormalize_output"):
+            flag = getattr(self, name)
+            if not isinstance(flag, bool):
+                raise errors.ValidationError(
+                    f"{name} must be true or false, got {flag!r}")
         for name in ("tau_tt", "tau_it"):
             tau = getattr(self, name)
             if not np.isfinite(tau) or tau <= 0:
@@ -87,14 +94,7 @@ class EnrichmentConfig:
 
     @classmethod
     def load(cls, path) -> "EnrichmentConfig":
-        try:
-            with open(Path(path), encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise errors.IoError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise errors.ValidationError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(obj)
+        return read_json(path, "config", cls.from_dict)
 
 
 def row_error(exc_type, what: str, row: int, n_rows: int, message: str):

@@ -28,33 +28,28 @@ class ValidationError(RetroclassError):
 
 
 class CorruptData(RetroclassError):
-    """A stored artifact failed structural validation."""
+    """A stored artifact failed structural validation.
+
+    ``byte_offset``, when given, points at the first byte that failed
+    validation, so a truncated payload reports the offset where the data
+    ends.
+    """
 
     exit_code = EXIT_CORRUPT
-
-
-class CorruptBank(CorruptData):
-    """Bank file failed a magic, version, dtype, or size check.
-
-    ``byte_offset`` points at the first byte that failed validation, so a
-    truncated payload reports the offset where the data ends.
-    """
 
     def __init__(self, message: str, byte_offset: int | None = None):
         self.byte_offset = byte_offset
         if byte_offset is not None:
             message = f"{message} (byte offset {byte_offset})"
         super().__init__(message)
+
+
+class CorruptBank(CorruptData):
+    """Bank file or its metadata sidecar failed a structural check."""
 
 
 class CorruptIndex(CorruptData):
     """Index file failed a magic, version, or size check."""
-
-    def __init__(self, message: str, byte_offset: int | None = None):
-        self.byte_offset = byte_offset
-        if byte_offset is not None:
-            message = f"{message} (byte offset {byte_offset})"
-        super().__init__(message)
 
 
 class IoError(RetroclassError):

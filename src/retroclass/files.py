@@ -1,0 +1,119 @@
+"""Reading and writing files.
+
+Every JSON and JSON-lines file the package reads goes through
+:func:`read_json` or :func:`read_jsonl`, and every artifact it writes goes
+through :func:`replace_atomically`. They map each way such a file can fail
+to a package error:
+
+* a path that cannot be read or written raises ``IoError``;
+* bad UTF-8, bad JSON, or a value of the wrong shape raises
+  ``ValidationError`` for a JSON file a user hands in; a JSON-lines reader
+  names its class, a ``CorruptData`` subclass for files the package wrote.
+
+A parse function therefore needs no ``try`` of its own: indexing a missing
+key, converting a string that is not a number or calling a method on the
+wrong type all surface as such an error, with the file (and line) named. A
+parse function that raises a subclass of that class keeps its type.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import stat
+import uuid
+from contextlib import contextmanager
+from pathlib import Path
+
+from . import errors
+
+# what a parse function raises when it meets a value of the wrong shape;
+# ValueError also covers bad UTF-8 and bad JSON, RecursionError deep nesting
+_SHAPE_ERRORS = (KeyError, TypeError, ValueError, AttributeError,
+                 OverflowError, RecursionError, errors.ValidationError)
+
+
+def read_bytes(path, what: str) -> bytes:
+    """The whole file; an unreadable path raises ``IoError``."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise errors.IoError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _reraise(exc: Exception, error: type, message: str):
+    # keep a typed error the parse function raised (EmptyGrid, say)
+    cls = type(exc) if isinstance(exc, error) else error
+    raise cls(message) from exc
+
+
+def read_json(path, what: str, parse):
+    """``parse`` applied to the one JSON document in a UTF-8 file."""
+    data = read_bytes(path, what)
+    try:
+        return parse(json.loads(data.decode("utf-8")))
+    except _SHAPE_ERRORS as exc:
+        _reraise(exc, errors.ValidationError,
+                 f"{what} {path} is invalid: {exc}")
+
+
+def read_jsonl(path, what: str, parse_line, error=errors.ValidationError,
+               count: int | None = None) -> list:
+    """``parse_line(i, obj)`` for each line of a UTF-8 JSON-lines file.
+
+    Lines end at ``\\n`` only, so a string holding U+2028 or another Unicode
+    line break stays on its line. With ``count`` set, a file with another
+    number of lines raises ``error`` before any line is parsed.
+    """
+    lines = read_bytes(path, what).split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    if count is not None and len(lines) != count:
+        raise error(f"{what} {path} has {len(lines)} rows, expected {count}")
+    out = []
+    for i, line in enumerate(lines):
+        try:
+            out.append(parse_line(i, json.loads(line.decode("utf-8"))))
+        except _SHAPE_ERRORS as exc:
+            _reraise(exc, error, f"{what} {path} line {i} is invalid: {exc}")
+    return out
+
+
+@contextmanager
+def replace_atomically(path, what: str, mode: str = "w"):
+    """Write to a new file beside ``path`` that replaces it once complete.
+
+    A reader that memory-maps the old file keeps the old inode, so saving a
+    bank onto the file it was loaded from cannot truncate the pages being
+    read, and a failed write leaves the old file as it was. A symlink is
+    written through to its target, and the new file keeps the old one's
+    permission bits (hard links to the old file keep the old bytes). A path
+    that exists but is not a regular file, such as a FIFO or ``/dev/stdout``,
+    cannot be replaced and is written directly. There is no fsync: this does
+    not make the file durable across a power loss. An ``OSError`` while
+    opening, writing or renaming raises ``IoError``.
+    """
+    encoding = None if "b" in mode else "utf-8"
+    try:
+        try:
+            old = os.stat(path)
+        except FileNotFoundError:
+            old = None
+        if old is not None and not stat.S_ISREG(old.st_mode):
+            with open(path, mode, encoding=encoding) as fh:
+                yield fh
+            return
+        target = Path(os.path.realpath(path))
+        tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex[:12]}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, mode, encoding=encoding) as fh:
+                if old is not None:
+                    os.fchmod(fh.fileno(), stat.S_IMODE(old.st_mode))
+                yield fh
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise errors.IoError(f"cannot write {what} to {path}: {exc}") from exc

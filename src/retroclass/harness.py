@@ -17,13 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import errors
-from .bank import CaptionRecord, EmbeddingBank, bank_save
+from .bank import CaptionRecord, EmbeddingBank, bank_load, bank_save
 # classify_batch stays importable from here: perfbench's tracer tests check
 # that wrapping it rebinds this module's name too
 from .classify import (Prediction, classify_batch, query_matrix,  # noqa: F401
                        rank_queries, retrieve_query_hits, select_prototypes)
 from .enrich import (EnrichmentConfig, fuse_prototypes, prototype_rows,
                      retrieve_rows, zeroshot_prototypes)
+from .files import read_json, replace_atomically
 from .index import IvfIndex, QueryEmbedding, Retriever, check_threads
 from .prompts import build_class_specs, parse_class_config
 
@@ -239,7 +240,12 @@ class SweepGrid:
         kwargs = {}
         for key in ("alphas", "betas", "taus_tt", "taus_it"):
             if key in obj:
-                kwargs[key] = tuple(float(v) for v in obj[key])
+                axis = obj[key]
+                if not isinstance(axis, list) or any(
+                        type(v) not in (int, float) for v in axis):
+                    raise errors.ValidationError(
+                        f"grid {key} must be a list of numbers")
+                kwargs[key] = tuple(float(v) for v in axis)
         if "toggles" in obj:
             toggles = []
             for entry in obj["toggles"]:
@@ -247,8 +253,8 @@ class SweepGrid:
                     raise errors.ValidationError(
                         "each toggle entry must be an object with "
                         "use_temperature_tt / use_temperature_it")
-                toggles.append((bool(entry.get("use_temperature_tt", True)),
-                                bool(entry.get("use_temperature_it", True))))
+                toggles.append((entry.get("use_temperature_tt", True),
+                                entry.get("use_temperature_it", True)))
             kwargs["toggles"] = tuple(toggles)
         if "alphas" not in kwargs or "betas" not in kwargs:
             raise errors.ValidationError("sweep grid needs alphas and betas")
@@ -256,14 +262,7 @@ class SweepGrid:
 
     @classmethod
     def load(cls, path) -> "SweepGrid":
-        try:
-            with open(Path(path), encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise errors.IoError(f"cannot read grid {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise errors.ValidationError(f"grid is not valid JSON: {exc}") from exc
-        return cls.from_dict(obj)
+        return read_json(path, "grid", cls.from_dict)
 
 
 def run_sweep(grid: SweepGrid, specs, query_bank: EmbeddingBank, labels,
@@ -320,17 +319,18 @@ class SynthFixture:
         out = Path(out_dir)
         try:
             out.mkdir(parents=True, exist_ok=True)
-            bank_save(self.queries, out / "queries.bank")
-            bank_save(self.prototype_bank, out / "prototypes.bank")
-            bank_save(self.retrieval_query_bank, out / "retrieval_queries.bank")
-            bank_save(self.llm_bank, out / "llm_db.bank")
-            bank_save(self.vlm_bank, out / "vlm_db.bank")
-            with open(out / "labels.json", "w", encoding="utf-8") as fh:
-                json.dump(list(self.labels), fh)
-            with open(out / "classes.json", "w", encoding="utf-8") as fh:
-                json.dump(self.class_config, fh, indent=2)
         except OSError as exc:
-            raise errors.IoError(f"cannot write fixture to {out}: {exc}") from exc
+            raise errors.IoError(f"cannot create fixture directory {out}: "
+                                 f"{exc}") from exc
+        bank_save(self.queries, out / "queries.bank")
+        bank_save(self.prototype_bank, out / "prototypes.bank")
+        bank_save(self.retrieval_query_bank, out / "retrieval_queries.bank")
+        bank_save(self.llm_bank, out / "llm_db.bank")
+        bank_save(self.vlm_bank, out / "vlm_db.bank")
+        with replace_atomically(out / "labels.json", "labels") as fh:
+            json.dump(list(self.labels), fh)
+        with replace_atomically(out / "classes.json", "class config") as fh:
+            json.dump(self.class_config, fh, indent=2)
 
 
 def synth_fixture(seed: int, n_classes: int, dim: int,
@@ -400,22 +400,29 @@ def synth_fixture(seed: int, n_classes: int, dim: int,
     return fixture
 
 
+def parse_labels(obj) -> tuple[int, ...]:
+    """Integer class labels from a JSON list, one per query."""
+    if not isinstance(obj, list) or any(type(x) is not int for x in obj):
+        raise errors.ValidationError("labels must be a JSON list of integers")
+    return tuple(obj)
+
+
+def _parse_fixture_classes(obj) -> dict:
+    # the fixture keeps the raw dict and parses it again in build_specs;
+    # parsing it here as well makes a malformed file fail while it is read
+    parse_class_config(obj)
+    return obj
+
+
 def load_fixture_dir(fixture_dir) -> SynthFixture:
     """Read back a fixture written by :meth:`SynthFixture.save`."""
-    from .bank import bank_load
     d = Path(fixture_dir)
-    try:
-        with open(d / "labels.json", encoding="utf-8") as fh:
-            labels = json.load(fh)
-        with open(d / "classes.json", encoding="utf-8") as fh:
-            class_config = json.load(fh)
-    except OSError as exc:
-        raise errors.IoError(f"cannot read fixture at {d}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise errors.ValidationError(f"fixture JSON is invalid: {exc}") from exc
+    labels = read_json(d / "labels.json", "labels", parse_labels)
+    class_config = read_json(d / "classes.json", "class config",
+                             _parse_fixture_classes)
     return SynthFixture(
         queries=bank_load(d / "queries.bank"),
-        labels=tuple(int(x) for x in labels),
+        labels=labels,
         prototype_bank=bank_load(d / "prototypes.bank"),
         retrieval_query_bank=bank_load(d / "retrieval_queries.bank"),
         llm_bank=bank_load(d / "llm_db.bank"),
@@ -457,21 +464,13 @@ def emit_report(reports: list[EvalReport], fmt: str, path,
         raise errors.ValidationError(f"unknown report format {fmt!r}")
     if not reports:
         raise errors.ValidationError("no reports to write")
-    path = Path(path)
-    try:
+    with replace_atomically(path, "report") as fh:
         if fmt == "json":
-            payload = {
-                "schema_version": REPORT_SCHEMA_VERSION,
-                "reports": [r.to_json_dict(include_timing=include_timing)
-                            for r in reports],
-            }
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+            json.dump({"schema_version": REPORT_SCHEMA_VERSION,
+                       "reports": [r.to_json_dict(include_timing=include_timing)
+                                   for r in reports]}, fh, indent=2)
+            fh.write("\n")
         else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(CSV_HEADER + "\n")
-                for report in reports:
-                    fh.write(report_csv_row(report) + "\n")
-    except OSError as exc:
-        raise errors.IoError(f"cannot write report to {path}: {exc}") from exc
+            fh.write(CSV_HEADER + "\n")
+            for report in reports:
+                fh.write(report_csv_row(report) + "\n")

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import errors
-from .bank import EmbeddingBank, NORM_ATOL, replace_atomically
+from .bank import EmbeddingBank, NORM_ATOL
+from .files import read_bytes, replace_atomically
 
 INDEX_MAGIC = b"RTRCIVF1"
 INDEX_VERSION = 1
@@ -355,28 +355,18 @@ def batch_topk(queries: list[QueryEmbedding], bank: EmbeddingBank, k: int,
 
 
 def save_index(index: IvfIndex, path) -> None:
-    path = Path(path)
     header = _INDEX_HEADER.pack(INDEX_MAGIC, INDEX_VERSION,
                                 index.n_clusters, index.dim, index.seed)
-    try:
-        with replace_atomically(path, "wb") as fh:
-            fh.write(header)
-            fh.write(np.ascontiguousarray(index.centroids, "<f4").tobytes())
-            for lst in index.lists:
-                fh.write(struct.pack("<Q", len(lst)))
-                fh.write(np.ascontiguousarray(lst, "<u8").tobytes())
-    except OSError as exc:
-        raise errors.IoError(f"cannot write index to {path}: {exc}") from exc
+    with replace_atomically(path, "index", "wb") as fh:
+        fh.write(header)
+        fh.write(np.ascontiguousarray(index.centroids, "<f4").tobytes())
+        for lst in index.lists:
+            fh.write(struct.pack("<Q", len(lst)))
+            fh.write(np.ascontiguousarray(lst, "<u8").tobytes())
 
 
 def load_index(path, bank: EmbeddingBank | None = None) -> IvfIndex:
-    path = Path(path)
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise errors.IoError(f"cannot read index at {path}: {exc}") from exc
-
+    data = read_bytes(path, "index")
     if len(data) < _INDEX_HEADER.size:
         raise errors.CorruptIndex("file too small for header",
                                   byte_offset=len(data))

@@ -11,14 +11,13 @@ carried per class so the two encoders can be driven independently.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import errors
 from .bank import EmbeddingBank
+from .files import read_json
 
 GENERIC_PREFIX = "a photo of a"
 
@@ -212,11 +211,4 @@ def parse_class_config(obj: dict) -> tuple[list[tuple[str, list[str]]],
 
 def load_class_config(path) -> tuple[list[tuple[str, list[str]]],
                                      PromptTemplate, PromptTemplate]:
-    try:
-        with open(Path(path), encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise errors.IoError(f"cannot read class config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise errors.ValidationError(f"class config is not valid JSON: {exc}") from exc
-    return parse_class_config(obj)
+    return read_json(path, "class config", parse_class_config)

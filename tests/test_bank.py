@@ -11,10 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import retroclass
-from retroclass import errors
-from retroclass.bank import (MAGIC, CaptionRecord, EmbeddingBank, bank_append,
-                             bank_create, bank_load, bank_save, check_norms,
-                             join_metadata)
+from retroclass import cli, errors
+from retroclass.bank import (MAGIC, BankBuilder, CaptionRecord, EmbeddingBank,
+                             bank_load, bank_save, check_norms)
+from retroclass.classify import Prediction, write_predictions
+from retroclass.harness import accuracy, emit_report
 
 HEADER_FMT = struct.Struct("<8sIIIQH")
 
@@ -139,21 +140,43 @@ def test_save_onto_own_memmapped_file_keeps_it_intact(tmp_path, rng):
 
 
 def test_failed_save_leaves_old_file(tmp_path, rng, monkeypatch):
-    path = tmp_path / "keep.bank"
-    bank_save(make_bank(rng), path)
-    before = path.read_bytes()
-    other = make_bank(rng, n=3)
+    """Every artifact writer: a failed rename keeps the old bytes in place."""
+    src = tmp_path / "src"
+    src.mkdir()
+    for v, n in enumerate((7, 3)):
+        bank_save(make_bank(rng, n=n), src / f"b{v}.bank")
+    preds = [[Prediction(0, ((v, 0.5), (1 - v, 0.25)), False)] for v in (0, 1)]
+    reports = [[accuracy(preds[v], [0], dataset=f"d{v}")] for v in (0, 1)]
+
+    def cli_writer(*argv):
+        args = cli.build_parser().parse_args([str(a) for a in argv])
+        args.func(args)
+
+    writers = {
+        "bank": lambda path, v: bank_save(make_bank(rng, n=7 - 4 * v), path),
+        "predictions": lambda path, v: write_predictions(preds[v], path),
+        "json-report": lambda path, v: emit_report(reports[v], "json", path),
+        "csv-report": lambda path, v: emit_report(reports[v], "csv", path),
+        "hits": lambda path, v: cli_writer(
+            "retrieve", "--bank", src / "b0.bank", "--queries",
+            src / "b0.bank", "--k", 1 + v, "--out", path),
+        "bank-info": lambda path, v: cli_writer(
+            "bank", "inspect", "--bank", src / f"b{v}.bank", "--out", path),
+    }
 
     def no_replace(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr(os, "replace", no_replace)
-    with pytest.raises(errors.IoError, match="disk full"):
-        bank_save(other, path)
-    monkeypatch.undo()
-    assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == \
-        ["keep.bank", "keep.bank.meta.jsonl"]
+    for name, write in writers.items():
+        out = tmp_path / name
+        out.mkdir()
+        write(out / "keep", 0)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        monkeypatch.setattr(os, "replace", no_replace)
+        with pytest.raises(errors.IoError, match="disk full"):
+            write(out / "keep", 1)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before, name
 
 
 def test_load_memmaps_payload(tmp_path, rng):
@@ -178,10 +201,10 @@ def test_metadata_is_lazy_and_joins(tmp_path, rng):
     path = tmp_path / "j.bank"
     bank_save(bank, path)
     loaded = bank_load(path)
-    got = join_metadata(loaded, np.array([4, 0]))
+    got = loaded.metadata(np.array([4, 0]))
     assert [r.text for r in got] == ["t4", "t0"]
     with pytest.raises(errors.IdOutOfRange):
-        join_metadata(loaded, [5])
+        loaded.metadata([5])
 
 
 def test_missing_sidecar_errors_only_on_metadata_access(tmp_path, rng):
@@ -310,27 +333,27 @@ def test_check_norms_catches_denormalized_payload(tmp_path, rng):
 
 def test_builder_matches_from_matrix(rng):
     m = rng.standard_normal((6, 4))
-    builder = bank_create(4, "llm-text")
+    builder = BankBuilder(4, "llm-text")
     for row in m:
-        bank_append(builder, row)
+        builder.append(row)
     built = builder.finalize()
     direct = EmbeddingBank.from_matrix(m, "llm-text")
     assert np.array_equal(np.asarray(built.vectors), np.asarray(direct.vectors))
 
 
 def test_builder_rejects_wrong_dim():
-    builder = bank_create(3, "llm-text")
+    builder = BankBuilder(3, "llm-text")
     with pytest.raises(errors.DimensionMismatch):
         builder.append(np.ones(4))
 
 
 def test_builder_empty_finalize_yields_empty_bank():
-    bank = bank_create(3, "llm-text").finalize()
+    bank = BankBuilder(3, "llm-text").finalize()
     assert bank.count == 0 and bank.dim == 3
 
 
 def test_builder_returns_dense_ids(rng):
-    builder = bank_create(2, "llm-text")
+    builder = BankBuilder(2, "llm-text")
     ids = [builder.append(rng.standard_normal(2)) for _ in range(4)]
     assert ids == [0, 1, 2, 3]
 

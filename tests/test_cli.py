@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -79,6 +80,50 @@ def test_bank_build_meta_count_mismatch(tmp_path):
                    "--tag", "llm-text", "--meta", meta,
                    "--out", tmp_path / "x.bank", check=False)
     assert proc.returncode == 2
+
+
+def test_bank_build_meta_id_defaults_to_line_number(tmp_path):
+    np.save(tmp_path / "v.npy", np.ones((2, 4)))
+    meta = tmp_path / "m.jsonl"
+    meta.write_text('{"text": "zero"}\n{"text": "one", "source": "s"}\n')
+    run_cli("bank", "build", "--vectors", tmp_path / "v.npy", "--tag",
+            "llm-text", "--meta", meta, "--out", tmp_path / "ok.bank")
+    records = bank_load(tmp_path / "ok.bank").metadata([0, 1])
+    assert [(r.id, r.text, r.source) for r in records] == \
+        [(0, "zero", None), (1, "one", "s")]
+    meta.write_text('{"text": "zero"}\n{"id": 0, "text": "one"}\n')
+    proc = run_cli("bank", "build", "--vectors", tmp_path / "v.npy", "--tag",
+                   "llm-text", "--meta", meta, "--out", tmp_path / "bad.bank",
+                   check=False)
+    assert proc.returncode == 2 and "carries id 0, expected 1" in proc.stderr
+    # only a JSON integer is an id: no string, fraction or boolean passes
+    for rid in ('"1"', "1.9", "true"):
+        meta.write_text('{"text": "zero"}\n{"id": %s, "text": "one"}\n' % rid)
+        proc = run_cli("bank", "build", "--vectors", tmp_path / "v.npy",
+                       "--tag", "llm-text", "--meta", meta, "--out",
+                       tmp_path / "bad.bank", check=False)
+        assert proc.returncode == 2, rid
+        assert f"carries id {rid}, expected 1" in proc.stderr, rid
+
+
+def test_out_writes_through_symlink_and_streams_to_pipe(workdir, tmp_path):
+    fx = workdir / "fx"
+    argv = ["retrieve", "--bank", fx / "llm_db.bank", "--queries",
+            fx / "retrieval_queries.bank", "--k", 3, "--out"]
+    run_cli(*argv, tmp_path / "plain.jsonl")
+    expected = (tmp_path / "plain.jsonl").read_bytes()
+    target = tmp_path / "real.jsonl"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    run_cli(*argv, link)
+    assert link.is_symlink() and target.read_bytes() == expected
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert {p.name for p in tmp_path.iterdir()} == \
+        {"plain.jsonl", "real.jsonl", "link.jsonl"}
+    # a pipe cannot be replaced, so the report streams into it
+    assert run_cli(*argv, "/dev/stdout").stdout == expected.decode()
 
 
 def test_index_build_retrieve_roundtrip(workdir, tmp_path):
@@ -238,6 +283,72 @@ def test_exit_code_corrupt_index(workdir, tmp_path):
                    "--index", idx, "--nprobe", 2,
                    "--out", tmp_path / "h.jsonl", check=False)
     assert proc.returncode == 3
+
+
+def _explicit_eval(fx, labels, classes):
+    return ["eval", "--queries", fx / "queries.bank", "--labels", labels,
+            "--classes", classes, "--proto-bank", fx / "prototypes.bank",
+            "--retrieval-bank", fx / "retrieval_queries.bank",
+            "--llm-bank", fx / "llm_db.bank", "--vlm-bank", fx / "vlm_db.bank"]
+
+
+def _eval_config(fx, path):
+    return ["eval", "--fixture-dir", fx, "--config", path]
+
+
+def _sweep_grid(fx, path):
+    return ["sweep", "--fixture-dir", fx, "--grid", path]
+
+
+def _build_meta(fx, path):
+    np.save(path.with_name("one_row.npy"), np.ones((1, 4)))
+    return ["bank", "build", "--vectors", path.with_name("one_row.npy"),
+            "--tag", "llm-text", "--meta", path]
+
+
+# (case, file contents, command line given the fixture dir and the file)
+MALFORMED_INPUTS = [
+    ("config-k-string", b'{"k": "10"}', _eval_config),
+    ("config-not-utf8", b'{"k": 10, "note": "\xff"}', _eval_config),
+    ("config-deep-nesting", b"[" * 100_000, _eval_config),
+    ("config-k-fraction", b'{"k": 2.5}', _eval_config),
+    ("config-toggle-string", b'{"use_temperature_tt": "false"}', _eval_config),
+    ("grid-alpha-string", b'{"alphas": ["x"], "betas": [0]}', _sweep_grid),
+    ("grid-alphas-number", b'{"alphas": 5, "betas": [0]}', _sweep_grid),
+    ("grid-toggle-string", b'{"alphas": [0], "betas": [0], "toggles": '
+     b'[{"use_temperature_tt": "false"}]}', _sweep_grid),
+    ("classes-prefix-number",
+     b'{"classes": [{"name": "a"}], "zeroshot_prefix": 5, '
+     b'"retrieval_prefix": "a photo of a"}',
+     lambda fx, path: _explicit_eval(fx, fx / "labels.json", path)),
+    ("labels-strings", b'["a"]',
+     lambda fx, path: _explicit_eval(fx, path, fx / "classes.json")),
+    ("labels-infinite", b"[1e999]",
+     lambda fx, path: _explicit_eval(fx, path, fx / "classes.json")),
+    ("labels-fraction", b"[1.7]",
+     lambda fx, path: _explicit_eval(fx, path, fx / "classes.json")),
+    ("labels-boolean", b"[true]",
+     lambda fx, path: _explicit_eval(fx, path, fx / "classes.json")),
+    ("grid-alpha-boolean", b'{"alphas": [true], "betas": [0]}', _sweep_grid),
+    ("grid-alpha-numeric-string", b'{"alphas": ["0.5"], "betas": [0]}',
+     _sweep_grid),
+    ("meta-line-number", b"5\n", _build_meta),
+    ("meta-id-string", b'{"id": "x", "text": "a"}\n', _build_meta),
+]
+
+
+@pytest.mark.parametrize("contents,argv", [case[1:] for case in MALFORMED_INPUTS],
+                         ids=[case[0] for case in MALFORMED_INPUTS])
+def test_malformed_input_file_is_a_validation_error(workdir, tmp_path,
+                                                    contents, argv):
+    path = tmp_path / "input"
+    path.write_bytes(contents)
+    proc = run_cli(*argv(workdir / "fx", path), "--out", tmp_path / "out",
+                   check=False)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_bad_log_level_rejected(workdir):
