@@ -20,9 +20,9 @@ from .errors import RetroclassError
 from .harness import (EvalReport, SweepGrid, SynthFixture, accuracy,
                       emit_report, load_fixture_dir, run_eval, run_sweep,
                       synth_fixture)
-from .index import (IvfIndex, QueryEmbedding, RetrievalHit, Retriever,
-                    batch_topk, build_ivf, exact_topk, ivf_search, load_index,
-                    recall_at_k, save_index)
+from .index import (HitTable, IvfIndex, QueryEmbedding, RetrievalHit,
+                    Retriever, batch_topk, build_ivf, exact_topk, ivf_search,
+                    load_index, recall_at_k, save_index, search)
 from .prompts import (ClassSpec, PromptTemplate, build_class_specs,
                       expand_template, load_class_config,
                       merge_alias_prototypes)

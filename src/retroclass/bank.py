@@ -74,23 +74,6 @@ def parse_caption_record(i: int, obj) -> CaptionRecord:
     return CaptionRecord(i, obj["text"], obj.get("source"))
 
 
-@dataclass(frozen=True)
-class BankHeader:
-    version: int
-    dtype: int
-    dim: int
-    count: int
-    space_tag: str
-
-    @property
-    def header_size(self) -> int:
-        return _HEADER.size + len(self.space_tag.encode("utf-8"))
-
-    @property
-    def payload_size(self) -> int:
-        return self.count * self.dim * 4
-
-
 def _check_tag(space_tag: str) -> str:
     if not isinstance(space_tag, str) or not space_tag:
         raise errors.ValidationError("space tag must be a non-empty string")
@@ -331,6 +314,15 @@ def bank_load(path) -> EmbeddingBank:
     meta = _meta_path(path)
     return EmbeddingBank(vectors, space_tag,
                          meta_path=meta if meta.exists() else None)
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """L2 norm of each float64 row, each one ``sqrt(row.dot(row))``.
+
+    That is what ``np.linalg.norm`` computes for a single vector, so a row's
+    norm does not depend on the rows stacked around it.
+    """
+    return np.sqrt(np.array([row.dot(row) for row in rows], dtype=np.float64))
 
 
 def check_norms(bank: EmbeddingBank, atol: float = NORM_ATOL) -> bool:

@@ -20,10 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .enrich import (EnrichmentConfig, HitTable, PrototypeSet, fuse_rows,
-                     retrieve_rows, row_error, row_norms)
+from .bank import row_norms
+from .enrich import EnrichmentConfig, PrototypeSet, fuse_rows
+from .errors import row_error
 from .files import read_jsonl, replace_atomically
-from .index import QueryEmbedding, Retriever, check_threads
+from .index import (HitTable, QueryEmbedding, Retriever, check_threads,
+                    stack_queries)
 
 
 def logits_rows(queries, prototypes) -> np.ndarray:
@@ -98,33 +100,6 @@ def select_prototypes(zeroshot: PrototypeSet, enriched: PrototypeSet | None,
     return enriched if enriched is not None else zeroshot
 
 
-def retrieve_query_hits(queries: list[QueryEmbedding],
-                        retriever: Retriever | None, k: int) -> HitTable:
-    """Top-k captions of every query, for the query enrichment branch."""
-    if retriever is None:
-        raise errors.ValidationError(
-            "a caption retriever is required when beta > 0")
-    tag = retriever.bank.space_tag
-    for i, query in enumerate(queries):
-        if query.space_tag != tag:
-            raise row_error(errors.SpaceMismatch, "query", i, len(queries),
-                            f"query space {query.space_tag!r} != caption "
-                            f"bank space {tag!r}")
-    return retrieve_rows(retriever, [q.vector for q in queries], k, tag)
-
-
-def query_matrix(queries: list[QueryEmbedding], dim: int) -> np.ndarray:
-    """The query vectors stacked as (n, dim) float32."""
-    for i, query in enumerate(queries):
-        if query.vector.shape[0] != dim:
-            raise row_error(errors.DimensionMismatch, "query", i, len(queries),
-                            f"query dim {query.vector.shape[0]} != "
-                            f"prototype dim {dim}")
-    if not queries:
-        return np.empty((0, dim), dtype=np.float32)
-    return np.vstack([q.vector for q in queries])
-
-
 def rank_queries(queries: np.ndarray, prototypes: PrototypeSet,
                  hits: HitTable | None, caption_vectors,
                  config: EnrichmentConfig | None) -> tuple[np.ndarray, np.ndarray]:
@@ -177,13 +152,18 @@ def classify_batch(queries: list[QueryEmbedding],
         return []
     prototypes = select_prototypes(zeroshot, enriched, config)
     active = config is not None and (config.alpha > 0 or config.beta > 0)
+    enrich_queries = config is not None and config.beta > 0
+    if enrich_queries and retriever is None:
+        raise errors.ValidationError(
+            "a caption retriever is required when beta > 0")
+    matrix = stack_queries(queries, prototypes.matrix.shape[1],
+                           retriever.bank.space_tag if enrich_queries else None)
     hits = caption_vectors = None
-    if config is not None and config.beta > 0:
-        hits = retrieve_query_hits(queries, retriever, config.k)
+    if enrich_queries:
+        hits = retriever.search(matrix, config.k)
         caption_vectors = retriever.bank.vectors
-    order, scores = rank_queries(
-        query_matrix(queries, prototypes.matrix.shape[1]), prototypes, hits,
-        caption_vectors, config)
+    order, scores = rank_queries(matrix, prototypes, hits, caption_vectors,
+                                 config)
     ranked = np.take_along_axis(scores, order, axis=1)
     return [Prediction(first_query_id + i, tuple(zip(ids, vals)), active)
             for i, (ids, vals) in enumerate(zip(order.tolist(),

@@ -29,7 +29,7 @@ from .enrich import EnrichmentConfig, enrich_all_prototypes
 from .files import read_json, read_jsonl, replace_atomically
 from .harness import (SweepGrid, emit_report, load_fixture_dir, parse_labels,
                       run_eval, run_sweep, synth_fixture)
-from .index import (QueryEmbedding, Retriever, batch_topk, build_ivf,
+from .index import (QueryEmbedding, Retriever, build_ivf, check_threads,
                     load_index, save_index)
 from .prompts import build_class_specs, load_class_config
 
@@ -47,9 +47,13 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _queries_from_bank(bank: EmbeddingBank) -> list[QueryEmbedding]:
-    return [QueryEmbedding(bank.vectors[i], bank.space_tag)
-            for i in range(bank.count)]
+def _check_nprobe(args) -> None:
+    """--nprobe with no index flag would be ignored, so it is an error."""
+    flags = [f for f in ("index", "llm_index", "vlm_index") if hasattr(args, f)]
+    if getattr(args, "nprobe", None) is not None and \
+            all(getattr(args, f) is None for f in flags):
+        raise errors.ValidationError("--nprobe needs " + " or ".join(
+            "--" + f.replace("_", "-") for f in flags))
 
 
 def _load_config(path: str | None) -> EnrichmentConfig:
@@ -107,16 +111,17 @@ def _cmd_index_build(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
+    check_threads(args.threads)
     bank = bank_load(args.bank)
-    queries = _queries_from_bank(bank_load(args.queries))
+    queries = bank_load(args.queries)
     index = load_index(args.index, bank) if args.index is not None else None
-    hit_lists = batch_topk(queries, bank, args.k, index=index,
-                           nprobe=args.nprobe, threads=args.threads)
+    table = Retriever(bank, index, args.nprobe).search(
+        queries.vectors, args.k, space_tag=queries.space_tag)
     with replace_atomically(args.out, "hits") as fh:
-        for i, hits in enumerate(hit_lists):
+        for i in range(queries.count):
             fh.write(json.dumps({
                 "query_id": i,
-                "hits": [[h.id, h.score] for h in hits],
+                "hits": [[h.id, h.score] for h in table.hits(i)],
             }) + "\n")
     return errors.EXIT_OK
 
@@ -160,7 +165,8 @@ def _cmd_classify(args) -> int:
         index = (load_index(args.index, vlm_bank)
                  if args.index is not None else None)
         retriever = Retriever(vlm_bank, index, args.nprobe)
-    queries = _queries_from_bank(query_bank)
+    queries = [QueryEmbedding(row, query_bank.space_tag)
+               for row in query_bank.vectors]
     predictions = classify_batch(queries, proto_set, proto_set, retriever,
                                  config, threads=args.threads)
     write_predictions(predictions, args.out)
@@ -168,52 +174,51 @@ def _cmd_classify(args) -> int:
 
 
 def _eval_inputs(args):
+    """The inputs and keywords that eval and sweep pass to the harness."""
     if args.fixture_dir is not None:
         fixture = load_fixture_dir(args.fixture_dir)
-        specs = fixture.build_specs()
-        return (specs, fixture.queries, list(fixture.labels),
-                fixture.llm_bank, fixture.vlm_bank)
-    needed = ("queries", "labels", "classes", "proto_bank",
-              "retrieval_bank", "llm_bank", "vlm_bank")
-    missing = [f"--{n.replace('_', '-')}" for n in needed
-               if getattr(args, n) is None]
-    if missing:
-        raise errors.ValidationError(
-            f"missing {', '.join(missing)} (or pass --fixture-dir)")
-    classes, zs_template, rt_template = load_class_config(args.classes)
-    proto_bank = bank_load(args.proto_bank)
-    rquery_bank = bank_load(args.retrieval_bank)
-    specs = build_class_specs(classes, zs_template, rt_template,
-                              proto_bank, rquery_bank)
-    query_bank = bank_load(args.queries)
-    labels = list(read_json(args.labels, "labels", parse_labels))
-    return (specs, query_bank, labels, bank_load(args.llm_bank),
-            bank_load(args.vlm_bank))
+        inputs = (fixture.build_specs(), fixture.queries, list(fixture.labels),
+                  fixture.llm_bank, fixture.vlm_bank)
+    else:
+        needed = ("queries", "labels", "classes", "proto_bank",
+                  "retrieval_bank", "llm_bank", "vlm_bank")
+        missing = [f"--{n.replace('_', '-')}" for n in needed
+                   if getattr(args, n) is None]
+        if missing:
+            raise errors.ValidationError(
+                f"missing {', '.join(missing)} (or pass --fixture-dir)")
+        classes, zs_template, rt_template = load_class_config(args.classes)
+        proto_bank = bank_load(args.proto_bank)
+        rquery_bank = bank_load(args.retrieval_bank)
+        specs = build_class_specs(classes, zs_template, rt_template,
+                                  proto_bank, rquery_bank)
+        query_bank = bank_load(args.queries)
+        labels = list(read_json(args.labels, "labels", parse_labels))
+        inputs = (specs, query_bank, labels, bank_load(args.llm_bank),
+                  bank_load(args.vlm_bank))
+    llm_bank, vlm_bank = inputs[3:]
+    return inputs, {
+        "llm_index": (load_index(args.llm_index, llm_bank)
+                      if args.llm_index is not None else None),
+        "vlm_index": (load_index(args.vlm_index, vlm_bank)
+                      if args.vlm_index is not None else None),
+        "nprobe": args.nprobe, "threads": args.threads,
+        "dataset": args.dataset_tag,
+        "merge_aliases": "after" if args.merge_after else "before"}
 
 
 def _cmd_eval(args) -> int:
-    specs, query_bank, labels, llm_bank, vlm_bank = _eval_inputs(args)
-    config = _load_config(args.config)
-    report = run_eval(
-        specs, query_bank, labels, llm_bank, vlm_bank, config,
-        llm_index=(load_index(args.llm_index, llm_bank)
-                   if args.llm_index is not None else None),
-        vlm_index=(load_index(args.vlm_index, vlm_bank)
-                   if args.vlm_index is not None else None),
-        nprobe=args.nprobe, threads=args.threads, dataset=args.dataset_tag,
-        merge_aliases="after" if args.merge_after else "before")
+    inputs, keywords = _eval_inputs(args)
+    report = run_eval(*inputs, _load_config(args.config), **keywords)
     emit_report([report], args.format, args.out)
     return errors.EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    specs, query_bank, labels, llm_bank, vlm_bank = _eval_inputs(args)
+    inputs, keywords = _eval_inputs(args)
     base = _load_config(args.config)
-    grid = SweepGrid.load(args.grid)
-    reports = run_sweep(grid, specs, query_bank, labels, llm_bank, vlm_bank,
-                        base_config=base, dataset=args.dataset_tag,
-                        threads=args.threads,
-                        merge_aliases="after" if args.merge_after else "before")
+    reports = run_sweep(SweepGrid.load(args.grid), *inputs, base_config=base,
+                        **keywords)
     emit_report(reports, args.format, args.out)
     return errors.EXIT_OK
 
@@ -358,6 +363,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_nprobe(args)
         return args.func(args)
     except errors.RetroclassError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .bank import EmbeddingBank
+from .bank import EmbeddingBank, row_norms
 from .files import read_json
-from .index import RetrievalHit, Retriever
+from .errors import row_error
+from .index import HitTable, RetrievalHit, Retriever
 from .prompts import merge_alias_prototypes
 
 log = logging.getLogger("retroclass.enrich")
@@ -97,20 +98,6 @@ class EnrichmentConfig:
         return read_json(path, "config", cls.from_dict)
 
 
-def row_error(exc_type, what: str, row: int, n_rows: int, message: str):
-    """An error about one row of a stack; stacks of several rows name it."""
-    return exc_type(f"{what} {row}: {message}" if n_rows > 1 else message)
-
-
-def row_norms(rows: np.ndarray) -> np.ndarray:
-    """L2 norm of each float64 row, each one ``sqrt(row.dot(row))``.
-
-    That is what ``np.linalg.norm`` computes for a single vector, so a row's
-    norm does not depend on the rows stacked around it.
-    """
-    return np.sqrt(np.array([row.dot(row) for row in rows], dtype=np.float64))
-
-
 def _softmax_rows(scores: np.ndarray, tau: float) -> np.ndarray:
     scaled = scores / tau
     scaled -= scaled.max(axis=1, keepdims=True)
@@ -168,38 +155,6 @@ def weighted_centroid(embeddings, weights) -> np.ndarray:
     if matrix.shape[0] == 0:
         raise errors.EmptyScores("no embeddings to combine")
     return _centroid_rows(matrix, np.arange(w.shape[0])[None, :], w[None, :])[0]
-
-
-@dataclass(frozen=True)
-class HitTable:
-    """Top-k retrieval results of n queries, as arrays.
-
-    Row i holds ``counts[i]`` hits in its first columns, score-desc with ties
-    id-asc. An IVF probe can return fewer than k hits, or none; the unused
-    cells are 0.
-    """
-
-    ids: np.ndarray      # (n, k) int64
-    scores: np.ndarray   # (n, k) float64, the retrieval scores widened
-    counts: np.ndarray   # (n,) int64
-
-
-def retrieve_rows(retriever: Retriever, vectors, k: int, space_tag: str,
-                  what: str = "query") -> HitTable:
-    """One ``retriever.topk`` call per vector, packed into a HitTable."""
-    n = len(vectors)
-    ids = np.zeros((n, k), dtype=np.int64)
-    scores = np.zeros((n, k), dtype=np.float64)
-    counts = np.zeros(n, dtype=np.int64)
-    for i, vector in enumerate(vectors):
-        try:
-            hits = retriever.topk(vector, k, space_tag=space_tag)
-        except errors.RetroclassError as exc:
-            raise row_error(type(exc), what, i, n, str(exc)) from exc
-        counts[i] = len(hits)
-        ids[i, :len(hits)] = [h.id for h in hits]
-        scores[i, :len(hits)] = [h.score for h in hits]
-    return HitTable(ids, scores, counts)
 
 
 @dataclass(frozen=True)
@@ -407,7 +362,7 @@ class PrototypeRows:
     """
 
     base: np.ndarray                 # (rows, dim) float32 prototypes
-    queries: tuple[np.ndarray, ...]  # the retrieval query of each row
+    queries: np.ndarray              # (rows, dim) float32 retrieval queries
     bounds: np.ndarray               # (n_classes + 1,) row offsets
     class_ids: tuple[int, ...]       # spec.index of each class
     merge_after: bool
@@ -454,7 +409,7 @@ def prototype_rows(specs, llm_bank: EmbeddingBank,
         base = [row for spec in specs for row in spec.prototypes]
         queries = [row for spec in specs for row in spec.retrieval_queries]
         sizes = [len(spec.all_names) for spec in specs]
-    return PrototypeRows(np.vstack(base), tuple(queries),
+    return PrototypeRows(np.vstack(base), np.vstack(queries),
                          np.concatenate(([0], np.cumsum(sizes))),
                          tuple(spec.index for spec in specs),
                          merge_aliases == "after")
@@ -505,6 +460,5 @@ def enrich_all_prototypes(specs, llm_bank: EmbeddingBank,
                           merge_aliases)
     hits = None
     if config.alpha > 0:
-        hits = retrieve_rows(retriever, rows.queries, config.k,
-                             llm_bank.space_tag, "prototype")
+        hits = retriever.search(rows.queries, config.k, what="prototype")
     return fuse_prototypes(rows, hits, vlm_text_bank, config)

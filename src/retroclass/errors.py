@@ -153,3 +153,8 @@ class EmptyGrid(ValidationError):
 
 class InvalidFixture(ValidationError):
     """Synthetic fixture parameters are out of range."""
+
+
+def row_error(exc_type, what: str, row: int, n_rows: int, message: str):
+    """An error about one row of a stack; stacks of several rows name it."""
+    return exc_type(f"{what} {row}: {message}" if n_rows > 1 else message)

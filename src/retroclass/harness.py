@@ -20,12 +20,12 @@ from . import errors
 from .bank import CaptionRecord, EmbeddingBank, bank_load, bank_save
 # classify_batch stays importable from here: perfbench's tracer tests check
 # that wrapping it rebinds this module's name too
-from .classify import (Prediction, classify_batch, query_matrix,  # noqa: F401
-                       rank_queries, retrieve_query_hits, select_prototypes)
+from .classify import (Prediction, classify_batch,  # noqa: F401
+                       rank_queries, select_prototypes)
 from .enrich import (EnrichmentConfig, fuse_prototypes, prototype_rows,
-                     retrieve_rows, zeroshot_prototypes)
+                     zeroshot_prototypes)
 from .files import read_json, replace_atomically
-from .index import IvfIndex, QueryEmbedding, Retriever, check_threads
+from .index import IvfIndex, Retriever, check_threads
 from .prompts import build_class_specs, parse_class_config
 
 log = logging.getLogger("retroclass.harness")
@@ -172,15 +172,11 @@ def _evaluate(configs: list[EnrichmentConfig], specs,
         llm_retriever = Retriever(llm_bank, llm_index, nprobe)
         rows = prototype_rows(specs, llm_bank, vlm_bank, llm_retriever,
                               merge_aliases)
-        proto_hits = retrieve_rows(llm_retriever, rows.queries, k,
-                                   llm_bank.space_tag, "prototype")
-    queries = [QueryEmbedding(query_bank.vectors[i], query_bank.space_tag)
-               for i in range(query_bank.count)]
+        proto_hits = llm_retriever.search(rows.queries, k, what="prototype")
     query_hits = None
     if any(c.beta > 0 for c in configs):
-        query_hits = retrieve_query_hits(
-            queries, Retriever(vlm_bank, vlm_index, nprobe), k)
-    qmatrix = query_matrix(queries, zs.matrix.shape[1])
+        query_hits = Retriever(vlm_bank, vlm_index, nprobe).search(
+            query_bank.vectors, k, space_tag=query_bank.space_tag)
     retrieve_ms = (time.perf_counter() - t0) * 1000.0
 
     reports = []
@@ -189,7 +185,8 @@ def _evaluate(configs: list[EnrichmentConfig], specs,
         enriched = fuse_prototypes(rows, proto_hits, vlm_bank, config) \
             if config.alpha > 0 else None
         t2 = time.perf_counter()
-        order, _ = rank_queries(qmatrix, select_prototypes(zs, enriched, config),
+        order, _ = rank_queries(query_bank.vectors,
+                                select_prototypes(zs, enriched, config),
                                 query_hits, vlm_bank.vectors, config)
         t3 = time.perf_counter()
         reports.append(rank_accuracy(
@@ -269,12 +266,15 @@ def run_sweep(grid: SweepGrid, specs, query_bank: EmbeddingBank, labels,
               llm_bank: EmbeddingBank, vlm_bank: EmbeddingBank,
               base_config: EnrichmentConfig | None = None,
               dataset: str = "synthetic", threads: int = 1,
-              merge_aliases: str = "before") -> list[EvalReport]:
+              merge_aliases: str = "before",
+              llm_index: IvfIndex | None = None,
+              vlm_index: IvfIndex | None = None,
+              nprobe: int | None = None) -> list[EvalReport]:
     """Evaluate every grid point. Report order follows the grid axes.
 
-    Retrieval runs once per sweep at the base config's k; each grid point
-    then costs fusion plus scoring, and its report equals the ``run_eval``
-    report of that point.
+    Retrieval runs once per sweep at the base config's k, through the IVF
+    indexes when given; each grid point then costs fusion plus scoring, and
+    its report equals the ``run_eval`` report of that point.
     """
     base = base_config if base_config is not None else EnrichmentConfig()
     configs = [replace(base, alpha=alpha, beta=beta, tau_tt=tau_tt,
@@ -283,7 +283,8 @@ def run_sweep(grid: SweepGrid, specs, query_bank: EmbeddingBank, labels,
                for alpha, beta, tau_tt, tau_it, (use_tt, use_it)
                in grid.points()]
     return _evaluate(configs, specs, query_bank, labels, llm_bank, vlm_bank,
-                     None, None, None, threads, dataset, merge_aliases)
+                     llm_index, vlm_index, nprobe, threads, dataset,
+                     merge_aliases)
 
 
 # ---------------------------------------------------------------------------

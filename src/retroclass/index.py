@@ -1,11 +1,11 @@
 """Exact and inverted-file cosine retrieval over embedding banks.
 
 Scores are plain float32 dot products (rows are unit norm, so dot == cosine).
-Both the exact scan and the IVF candidate scan push rows through one blocked
-scoring helper with a fixed block size: BLAS kernels pick different
-accumulation orders for different call shapes, so sharing the block shape is
-what makes ``ivf_search`` with ``nprobe == n_clusters`` return results that
-are bit-for-bit identical to ``exact_topk``.
+:func:`search` is the one retrieval path: it scores each row of a query stack
+on its own, one ``vectors[block] @ query`` product per ``SCAN_BLOCK`` rows,
+and the exact scan, the IVF centroid probe and the IVF candidate scan all go
+through that one helper (:func:`_scan`). So a row's hits are bitwise the same
+in a batch of any size, and probing every IVF list is the exact scan.
 
 Ordering contract everywhere: hits sorted by descending score, ties broken
 by ascending id.
@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .bank import EmbeddingBank, NORM_ATOL
+from .bank import EmbeddingBank, NORM_ATOL, row_norms
+from .errors import row_error
 from .files import read_bytes, replace_atomically
 
 INDEX_MAGIC = b"RTRCIVF1"
@@ -46,12 +47,7 @@ class QueryEmbedding:
 
     def __post_init__(self):
         vec = np.asarray(self.vector, dtype=np.float32).reshape(-1)
-        norm = float(np.linalg.norm(np.asarray(vec, np.float64)))
-        if norm <= 1e-8:
-            raise errors.ZeroVector("query vector has near-zero norm")
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise errors.ValidationError(
-                f"query vector norm {norm:.6f} is not unit within {NORM_ATOL}")
+        _check_unit_rows(vec[None, :], "query")
         object.__setattr__(self, "vector", vec)
 
     @classmethod
@@ -64,17 +60,53 @@ class QueryEmbedding:
         return cls((vec / norm).astype(np.float32), space_tag)
 
 
-def _check_query(query: QueryEmbedding, bank: EmbeddingBank) -> np.ndarray:
-    if bank.count == 0:
-        raise errors.EmptyBank("bank holds no vectors")
-    qv = query.vector
-    if qv.shape[0] != bank.dim:
-        raise errors.DimensionMismatch(
-            f"query has {qv.shape[0]} dims, bank has {bank.dim}")
-    if query.space_tag != bank.space_tag:
-        raise errors.SpaceMismatch(
-            f"query space {query.space_tag!r} != bank space {bank.space_tag!r}")
-    return qv
+def _check_unit_rows(queries: np.ndarray, what: str) -> None:
+    """Every row of the float32 stack is unit norm within ``NORM_ATOL``."""
+    norms = row_norms(queries.astype(np.float64))
+    bad = np.flatnonzero((norms <= 1e-8) | (np.abs(norms - 1.0) > NORM_ATOL))
+    if bad.size:
+        row, norm = int(bad[0]), float(norms[bad[0]])
+        if norm <= 1e-8:
+            raise row_error(errors.ZeroVector, what, row, len(norms),
+                            "query vector has near-zero norm")
+        raise row_error(errors.ValidationError, what, row, len(norms),
+                        f"query vector norm {norm:.6f} is not unit within "
+                        f"{NORM_ATOL}")
+
+
+def stack_queries(queries: list[QueryEmbedding], dim: int,
+                  space_tag: str | None = None) -> np.ndarray:
+    """The query vectors as one (n, dim) float32 stack, checking each query's
+    dim and, when ``space_tag`` is given, its space."""
+    n = len(queries)
+    for i, q in enumerate(queries):
+        if q.vector.shape[0] != dim:
+            raise row_error(errors.DimensionMismatch, "query", i, n,
+                            f"query has {q.vector.shape[0]} dims, expected {dim}")
+        if space_tag is not None and q.space_tag != space_tag:
+            raise row_error(errors.SpaceMismatch, "query", i, n,
+                            f"query space {q.space_tag!r} != bank space {space_tag!r}")
+    return np.vstack([q.vector for q in queries]) if queries else \
+        np.empty((0, dim), dtype=np.float32)
+
+
+@dataclass(frozen=True)
+class HitTable:
+    """Top-k retrieval results of n queries, as arrays.
+
+    Row i holds ``counts[i]`` hits in its first columns, score-desc with ties
+    id-asc. An IVF probe can return fewer than k hits, or none; the unused
+    cells are 0.
+    """
+
+    ids: np.ndarray      # (n, k) int64
+    scores: np.ndarray   # (n, k) float64, the float32 retrieval scores widened
+    counts: np.ndarray   # (n,) int64
+
+    def hits(self, row: int) -> list[RetrievalHit]:
+        c = int(self.counts[row])
+        return [RetrievalHit(i, s) for i, s in
+                zip(self.ids[row, :c].tolist(), self.scores[row, :c].tolist())]
 
 
 def _block_candidates(scores: np.ndarray, k: int) -> np.ndarray:
@@ -87,27 +119,79 @@ def _block_candidates(scores: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(scores >= kth)
 
 
-def _topk_merge(ids: np.ndarray, scores: np.ndarray, k: int) -> list[RetrievalHit]:
+def _scan(vectors, query: np.ndarray, k: int,
+          rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k (ids, float32 scores) of ``vectors @ query`` over the sorted
+    int64 ids ``rows``, or over every row when None. One matrix-vector
+    product per block of ``SCAN_BLOCK`` rows: the BLAS call shape never
+    depends on the other queries of a search."""
+    n = vectors.shape[0] if rows is None else rows.shape[0]
+    cand_ids, cand_scores = [], []
+    for start in range(0, n, SCAN_BLOCK):
+        chunk = slice(start, start + SCAN_BLOCK) if rows is None else \
+            rows[start:start + SCAN_BLOCK]
+        scores = vectors[chunk] @ query
+        pos = _block_candidates(scores, k)
+        cand_ids.append(pos + start if rows is None else chunk[pos])
+        cand_scores.append(scores[pos])
+    if not cand_ids:
+        return np.empty(0, np.int64), np.empty(0, np.float32)
+    ids = np.concatenate(cand_ids)
+    scores = np.concatenate(cand_scores)
     order = np.lexsort((ids, -scores))[:k]
-    return [RetrievalHit(int(ids[i]), float(scores[i])) for i in order]
+    return ids[order], scores[order]
+
+
+def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
+           nprobe: int | None = None, space_tag: str | None = None,
+           what: str = "query") -> HitTable:
+    """Top-k bank rows of each unit-norm row of an (n, dim) query stack.
+
+    With ``index`` (attached to ``bank``) a row scans the ids of its
+    ``nprobe`` best lists; otherwise, or when every list is probed, the whole
+    bank. ``space_tag``, when given, must be the bank's. An error about one
+    row names it as ``what i``.
+    """
+    if k < 1:
+        raise errors.ValidationError(f"k must be >= 1, got {k}")
+    if index is not None and index.bank is not bank:
+        raise errors.ValidationError("index is not attached to this bank")
+    if index is not None and (nprobe is None or not 1 <= nprobe <= index.n_clusters):
+        raise errors.InvalidProbe(
+            f"nprobe must be in [1, {index.n_clusters}], got {nprobe}")
+    queries = np.asarray(queries, dtype=np.float32)
+    if bank.count == 0:
+        raise errors.EmptyBank("bank holds no vectors")
+    if queries.ndim != 2 or queries.shape[1] != bank.dim:
+        raise errors.DimensionMismatch(
+            f"queries have shape {queries.shape}, bank has {bank.dim} dims")
+    if space_tag is not None and space_tag != bank.space_tag:
+        raise errors.SpaceMismatch(
+            f"query space {space_tag!r} != bank space {bank.space_tag!r}")
+    _check_unit_rows(queries, what)
+
+    n = queries.shape[0]
+    ids = np.zeros((n, k), dtype=np.int64)
+    scores = np.zeros((n, k), dtype=np.float64)
+    counts = np.zeros(n, dtype=np.int64)
+    probe = index is not None and nprobe < index.n_clusters
+    for i, query in enumerate(queries):
+        rows = None
+        if probe:
+            probed, _ = _scan(index.centroids, query, nprobe)
+            rows = np.sort(np.concatenate(
+                [index.lists[c] for c in probed]).astype(np.int64))
+        hit_ids, hit_scores = _scan(bank.vectors, query, k, rows)
+        counts[i] = hit_ids.shape[0]
+        ids[i, :counts[i]] = hit_ids
+        scores[i, :counts[i]] = hit_scores
+    return HitTable(ids, scores, counts)
 
 
 def exact_topk(query: QueryEmbedding, bank: EmbeddingBank, k: int) -> list[RetrievalHit]:
     """Exhaustive scan. Returns min(k, count) hits, score-desc, ties id-asc."""
-    if k < 1:
-        raise errors.ValidationError(f"k must be >= 1, got {k}")
-    qv = _check_query(query, bank)
-    vectors = bank.vectors
-    cand_ids = []
-    cand_scores = []
-    for start in range(0, bank.count, SCAN_BLOCK):
-        scores = vectors[start:start + SCAN_BLOCK] @ qv
-        pos = _block_candidates(scores, k)
-        cand_ids.append(pos.astype(np.int64) + start)
-        cand_scores.append(scores[pos])
-    ids = np.concatenate(cand_ids)
-    scores = np.concatenate(cand_scores)
-    return _topk_merge(ids, scores, min(k, bank.count))
+    return search(bank, query.vector[None, :], k,
+                  space_tag=query.space_tag).hits(0)
 
 
 @dataclass
@@ -244,8 +328,10 @@ def build_ivf(bank: EmbeddingBank, n_clusters: int, seed: int,
 
     centroids = _spherical_kmeans(train, n_clusters, seed, max_iters)
     labels = _assign(np.asarray(bank.vectors), centroids)
-    lists = [np.flatnonzero(labels == c).astype(np.uint64)
-             for c in range(n_clusters)]
+    # one stable sort groups the ids by cluster, ascending within each
+    order = np.argsort(labels, kind="stable").astype(np.uint64)
+    bounds = np.cumsum(np.bincount(labels, minlength=n_clusters))[:-1]
+    lists = np.split(order, bounds)
     return IvfIndex(n_clusters=n_clusters, dim=bank.dim, seed=int(seed),
                     centroids=centroids, lists=lists, bank=bank)
 
@@ -255,36 +341,8 @@ def ivf_search(index: IvfIndex, query: QueryEmbedding, k: int,
     """Scan the nprobe clusters whose centroids best match the query."""
     if index.bank is None:
         raise errors.ValidationError("index is not attached to a bank")
-    if k < 1:
-        raise errors.ValidationError(f"k must be >= 1, got {k}")
-    if nprobe < 1 or nprobe > index.n_clusters:
-        raise errors.InvalidProbe(
-            f"nprobe must be in [1, {index.n_clusters}], got {nprobe}")
-    bank = index.bank
-    qv = _check_query(query, bank)
-
-    cscores = index.centroids @ qv
-    probed = np.lexsort((np.arange(index.n_clusters), -cscores))[:nprobe]
-    if nprobe == index.n_clusters:
-        cand = np.arange(bank.count, dtype=np.int64)
-    else:
-        parts = [index.lists[c] for c in probed]
-        cand = np.sort(np.concatenate(parts).astype(np.int64))
-    if cand.shape[0] == 0:
-        return []
-
-    vectors = bank.vectors
-    cand_ids = []
-    cand_scores = []
-    for start in range(0, cand.shape[0], SCAN_BLOCK):
-        chunk = cand[start:start + SCAN_BLOCK]
-        scores = np.ascontiguousarray(vectors[chunk]) @ qv
-        pos = _block_candidates(scores, k)
-        cand_ids.append(chunk[pos])
-        cand_scores.append(scores[pos])
-    ids = np.concatenate(cand_ids)
-    scores = np.concatenate(cand_scores)
-    return _topk_merge(ids, scores, min(k, cand.shape[0]))
+    return search(index.bank, query.vector[None, :], k, index, nprobe,
+                  space_tag=query.space_tag).hits(0)
 
 
 def recall_at_k(approx: list[RetrievalHit], exact: list[RetrievalHit]) -> float:
@@ -310,6 +368,12 @@ class Retriever:
         self.bank = bank
         self.index = index
         self.nprobe = nprobe
+
+    def search(self, queries, k: int, space_tag: str | None = None,
+               what: str = "query") -> HitTable:
+        """:func:`search` over the bound bank, index and nprobe."""
+        return search(self.bank, queries, k, self.index, self.nprobe,
+                      space_tag, what)
 
     def topk(self, vector: np.ndarray, k: int, space_tag: str | None = None) -> list[RetrievalHit]:
         query = QueryEmbedding(np.asarray(vector, np.float32),
@@ -337,17 +401,9 @@ def batch_topk(queries: list[QueryEmbedding], bank: EmbeddingBank, k: int,
     ``threads`` is validated by :func:`check_threads` and otherwise unused.
     """
     check_threads(threads)
-    retriever = Retriever(bank, index, nprobe)
-    out = []
-    for i, q in enumerate(queries):
-        try:
-            if retriever.index is None:
-                out.append(exact_topk(q, bank, k))
-            else:
-                out.append(ivf_search(retriever.index, q, k, retriever.nprobe))
-        except errors.RetroclassError as exc:
-            raise type(exc)(f"query {i}: {exc}") from exc
-    return out
+    table = Retriever(bank, index, nprobe).search(
+        stack_queries(queries, bank.dim, bank.space_tag), k)
+    return [table.hits(i) for i in range(len(queries))]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from retroclass.classify import (Prediction, classify_batch, classify_query,
 from retroclass.enrich import (EnrichmentConfig, PrototypeSet,
                                enrich_all_prototypes, enrich_query,
                                gather_captions, zeroshot_prototypes)
-from retroclass.index import QueryEmbedding, Retriever, exact_topk
+from retroclass.index import HitTable, QueryEmbedding, Retriever, exact_topk
 
 
 def unit32(rng, d=8):
@@ -270,14 +270,19 @@ def test_batch_with_short_and_empty_hit_lists(small_fixture):
             for i, q in enumerate(queries)}
 
     class ShortRetriever(Retriever):
-        def topk(self, vector, k, space_tag=None):
-            hits = super().topk(vector, k, space_tag)
-            return hits[:kept[np.asarray(vector, np.float32).tobytes()]]
+        def search(self, queries, k, space_tag=None, what="query"):
+            table = super().search(queries, k, space_tag, what)
+            counts = np.array([kept[row.tobytes()] for row in queries])
+            unused = np.arange(k) >= counts[:, None]
+            table.ids[unused] = 0
+            table.scores[unused] = 0.0
+            return HitTable(table.ids, table.scores, counts)
 
     retr = ShortRetriever(small_fixture.vlm_bank)
     batch = classify_batch(queries, zs, None, retr, cfg)
     for i, pred in enumerate(batch):
-        hits = retr.topk(queries[i].vector, cfg.k)
+        hits = retr.search(queries[i].vector[None, :], cfg.k).hits(0)
+        assert len(hits) == kept[queries[i].vector.tobytes()]
         vec = enrich_query(queries[i].vector,
                            gather_captions(hits, small_fixture.vlm_bank),
                            cfg).vector

@@ -220,6 +220,68 @@ def test_sweep_csv(workdir, tmp_path):
     assert lines[0].startswith("dataset,k,alpha,beta")
 
 
+def _strip_timing(path):
+    return [{k: v for k, v in rep.items() if k != "wall_time_ms"}
+            for rep in json.loads(path.read_text())["reports"]]
+
+
+def test_sweep_with_indexes_equals_per_point_eval(workdir, tmp_path):
+    fx = workdir / "fx"
+    flags = ["--nprobe", 1]
+    for name in ("llm", "vlm"):
+        idx = tmp_path / f"{name}.ivf"
+        run_cli("index", "build", "--bank", fx / f"{name}_db.bank",
+                "--clusters", 4, "--seed", 0, "--out", idx)
+        flags += [f"--{name}-index", idx]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"alphas": [0.0, 0.4], "betas": [0.0, 0.5]}))
+    sweeps = {}
+    for tag, extra in (("exact", []), ("ivf", flags)):
+        out = tmp_path / f"{tag}.json"
+        run_cli("sweep", "--fixture-dir", fx, "--grid", grid,
+                "--format", "json", *extra, "--out", out)
+        sweeps[tag] = _strip_timing(out)
+    # one list of about 10 captions per probe changes the query branch here
+    assert sweeps["ivf"] != sweeps["exact"]
+    points = []
+    for i, rep in enumerate(sweeps["ivf"]):
+        config, out = tmp_path / f"c{i}.json", tmp_path / f"e{i}.json"
+        config.write_text(json.dumps(rep["config"]))
+        run_cli("eval", "--fixture-dir", fx, "--config", config, *flags,
+                "--out", out)
+        points += _strip_timing(out)
+    assert sweeps["ivf"] == points
+
+
+@pytest.mark.parametrize("command", ["retrieve", "enrich-prototypes",
+                                     "classify", "eval", "sweep"])
+def test_nprobe_without_index_is_a_validation_error(workdir, tmp_path,
+                                                    command):
+    fx = workdir / "fx"
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"alphas": [0.2], "betas": [0.5]}))
+    argv = {
+        "retrieve": ["--bank", fx / "llm_db.bank",
+                     "--queries", fx / "retrieval_queries.bank", "--k", 3],
+        "enrich-prototypes": [
+            "--classes", fx / "classes.json",
+            "--proto-bank", fx / "prototypes.bank",
+            "--retrieval-bank", fx / "retrieval_queries.bank",
+            "--llm-bank", fx / "llm_db.bank", "--vlm-bank", fx / "vlm_db.bank"],
+        "classify": ["--queries", fx / "queries.bank",
+                     "--prototypes", fx / "prototypes.bank",
+                     "--vlm-bank", fx / "vlm_db.bank"],
+        "eval": ["--fixture-dir", fx],
+        "sweep": ["--fixture-dir", fx, "--grid", grid],
+    }[command]
+    proc = run_cli(command, *argv, "--nprobe", 5, "--out", tmp_path / "out",
+                   check=False)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --nprobe needs")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_outputs_deterministic_across_runs_and_threads(workdir, tmp_path):
     fx = workdir / "fx"
     outs = []

@@ -295,7 +295,7 @@ def test_enrich_all_alpha_zero_skips_retrieval(small_fixture):
     specs = small_fixture.build_specs()
 
     class ExplodingRetriever(Retriever):
-        def topk(self, *a, **kw):
+        def search(self, *a, **kw):
             raise AssertionError("retrieval must not run when alpha is 0")
 
     retr = ExplodingRetriever(small_fixture.llm_bank)

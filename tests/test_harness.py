@@ -292,14 +292,14 @@ def test_run_sweep_reports_equal_per_point_run_eval(small_fixture, alias_specs,
 def test_run_sweep_retrieves_once_per_query(small_fixture, monkeypatch,
                                             alphas, betas, retrieves):
     fx = small_fixture
-    real = index_mod.exact_topk
+    real = index_mod.Retriever.search
     calls = []
 
-    def counting(query, bank, k):
-        calls.append(bank.space_tag)
-        return real(query, bank, k)
+    def counting(self, queries, k, *args, **kwargs):
+        calls.append((self.bank.space_tag, len(queries)))
+        return real(self, queries, k, *args, **kwargs)
 
-    monkeypatch.setattr(index_mod, "exact_topk", counting)
+    monkeypatch.setattr(index_mod.Retriever, "search", counting)
     grid = SweepGrid(alphas=alphas, betas=betas, taus_tt=(1.0, 0.5),
                      toggles=((True, True), (False, False)))
     run_sweep(grid, fx.build_specs(), fx.queries, list(fx.labels),
@@ -307,8 +307,11 @@ def test_run_sweep_retrieves_once_per_query(small_fixture, monkeypatch,
     n_classes, n_queries = fx.prototype_bank.count, fx.queries.count
     expected = {"classes+queries": n_classes + n_queries,
                 "classes": n_classes, "queries": n_queries, "nothing": 0}
-    assert len(calls) == expected[retrieves]
-    assert calls.count("llm-text") == (n_classes if "classes" in retrieves else 0)
+    # one search per retrieval branch, one row per class or image query
+    assert sum(rows for _, rows in calls) == expected[retrieves]
+    assert len(calls) == {"classes+queries": 2, "nothing": 0}.get(retrieves, 1)
+    assert sum(rows for tag, rows in calls if tag == "llm-text") == \
+        (n_classes if "classes" in retrieves else 0)
 
 
 def test_ivf_eval_with_short_hit_lists_matches_row_by_row(small_fixture):

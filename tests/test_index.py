@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 import retroclass.index as index_mod
 from retroclass import errors
-from retroclass.bank import EmbeddingBank
+from retroclass.bank import EmbeddingBank, bank_load, bank_save
 from retroclass.index import (IvfIndex, QueryEmbedding, RetrievalHit,
                               Retriever, batch_topk, build_ivf, exact_topk,
-                              ivf_search, load_index, recall_at_k, save_index)
+                              ivf_search, load_index, recall_at_k, save_index,
+                              search)
 
 
 def unit(v):
@@ -300,6 +301,89 @@ def test_recall_partial_overlap():
 def test_recall_empty_baseline():
     with pytest.raises(errors.EmptyBaseline):
         recall_at_k([], [])
+
+
+# -- search ------------------------------------------------------------------
+
+def assert_same_row(table, row, single):
+    """Row ``row`` of ``table`` is bitwise the only row of ``single``."""
+    assert table.counts[row] == single.counts[0]
+    assert np.array_equal(table.ids[row], single.ids[0])
+    assert np.array_equal(table.scores[row].view(np.uint64),
+                          single.scores[0].view(np.uint64))
+
+
+@pytest.mark.parametrize("mapped", [False, True], ids=["in-memory", "mapped"])
+def test_search_batch_rows_equal_one_row_calls(monkeypatch, tmp_path, rng,
+                                               mapped):
+    """A row's hits do not depend on the batch it is in: exact, IVF at
+    nprobe 1 and full probe, with several blocks per scan. A kernel whose
+    scores change with the batch width fails here."""
+    monkeypatch.setattr(index_mod, "SCAN_BLOCK", 16)
+    bank = make_bank(rng, 300, 64)
+    if mapped:
+        bank_save(bank, tmp_path / "b.bank")
+        bank = bank_load(tmp_path / "b.bank")
+        assert not bank.vectors.flags.aligned
+    index = build_ivf(bank, 6, seed=3)
+    queries = np.vstack([query_for(bank, rng).vector for _ in range(64)])
+    for n in (1, 2, 7, 64):
+        batch = queries[:n]
+        exact = search(bank, batch, 10)
+        probe1 = search(bank, batch, 10, index, 1)
+        full = search(bank, batch, 10, index, 6)
+        for i in range(n):
+            one = batch[i:i + 1]
+            assert_same_row(exact, i, search(bank, one, 10))
+            assert_same_row(probe1, i, search(bank, one, 10, index, 1))
+            assert_same_row(full, i, search(bank, one, 10, index, 6))
+            assert_same_row(full, i, search(bank, one, 10))
+        assert (exact.counts == 10).all()
+
+
+def test_search_rows_match_the_one_query_views(rng):
+    bank = make_bank(rng, 200, 12)
+    index = build_ivf(bank, 8, seed=2)
+    queries = [query_for(bank, rng) for _ in range(5)]
+    matrix = np.vstack([q.vector for q in queries])
+    exact = search(bank, matrix, 7)
+    probed = search(bank, matrix, 7, index, 3)
+    for i, q in enumerate(queries):
+        assert exact.hits(i) == exact_topk(q, bank, 7)
+        assert probed.hits(i) == ivf_search(index, q, 7, 3)
+
+
+def test_search_short_rows_leave_zero_cells(rng):
+    bank = make_bank(rng, 60, 8)
+    index = build_ivf(bank, 20, seed=1)
+    matrix = np.vstack([query_for(bank, rng).vector for _ in range(6)])
+    table = search(bank, matrix, 10, index, 1)
+    assert table.ids.shape == table.scores.shape == (6, 10)
+    assert (table.counts < 10).all()
+    for i, c in enumerate(table.counts):
+        assert len(table.hits(i)) == c
+        assert not table.ids[i, c:].any() and not table.scores[i, c:].any()
+
+
+def test_search_row_errors_name_the_row(rng):
+    bank = make_bank(rng, 30, 8)
+    rows = np.vstack([query_for(bank, rng).vector for _ in range(3)])
+    zero, scaled = rows.copy(), rows.copy()
+    zero[2] = 0.0
+    scaled[1] *= 2.0
+    with pytest.raises(errors.ZeroVector, match="query 2"):
+        search(bank, zero, 3)
+    with pytest.raises(errors.ValidationError, match="prototype 1: .*not unit"):
+        search(bank, scaled, 3, what="prototype")
+    with pytest.raises(errors.DimensionMismatch):
+        search(bank, rows[:, :7], 3)
+    with pytest.raises(errors.SpaceMismatch):
+        search(bank, rows, 3, space_tag="vlm-text")
+    with pytest.raises(errors.InvalidProbe):
+        search(bank, rows, 3, build_ivf(bank, 4, seed=0))
+    with pytest.raises(errors.ValidationError, match="not attached"):
+        search(bank, rows, 3, build_ivf(make_bank(rng, 30, 8), 4, seed=0), 2)
+    assert search(bank, rows[:0], 3).ids.shape == (0, 3)
 
 
 # -- batch_topk --------------------------------------------------------------
