@@ -1,9 +1,9 @@
 """Command line interface.
 
-Subcommands: bank build|inspect, index build, retrieve, enrich-prototypes,
-classify, eval, sweep, fixture. Exit codes: 0 success, 2 invalid input,
-3 corrupt data, 4 internal invariant violation. Set RETROCLASS_LOG to
-error|warn|info|debug to control logging (default warn).
+Subcommands: bank build|inspect, index build|inspect, retrieve,
+enrich-prototypes, classify, eval, sweep, fixture. Exit codes: 0 success,
+2 invalid input, 3 corrupt data, 4 internal invariant violation. Set
+RETROCLASS_LOG to error|warn|info|debug to control logging (default warn).
 
 Every command is deterministic for fixed inputs and seeds. --threads is
 accepted and validated (it must be >= 0) but starts no workers; BLAS
@@ -81,6 +81,16 @@ def _cmd_bank_build(args) -> int:
     return errors.EXIT_OK
 
 
+def _write_info(info: dict, out: str | None, what: str) -> None:
+    """``info`` as indented JSON, to ``out`` or else to stdout."""
+    text = json.dumps(info, indent=2) + "\n"
+    if out:
+        with replace_atomically(out, what) as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_bank_inspect(args) -> int:
     bank = bank_load(args.bank)
     info = {
@@ -92,12 +102,7 @@ def _cmd_bank_inspect(args) -> int:
     }
     if args.check_norms:
         info["norms_ok"] = check_norms(bank)
-    text = json.dumps(info, indent=2) + "\n"
-    if args.out:
-        with replace_atomically(args.out, "bank info") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_info(info, args.out, "bank info")
     if args.check_norms and not info["norms_ok"]:
         raise errors.InternalInvariantError("bank rows are not unit norm")
     return errors.EXIT_OK
@@ -107,6 +112,22 @@ def _cmd_index_build(args) -> int:
     bank = bank_load(args.bank)
     index = build_ivf(bank, args.clusters, args.seed, max_iters=args.max_iters)
     save_index(index, args.out)
+    return errors.EXIT_OK
+
+
+def _cmd_index_inspect(args) -> int:
+    index = load_index(args.index)
+    sizes = np.array([len(lst) for lst in index.lists])
+    mean = float(sizes.mean())
+    _write_info({
+        "n_clusters": index.n_clusters,
+        "dim": index.dim,
+        "seed": index.seed,
+        "list_size_min": int(sizes.min()),
+        "list_size_mean": mean,
+        "list_size_max": int(sizes.max()),
+        "imbalance": float(sizes.max()) / mean if mean else None,
+    }, args.out, "index info")
     return errors.EXIT_OK
 
 
@@ -291,6 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ibuild.add_argument("--max-iters", type=int, default=25)
     p_ibuild.add_argument("--out", required=True)
     p_ibuild.set_defaults(func=_cmd_index_build)
+    p_iinspect = index_sub.add_parser(
+        "inspect", help="print index header info and list-size balance")
+    p_iinspect.add_argument("--index", required=True)
+    p_iinspect.add_argument("--out", help="write JSON here instead of stdout")
+    p_iinspect.set_defaults(func=_cmd_index_inspect)
 
     p_retrieve = sub.add_parser("retrieve", help="top-k search, exact or IVF")
     p_retrieve.add_argument("--bank", required=True)

@@ -2,9 +2,11 @@
 
 Scores are plain float32 dot products (rows are unit norm, so dot == cosine).
 :func:`search` is the one retrieval path: it scores each row of a query stack
-on its own, one ``vectors[block] @ query`` product per ``SCAN_BLOCK`` rows,
-and the exact scan, the IVF centroid probe and the IVF candidate scan all go
-through that one helper (:func:`_scan`). So a row's hits are bitwise the same
+on its own, one ``block @ query`` product per block of at most
+``SCAN_BLOCK`` rows. The exact scan and the IVF centroid probe run over
+contiguous blocks (:func:`_scan`). The IVF candidate scan works list by list
+(:func:`_probe_by_list`): each probed list is gathered once per search and
+scored against every row that probes it. So a row's hits are bitwise the same
 in a batch of any size, and probing every IVF list is the exact scan.
 
 Ordering contract everywhere: hits sorted by descending score, ties broken
@@ -109,37 +111,78 @@ class HitTable:
                 zip(self.ids[row, :c].tolist(), self.scores[row, :c].tolist())]
 
 
-def _block_candidates(scores: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the block's top-k scores, including boundary ties."""
+def _block_candidates(scores: np.ndarray, k: int, ids,
+                      what: str = "bank row") -> tuple[np.ndarray, np.ndarray]:
+    """(ids, scores) of the block's top-k scores, boundary ties included.
+
+    ``ids`` holds the block's int64 row ids, or is the id of its first row
+    when the block is a contiguous run. Unit-norm rows only give finite
+    scores, so a non-finite one means a corrupt row: the error names it as
+    ``what`` and its id.
+    """
+    finite = np.isfinite(scores)
+    if not finite.all():
+        pos = int(np.flatnonzero(~finite)[0])
+        row = ids + pos if isinstance(ids, int) else int(ids[pos])
+        error = errors.CorruptIndex if what == "centroid" else errors.CorruptBank
+        raise error(f"{what} {row} gives a non-finite score ({scores[pos]})")
     n = scores.shape[0]
     if n <= k:
-        return np.arange(n)
-    part = np.argpartition(scores, n - k)[n - k:]
-    kth = scores[part].min()
-    return np.flatnonzero(scores >= kth)
+        pos = np.arange(n)
+    else:
+        part = np.argpartition(scores, n - k)[n - k:]
+        pos = np.flatnonzero(scores >= scores[part].min())
+    return (pos + ids if isinstance(ids, int) else ids[pos]), scores[pos]
+
+
+def _top_k(candidates: list, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k best of a row's (ids, scores) block candidates, score-desc with
+    ties id-asc."""
+    if not candidates:
+        return np.empty(0, np.int64), np.empty(0, np.float32)
+    ids = np.concatenate([c[0] for c in candidates])
+    scores = np.concatenate([c[1] for c in candidates])
+    order = np.lexsort((ids, -scores))[:k]
+    return ids[order], scores[order]
 
 
 def _scan(vectors, query: np.ndarray, k: int,
-          rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k (ids, float32 scores) of ``vectors @ query`` over the sorted
-    int64 ids ``rows``, or over every row when None. One matrix-vector
-    product per block of ``SCAN_BLOCK`` rows: the BLAS call shape never
-    depends on the other queries of a search."""
-    n = vectors.shape[0] if rows is None else rows.shape[0]
-    cand_ids, cand_scores = [], []
-    for start in range(0, n, SCAN_BLOCK):
-        chunk = slice(start, start + SCAN_BLOCK) if rows is None else \
-            rows[start:start + SCAN_BLOCK]
-        scores = vectors[chunk] @ query
-        pos = _block_candidates(scores, k)
-        cand_ids.append(pos + start if rows is None else chunk[pos])
-        cand_scores.append(scores[pos])
-    if not cand_ids:
-        return np.empty(0, np.int64), np.empty(0, np.float32)
-    ids = np.concatenate(cand_ids)
-    scores = np.concatenate(cand_scores)
-    order = np.lexsort((ids, -scores))[:k]
-    return ids[order], scores[order]
+          what: str = "bank row") -> tuple[np.ndarray, np.ndarray]:
+    """Top-k (ids, float32 scores) of ``vectors @ query`` over every row.
+    One matrix-vector product per block of ``SCAN_BLOCK`` rows: the BLAS
+    call shape never depends on the other queries of a search."""
+    return _top_k([_block_candidates(vectors[start:start + SCAN_BLOCK] @ query,
+                                     k, start, what)
+                   for start in range(0, vectors.shape[0], SCAN_BLOCK)], k)
+
+
+def _probe_by_list(index: IvfIndex, queries: np.ndarray, k: int,
+                   nprobe: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Top-k (ids, scores) of each query row over its ``nprobe`` best lists.
+
+    The rows are grouped by probed list. Each probed list is gathered from
+    the bank once per ``SCAN_BLOCK`` ids and scored against every row that
+    probes it, one matrix-vector product per row, so a row's scores never
+    depend on the other rows of the search.
+    """
+    n = queries.shape[0]
+    probed = np.array([_scan(index.centroids, q, nprobe, "centroid")[0]
+                       for q in queries], dtype=np.int64).reshape(n, nprobe)
+    order = np.argsort(probed.ravel(), kind="stable")
+    lists, starts = np.unique(probed.ravel()[order], return_index=True)
+    candidates = [[] for _ in range(n)]
+    for c, rows in zip(lists.tolist(), np.split(order // nprobe, starts[1:])):
+        ids = index.lists[c].astype(np.int64)
+        for start in range(0, ids.shape[0], SCAN_BLOCK):
+            chunk = ids[start:start + SCAN_BLOCK]
+            block = index.bank.vectors[chunk]
+            for r in rows.tolist():
+                candidates[r].append(_block_candidates(block @ queries[r], k,
+                                                       chunk))
+            # free the block before the next gather, so that gather reuses
+            # its pages instead of faulting in fresh ones
+            del block
+    return [_top_k(c, k) for c in candidates]
 
 
 def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
@@ -174,14 +217,11 @@ def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
     ids = np.zeros((n, k), dtype=np.int64)
     scores = np.zeros((n, k), dtype=np.float64)
     counts = np.zeros(n, dtype=np.int64)
-    probe = index is not None and nprobe < index.n_clusters
-    for i, query in enumerate(queries):
-        rows = None
-        if probe:
-            probed, _ = _scan(index.centroids, query, nprobe)
-            rows = np.sort(np.concatenate(
-                [index.lists[c] for c in probed]).astype(np.int64))
-        hit_ids, hit_scores = _scan(bank.vectors, query, k, rows)
+    if index is not None and nprobe < index.n_clusters:
+        rows = _probe_by_list(index, queries, k, nprobe)
+    else:
+        rows = [_scan(bank.vectors, query, k) for query in queries]
+    for i, (hit_ids, hit_scores) in enumerate(rows):
         counts[i] = hit_ids.shape[0]
         ids[i, :counts[i]] = hit_ids
         scores[i, :counts[i]] = hit_scores
@@ -441,6 +481,10 @@ def load_index(path, bank: EmbeddingBank | None = None) -> IvfIndex:
                                   byte_offset=len(data))
     centroids = np.frombuffer(data, dtype="<f4", count=n_clusters * dim,
                               offset=offset).reshape(n_clusters, dim).copy()
+    bad = np.flatnonzero(~np.isfinite(centroids).all(axis=1))
+    if bad.size:
+        raise errors.CorruptIndex(f"centroid {bad[0]} is not finite",
+                                  byte_offset=offset + int(bad[0]) * dim * 4)
     offset += cbytes
     lists = []
     for _ in range(n_clusters):

@@ -347,6 +347,42 @@ def test_exit_code_corrupt_index(workdir, tmp_path):
     assert proc.returncode == 3
 
 
+def test_index_inspect(workdir, tmp_path):
+    fx = workdir / "fx"
+    idx = tmp_path / "llm.ivf"
+    run_cli("index", "build", "--bank", fx / "llm_db.bank", "--clusters", 4,
+            "--seed", 2, "--out", idx)
+    proc = run_cli("index", "inspect", "--index", idx)
+    info = json.loads(proc.stdout)
+    assert list(info) == ["n_clusters", "dim", "seed", "list_size_min",
+                          "list_size_mean", "list_size_max", "imbalance"]
+    assert (info["n_clusters"], info["dim"], info["seed"]) == (4, 16, 2)
+    assert info["list_size_mean"] == 10.0  # 40 rows over 4 lists
+    assert 1 <= info["list_size_min"] <= 10 <= info["list_size_max"]
+    assert info["imbalance"] == info["list_size_max"] / 10.0
+    run_cli("index", "inspect", "--index", idx, "--out", tmp_path / "i.json")
+    assert (tmp_path / "i.json").read_text() == proc.stdout
+    idx.write_bytes(idx.read_bytes()[:-4])
+    proc = run_cli("index", "inspect", "--index", idx, check=False)
+    assert proc.returncode == 3 and proc.stderr.startswith("error:")
+
+
+def test_exit_code_nonfinite_bank_row(workdir, tmp_path):
+    """A NaN row in a bank file is corrupt data, not a silently empty hit
+    list."""
+    fx = workdir / "fx"
+    bank_path = tmp_path / "nan.bank"
+    raw = bytearray((fx / "llm_db.bank").read_bytes())
+    raw[-16 * 4:] = np.full(16, np.nan, "<f4").tobytes()  # the last row
+    bank_path.write_bytes(bytes(raw))
+    proc = run_cli("retrieve", "--bank", bank_path,
+                   "--queries", fx / "retrieval_queries.bank", "--k", 3,
+                   "--out", tmp_path / "h.jsonl", check=False)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "error: bank row 39 gives a non-finite score (nan)"]
+
+
 def _explicit_eval(fx, labels, classes):
     return ["eval", "--queries", fx / "queries.bank", "--labels", labels,
             "--classes", classes, "--proto-bank", fx / "prototypes.bank",

@@ -386,6 +386,122 @@ def test_search_row_errors_name_the_row(rng):
     assert search(bank, rows[:0], 3).ids.shape == (0, 3)
 
 
+def _with_empty_list(index, bank, centroid, at):
+    """``index`` with one more list, empty, whose centroid is ``centroid``."""
+    centroids = np.insert(index.centroids, at, centroid, axis=0)
+    lists = list(index.lists)
+    lists.insert(at, np.empty(0, np.uint64))
+    return IvfIndex(index.n_clusters + 1, index.dim, index.seed, centroids,
+                    lists).attach(bank)
+
+
+def probe_oracle(index, queries, k, nprobe):
+    """Independent probe: each row's best lists by (score desc, list asc),
+    then a float64 full sort of the union of their ids."""
+    rows = []
+    vectors = np.asarray(index.bank.vectors, np.float64)
+    for q in queries:
+        cscores = index.centroids @ q
+        lists = np.lexsort((np.arange(index.n_clusters), -cscores))[:nprobe]
+        cand = np.concatenate([index.lists[c] for c in lists]).astype(np.int64)
+        scores = vectors[cand] @ q.astype(np.float64)
+        order = np.lexsort((cand, -scores))[:k]
+        rows.append((cand[order], scores[order]))
+    return rows
+
+
+def test_grouped_probe_matches_one_row_calls_and_oracle(monkeypatch, rng):
+    """Many rows share lists, each row probes several, lists span several
+    chunks, and one list is empty: every batch row is bitwise its one-row
+    call, and its ids are the oracle's."""
+    monkeypatch.setattr(index_mod, "SCAN_BLOCK", 16)
+    bank = make_bank(rng, 400, 16)
+    queries = np.vstack([query_for(bank, rng).vector for _ in range(40)])
+    index = _with_empty_list(build_ivf(bank, 6, seed=7), bank, queries[0], 2)
+    queries[5] = queries[3]  # two rows with one query
+    for nprobe in (1, 2, 3, 6):
+        batch = search(bank, queries, 10, index, nprobe)
+        for i, (ids, scores) in enumerate(probe_oracle(index, queries, 10,
+                                                       nprobe)):
+            assert_same_row(batch, i, search(bank, queries[i:i + 1], 10,
+                                             index, nprobe))
+            c = batch.counts[i]
+            assert np.array_equal(batch.ids[i, :c], ids)
+            assert np.allclose(batch.scores[i, :c], scores, rtol=0, atol=1e-6)
+    # row 0 is the empty list's centroid: probing one list finds nothing
+    assert search(bank, queries[:1], 10, index, 1).counts[0] == 0
+
+
+def test_search_gathers_each_probed_list_once_per_chunk(monkeypatch, rng):
+    """A search reads each probed list's rows out of the bank once per
+    ``SCAN_BLOCK`` chunk, however many rows probe it."""
+    monkeypatch.setattr(index_mod, "SCAN_BLOCK", 16)
+    bank = make_bank(rng, 300, 16)
+    built = build_ivf(bank, 6, seed=5)
+    gathers = []
+
+    class GatherSpy(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, np.ndarray):
+                gathers.append(key.tolist())
+            return np.asarray(super().__getitem__(key))
+
+    spied = EmbeddingBank(np.asarray(bank.vectors).view(GatherSpy),
+                          bank.space_tag)
+    index = IvfIndex(built.n_clusters, built.dim, built.seed,
+                     built.centroids, built.lists).attach(spied)
+    queries = np.vstack([query_for(bank, rng).vector for _ in range(32)])
+    table = search(spied, queries, 10, index, 3)
+    probed = set()
+    for q in queries:
+        probed.update(np.lexsort((np.arange(6), -(built.centroids @ q)))[:3])
+    expected = [ids[start:start + 16].tolist()
+                for ids in (built.lists[c].astype(np.int64) for c in probed)
+                for start in range(0, len(ids), 16)]
+    assert sorted(gathers) == sorted(expected)
+    plain = search(bank, queries, 10, built, 3)
+    assert np.array_equal(table.ids, plain.ids)
+    assert np.array_equal(table.scores, plain.scores)
+
+
+def _bank_with_nan_row(tmp_path, rng, row):
+    """A saved 50x8 bank whose row ``row`` is NaN, loaded back, and the
+    original bank."""
+    bank = make_bank(rng, 50, 8)
+    path = tmp_path / "nan.bank"
+    bank_save(bank, path)
+    raw = bytearray(path.read_bytes())
+    start = len(raw) - (50 - row) * 8 * 4
+    raw[start:start + 32] = np.full(8, np.nan, "<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    return bank_load(path), bank
+
+
+def test_nonfinite_bank_row_is_corrupt_not_empty(tmp_path, rng):
+    corrupt, bank = _bank_with_nan_row(tmp_path, rng, 7)
+    q = QueryEmbedding(bank.vectors[7], bank.space_tag)
+    with pytest.raises(errors.CorruptBank, match="bank row 7 "):
+        exact_topk(q, corrupt, 5)
+    index = build_ivf(bank, 4, seed=0).attach(corrupt)
+    with pytest.raises(errors.CorruptBank, match="bank row 7 "):
+        ivf_search(index, q, 5, 1)
+
+
+def test_nonfinite_centroid_is_corrupt_index(tmp_path, rng):
+    path, bank = _saved_index(tmp_path, rng)
+    raw = bytearray(path.read_bytes())
+    offset = index_mod._INDEX_HEADER.size + 1 * 6 * 4
+    raw[offset:offset + 4] = np.float32(np.inf).tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(errors.CorruptIndex, match="centroid 1") as exc:
+        load_index(path, bank)
+    assert exc.value.byte_offset == offset
+    index = build_ivf(bank, 3, seed=0)
+    index.centroids[2, 0] = np.nan
+    with pytest.raises(errors.CorruptIndex, match="centroid 2 "):
+        ivf_search(index, query_for(bank, rng), 5, 1)
+
+
 # -- batch_topk --------------------------------------------------------------
 
 def test_batch_of_one_equals_single_call(rng):
