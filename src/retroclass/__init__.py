@@ -9,13 +9,12 @@ embeddings, exact or inverted-file retrieval, and a handful of interpolation
 weights.
 """
 
-from .bank import BankBuilder, CaptionRecord, EmbeddingBank, bank_load, bank_save
+from .bank import CaptionRecord, EmbeddingBank, bank_load, bank_save
 from .classify import (Prediction, classify_batch, classify_query, logits,
                        predict_topk, read_predictions, write_predictions)
 from .enrich import (EnrichedVector, EnrichmentConfig, PrototypeSet,
-                     WeightedCaptions, enrich_all_prototypes, enrich_prototype,
-                     enrich_query, gather_captions, softmax_weights,
-                     uniform_weights, weighted_centroid, zeroshot_prototypes)
+                     enrich_all_prototypes, enrich_prototype, enrich_query,
+                     gather_captions, softmax_weights, zeroshot_prototypes)
 from .errors import RetroclassError
 from .harness import (EvalReport, SweepGrid, SynthFixture, accuracy,
                       emit_report, load_fixture_dir, run_eval, run_sweep,

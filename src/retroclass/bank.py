@@ -175,57 +175,6 @@ class EmbeddingBank:
         return out
 
 
-class BankBuilder:
-    """Accumulates rows one at a time, then freezes into an EmbeddingBank."""
-
-    def __init__(self, dim: int, space_tag: str):
-        if dim < 1:
-            raise errors.InvalidDimension(f"dim must be >= 1, got {dim}")
-        self.dim = int(dim)
-        self.space_tag = _check_tag(space_tag)
-        self._rows: list[np.ndarray] = []
-        self._records: list[CaptionRecord | None] = []
-        self._finalized = False
-
-    @property
-    def count(self) -> int:
-        return len(self._rows)
-
-    def append(self, vector, record: CaptionRecord | None = None) -> int:
-        if self._finalized:
-            raise errors.ValidationError("builder already finalized")
-        vec = np.asarray(vector, dtype=np.float64).reshape(-1)
-        if vec.shape[0] != self.dim:
-            raise errors.DimensionMismatch(
-                f"vector has {vec.shape[0]} dims, bank expects {self.dim}")
-        if not np.all(np.isfinite(vec)):
-            raise errors.ValidationError("vector contains non-finite values")
-        norm = np.linalg.norm(vec)
-        if norm <= ZERO_NORM_EPS:
-            raise errors.ZeroVector("cannot normalize a zero vector")
-        row_id = len(self._rows)
-        if record is not None and record.id != row_id:
-            raise errors.IdOutOfRange(
-                f"record id {record.id} does not match next row id {row_id}")
-        self._rows.append((vec / norm).astype(np.float32))
-        self._records.append(record)
-        return row_id
-
-    def finalize(self) -> EmbeddingBank:
-        if self._finalized:
-            raise errors.ValidationError("builder already finalized")
-        self._finalized = True
-        if self._rows:
-            matrix = np.vstack(self._rows)
-        else:
-            matrix = np.empty((0, self.dim), dtype=np.float32)
-        records = [
-            rec if rec is not None else CaptionRecord(i, f"item-{i}")
-            for i, rec in enumerate(self._records)
-        ]
-        return EmbeddingBank(matrix, self.space_tag, records=records)
-
-
 # ---------------------------------------------------------------------------
 # module-level operations
 

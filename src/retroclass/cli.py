@@ -104,7 +104,7 @@ def _cmd_bank_inspect(args) -> int:
         info["norms_ok"] = check_norms(bank)
     _write_info(info, args.out, "bank info")
     if args.check_norms and not info["norms_ok"]:
-        raise errors.InternalInvariantError("bank rows are not unit norm")
+        raise errors.CorruptBank("bank rows are not unit norm")
     return errors.EXIT_OK
 
 
@@ -174,6 +174,10 @@ def _cmd_enrich_prototypes(args) -> int:
 def _cmd_classify(args) -> int:
     query_bank = bank_load(args.queries)
     proto_bank = bank_load(args.prototypes)
+    if proto_bank.space_tag != query_bank.space_tag:
+        raise errors.SpaceMismatch(
+            f"prototype space {proto_bank.space_tag!r} != query space "
+            f"{query_bank.space_tag!r}")
     config = _load_config(args.config)
     from .enrich import PrototypeSet
     proto_set = PrototypeSet(np.array(proto_bank.vectors), kind="final")

@@ -133,75 +133,22 @@ def softmax_weights(scores, tau: float) -> np.ndarray:
     return _softmax_rows(arr[None, :], tau)[0]
 
 
-def uniform_weights(n: int) -> np.ndarray:
-    if n < 1:
-        raise errors.EmptyScores("no scores to weight")
-    return np.full(n, 1.0 / n, dtype=np.float64)
+def gather_captions(hits: list[RetrievalHit], bank: EmbeddingBank) -> HitTable:
+    """A hit list as the one-row :class:`HitTable` that :func:`fuse_rows`
+    takes, its ids checked against ``bank``.
 
-
-def weighted_centroid(embeddings, weights) -> np.ndarray:
-    """Sum of weight * embedding, accumulated in float64, rounded to float32.
-
-    The result is deliberately not renormalized here; interpolation decides
-    what happens to the norm.
+    The fusion bank may differ from the bank that produced the hits (the two
+    caption banks are aligned id-for-id), which is exactly how retrieval in
+    one space feeds fusion in another.
     """
-    matrix = np.asarray(embeddings, dtype=np.float32)
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if matrix.ndim != 2:
-        raise errors.ValidationError("embeddings must be a 2-D matrix")
-    if matrix.shape[0] != w.shape[0]:
-        raise errors.LengthMismatch(
-            f"{matrix.shape[0]} embeddings but {w.shape[0]} weights")
-    if matrix.shape[0] == 0:
-        raise errors.EmptyScores("no embeddings to combine")
-    return _centroid_rows(matrix, np.arange(w.shape[0])[None, :], w[None, :])[0]
-
-
-@dataclass(frozen=True)
-class WeightedCaptions:
-    """Retrieved captions plus their fusion weights and embeddings."""
-
-    hits: tuple[RetrievalHit, ...]
-    weights: np.ndarray      # float64 probability vector
-    embeddings: np.ndarray   # (len(hits), dim) float32
-
-    def __post_init__(self):
-        hits = tuple(self.hits)
-        object.__setattr__(self, "hits", hits)
-        w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        emb = np.asarray(self.embeddings, dtype=np.float32)
-        if emb.ndim != 2:
-            raise errors.ValidationError("embeddings must be a 2-D matrix")
-        if not (len(hits) == w.shape[0] == emb.shape[0]):
-            raise errors.LengthMismatch(
-                f"hits={len(hits)} weights={w.shape[0]} embeddings={emb.shape[0]}")
-        if len(hits):
-            if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-6:
-                raise errors.ValidationError(
-                    "weights must be non-negative and sum to 1")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "embeddings", emb)
-
-    def __len__(self) -> int:
-        return len(self.hits)
-
-
-def gather_captions(hits: list[RetrievalHit], bank: EmbeddingBank) -> WeightedCaptions:
-    """Pull caption embeddings for the hit ids, with uniform initial weights.
-
-    The embedding bank may differ from the bank that produced the hits (the
-    two caption banks are aligned id-for-id), which is exactly how retrieval
-    in one space feeds fusion in another.
-    """
-    if not hits:
-        return WeightedCaptions((), np.empty(0), np.empty((0, bank.dim), np.float32))
     ids = [h.id for h in hits]
     for row_id in ids:
         if not 0 <= row_id < bank.count:
             raise errors.IdOutOfRange(
                 f"hit id {row_id} outside [0, {bank.count})")
-    emb = np.array(bank.vectors[np.asarray(ids, dtype=np.int64)])
-    return WeightedCaptions(tuple(hits), uniform_weights(len(hits)), emb)
+    return HitTable(np.array([ids], dtype=np.int64),
+                    np.array([[h.score for h in hits]], dtype=np.float64),
+                    np.array([len(ids)], dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -282,45 +229,34 @@ def fuse_rows(base, hits: HitTable, vectors, frac: float, tau: float,
     return out, partial
 
 
-def _interpolate(base, retrieved: WeightedCaptions | None, frac: float,
-                 tau: float, use_temperature: bool, renormalize: bool,
-                 what: str) -> EnrichedVector:
-    """:func:`fuse_rows` on one row whose hits are already gathered."""
-    base = np.asarray(base, dtype=np.float32).reshape(1, -1)
-    if retrieved is None or len(retrieved) == 0:
-        hits = HitTable(np.zeros((1, 0), np.int64), np.zeros((1, 0)),
-                        np.zeros(1, np.int64))
-        vectors = np.empty((0, base.shape[1]), np.float32)
-    else:
-        c = len(retrieved)
-        hits = HitTable(np.arange(c)[None, :],
-                        np.array([[h.score for h in retrieved.hits]]),
-                        np.array([c]))
-        vectors = retrieved.embeddings
-    out, partial = fuse_rows(base, hits, vectors, frac, tau, use_temperature,
-                             renormalize, what)
-    return EnrichedVector(out[0], partial=bool(partial[0]))
-
-
-def enrich_prototype(prototype, retrieved: WeightedCaptions | None,
+def enrich_prototype(prototype, captions: HitTable | None,
+                     bank: EmbeddingBank,
                      config: EnrichmentConfig) -> EnrichedVector:
     """Interpolate a class prototype with its retrieved caption centroid.
 
-    Weighting uses the text-to-text temperature (or a plain average when
-    that branch's temperature toggle is off). alpha = 0 returns the
-    prototype itself, exactly, when renormalization is off.
+    ``captions`` is a one-row table from :func:`gather_captions` whose ids
+    index ``bank``; None passes the prototype through as partial. Weighting
+    uses the text-to-text temperature (or a plain average when that branch's
+    temperature toggle is off). alpha = 0 returns the prototype itself,
+    exactly, when renormalization is off.
     """
-    return _interpolate(prototype, retrieved, config.alpha, config.tau_tt,
-                        config.use_temperature_tt, config.renormalize_output,
-                        "prototype")
+    out, partial = fuse_rows(
+        np.asarray(prototype, dtype=np.float32).reshape(1, -1),
+        captions if captions is not None else gather_captions([], bank),
+        bank.vectors, config.alpha, config.tau_tt, config.use_temperature_tt,
+        config.renormalize_output, "prototype")
+    return EnrichedVector(out[0], partial=bool(partial[0]))
 
 
-def enrich_query(query, retrieved: WeightedCaptions | None,
+def enrich_query(query, captions: HitTable | None, bank: EmbeddingBank,
                  config: EnrichmentConfig) -> EnrichedVector:
     """Interpolate an image query with its retrieved caption centroid."""
-    return _interpolate(query, retrieved, config.beta, config.tau_it,
-                        config.use_temperature_it, config.renormalize_output,
-                        "query")
+    out, partial = fuse_rows(
+        np.asarray(query, dtype=np.float32).reshape(1, -1),
+        captions if captions is not None else gather_captions([], bank),
+        bank.vectors, config.beta, config.tau_it, config.use_temperature_it,
+        config.renormalize_output, "query")
+    return EnrichedVector(out[0], partial=bool(partial[0]))
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,11 @@ def _evaluate(configs: list[EnrichmentConfig], specs,
     if len(labels) != query_bank.count:
         raise errors.LabelMismatch(
             f"{query_bank.count} queries but {len(labels)} labels")
+    for spec in specs:
+        if spec.prototype_space != query_bank.space_tag:
+            raise errors.SpaceMismatch(
+                f"class {spec.name!r} prototype space {spec.prototype_space!r} "
+                f"!= query space {query_bank.space_tag!r}")
     k = configs[0].k
 
     t0 = time.perf_counter()
@@ -250,6 +255,11 @@ class SweepGrid:
                     raise errors.ValidationError(
                         "each toggle entry must be an object with "
                         "use_temperature_tt / use_temperature_it")
+                unknown = set(entry) - {"use_temperature_tt",
+                                        "use_temperature_it"}
+                if unknown:
+                    raise errors.ValidationError(
+                        f"unknown toggle keys: {sorted(unknown)}")
                 toggles.append((entry.get("use_temperature_tt", True),
                                 entry.get("use_temperature_it", True)))
             kwargs["toggles"] = tuple(toggles)

@@ -296,13 +296,29 @@ def _spherical_kmeans(train: np.ndarray, n_clusters: int, seed: int,
     return centroids
 
 
-def _assign(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Argmax-cosine assignment; ties go to the lowest cluster id."""
+def _assign(rows: np.ndarray, centroids: np.ndarray,
+            check: bool = False) -> np.ndarray:
+    """Argmax-cosine assignment; ties go to the lowest cluster id.
+
+    With ``check``, a row with a non-finite score against finite centroids
+    is a corrupt bank row: :class:`CorruptBank` names it by its position.
+    """
     out = np.empty(rows.shape[0], dtype=np.int64)
     for start in range(0, rows.shape[0], SCAN_BLOCK):
-        block = rows[start:start + SCAN_BLOCK]
-        out[start:start + SCAN_BLOCK] = np.argmax(block @ centroids.T, axis=1)
+        scores = rows[start:start + SCAN_BLOCK] @ centroids.T
+        if check:
+            _check_finite_rows(scores, np.arange(start, start + len(scores)))
+        out[start:start + SCAN_BLOCK] = np.argmax(scores, axis=1)
     return out
+
+
+def _check_finite_rows(values: np.ndarray, ids: np.ndarray) -> None:
+    """Raise :class:`CorruptBank` naming bank row ``ids[i]`` for the first
+    row i of ``values`` that holds a non-finite value."""
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise errors.CorruptBank(
+            f"bank row {int(ids[np.argmin(finite)])} is not finite")
 
 
 def _fix_empty_clusters(rows: np.ndarray, centroids: np.ndarray,
@@ -346,7 +362,8 @@ def build_ivf(bank: EmbeddingBank, n_clusters: int, seed: int,
     """Train a spherical k-means coarse quantizer and invert the assignment.
 
     Training runs on a seeded subsample of at most 256 rows per centroid;
-    the final assignment pass always covers the full bank.
+    the final assignment pass always covers the full bank. A non-finite bank
+    row raises :class:`CorruptBank`.
     """
     if bank.count == 0:
         raise errors.EmptyBank("cannot index an empty bank")
@@ -364,10 +381,14 @@ def build_ivf(bank: EmbeddingBank, n_clusters: int, seed: int,
         train_idx = np.sort(rng.choice(bank.count, size=budget, replace=False))
         train = np.ascontiguousarray(bank.vectors[train_idx])
     else:
+        train_idx = np.arange(bank.count)
         train = np.asarray(bank.vectors)
+    # a non-finite training row would poison a centroid, and the assignment
+    # pass would then blame every row; check the sample before training
+    _check_finite_rows(train, train_idx)
 
     centroids = _spherical_kmeans(train, n_clusters, seed, max_iters)
-    labels = _assign(np.asarray(bank.vectors), centroids)
+    labels = _assign(np.asarray(bank.vectors), centroids, check=True)
     # one stable sort groups the ids by cluster, ascending within each
     order = np.argsort(labels, kind="stable").astype(np.uint64)
     bounds = np.cumsum(np.bincount(labels, minlength=n_clusters))[:-1]

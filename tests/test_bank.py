@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import retroclass
 from retroclass import cli, errors
-from retroclass.bank import (MAGIC, BankBuilder, CaptionRecord, EmbeddingBank,
+from retroclass.bank import (MAGIC, CaptionRecord, EmbeddingBank,
                              bank_load, bank_save, check_norms)
 from retroclass.classify import Prediction, write_predictions
 from retroclass.harness import accuracy, emit_report
@@ -327,35 +327,6 @@ def test_check_norms_catches_denormalized_payload(tmp_path, rng):
     _patch(path, HEADER_FMT.size + tag_len,
            struct.pack("<f", 40.0))
     assert not check_norms(bank_load(path))
-
-
-# builder path
-
-def test_builder_matches_from_matrix(rng):
-    m = rng.standard_normal((6, 4))
-    builder = BankBuilder(4, "llm-text")
-    for row in m:
-        builder.append(row)
-    built = builder.finalize()
-    direct = EmbeddingBank.from_matrix(m, "llm-text")
-    assert np.array_equal(np.asarray(built.vectors), np.asarray(direct.vectors))
-
-
-def test_builder_rejects_wrong_dim():
-    builder = BankBuilder(3, "llm-text")
-    with pytest.raises(errors.DimensionMismatch):
-        builder.append(np.ones(4))
-
-
-def test_builder_empty_finalize_yields_empty_bank():
-    bank = BankBuilder(3, "llm-text").finalize()
-    assert bank.count == 0 and bank.dim == 3
-
-
-def test_builder_returns_dense_ids(rng):
-    builder = BankBuilder(2, "llm-text")
-    ids = [builder.append(rng.standard_normal(2)) for _ in range(4)]
-    assert ids == [0, 1, 2, 3]
 
 
 @given(st.integers(1, 30), st.integers(2, 12), st.integers(0, 2**32 - 1))

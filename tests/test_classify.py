@@ -285,7 +285,7 @@ def test_batch_with_short_and_empty_hit_lists(small_fixture):
         assert len(hits) == kept[queries[i].vector.tobytes()]
         vec = enrich_query(queries[i].vector,
                            gather_captions(hits, small_fixture.vlm_bank),
-                           cfg).vector
+                           small_fixture.vlm_bank, cfg).vector
         assert pred.topk == tuple(predict_topk(logits(vec, zs), zs.n_classes))
 
 

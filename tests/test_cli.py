@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from retroclass.bank import bank_load
+from retroclass.bank import EmbeddingBank, bank_load, bank_save
 
 CLI = [sys.executable, "-m", "retroclass"]
 
@@ -383,6 +384,67 @@ def test_exit_code_nonfinite_bank_row(workdir, tmp_path):
         "error: bank row 39 gives a non-finite score (nan)"]
 
 
+def _nan_row_bank(fx, tmp_path):
+    """The fixture's 40x16 llm bank with its row 7 set to NaN."""
+    bank_path = tmp_path / "nan.bank"
+    raw = bytearray((fx / "llm_db.bank").read_bytes())
+    start = len(raw) - (40 - 7) * 16 * 4
+    raw[start:start + 16 * 4] = np.full(16, np.nan, "<f4").tobytes()
+    bank_path.write_bytes(bytes(raw))
+    return bank_path
+
+
+def test_index_build_on_nonfinite_bank_row_is_corrupt(workdir, tmp_path):
+    bank_path = _nan_row_bank(workdir / "fx", tmp_path)
+    idx = tmp_path / "nan.ivf"
+    proc = run_cli("index", "build", "--bank", bank_path, "--clusters", 4,
+                   "--out", idx, check=False)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["error: bank row 7 is not finite"]
+    assert not idx.exists()
+
+
+def test_check_norms_on_nonfinite_bank_row_is_corrupt(workdir, tmp_path):
+    bank_path = _nan_row_bank(workdir / "fx", tmp_path)
+    proc = run_cli("bank", "inspect", "--bank", bank_path, "--check-norms",
+                   check=False)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["norms_ok"] is False
+    assert proc.stderr.splitlines() == ["error: bank rows are not unit norm"]
+
+
+def _retagged_queries(fx, tmp_path):
+    """A copy of the fixture directory whose query bank is tagged
+    llm-text, while its prototypes stay vlm-text."""
+    out = tmp_path / "retagged"
+    shutil.copytree(fx, out)
+    queries = bank_load(fx / "queries.bank")
+    bank_save(EmbeddingBank(np.array(queries.vectors), "llm-text"),
+              out / "queries.bank")
+    return out
+
+
+def test_query_space_mismatch_at_beta_zero_is_a_validation_error(
+        workdir, tmp_path):
+    """Queries are scored against the prototypes even when beta is 0 and
+    no query is retrieved, so their spaces must match then too."""
+    fx = _retagged_queries(workdir / "fx", tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"alpha": 0.2, "beta": 0.0}))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"alphas": [0.0, 0.2], "betas": [0.0]}))
+    for argv in (["eval", "--fixture-dir", fx, "--config", config],
+                 ["sweep", "--fixture-dir", fx, "--grid", grid],
+                 ["classify", "--queries", fx / "queries.bank",
+                  "--prototypes", fx / "prototypes.bank",
+                  "--config", config]):
+        proc = run_cli(*argv, "--out", tmp_path / "out", check=False)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "'llm-text'" in lines[0], proc.stderr
+        assert not (tmp_path / "out").exists()
+
+
 def _explicit_eval(fx, labels, classes):
     return ["eval", "--queries", fx / "queries.bank", "--labels", labels,
             "--classes", classes, "--proto-bank", fx / "prototypes.bank",
@@ -415,6 +477,8 @@ MALFORMED_INPUTS = [
     ("grid-alphas-number", b'{"alphas": 5, "betas": [0]}', _sweep_grid),
     ("grid-toggle-string", b'{"alphas": [0], "betas": [0], "toggles": '
      b'[{"use_temperature_tt": "false"}]}', _sweep_grid),
+    ("grid-toggle-misspelt-key", b'{"alphas": [0], "betas": [0], "toggles": '
+     b'[{"use_temperature_t": false}]}', _sweep_grid),
     ("classes-prefix-number",
      b'{"classes": [{"name": "a"}], "zeroshot_prefix": 5, '
      b'"retrieval_prefix": "a photo of a"}',

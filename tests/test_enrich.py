@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from retroclass import errors
 from retroclass.bank import EmbeddingBank
-from retroclass.enrich import (EnrichmentConfig, WeightedCaptions,
-                               enrich_all_prototypes, enrich_prototype,
-                               enrich_query, gather_captions, softmax_weights,
-                               uniform_weights, weighted_centroid,
-                               zeroshot_prototypes)
+from retroclass.enrich import (EnrichmentConfig, enrich_all_prototypes,
+                               enrich_prototype, enrich_query, gather_captions,
+                               softmax_weights, zeroshot_prototypes)
 from retroclass.index import RetrievalHit, Retriever
 
 finite_scores = st.lists(
@@ -114,46 +112,36 @@ def test_softmax_validation():
         softmax_weights([1.0, float("nan")], 1.0)
 
 
-def test_uniform_weights():
-    w = uniform_weights(4)
-    assert np.allclose(w, 0.25)
-    with pytest.raises(errors.EmptyScores):
-        uniform_weights(0)
-
-
 # -- weighted centroid -------------------------------------------------------
+#
+# At alpha 1, with the temperature toggle and renormalization off, the
+# enriched prototype is exactly the uniform-weight centroid of its captions.
+
+CENTROID = EnrichmentConfig(alpha=1.0, use_temperature_tt=False,
+                            renormalize_output=False)
+
 
 def test_centroid_hand_example():
-    emb = np.array([[1.0, 0.0], [0.0, 1.0]], np.float32)
-    out = weighted_centroid(emb, [0.75, 0.25])
+    bank = EmbeddingBank(np.array([[1.0, 0.0], [0.0, 1.0]], np.float32),
+                         "vlm-text")
+    # three hits on row 0 and one on row 1 weigh the rows 0.75 / 0.25
+    hits = [RetrievalHit(0, 0.9)] * 3 + [RetrievalHit(1, 0.8)]
+    out = enrich_prototype(np.array([0.6, 0.8], np.float32),
+                           gather_captions(hits, bank), bank, CENTROID).vector
     assert out.dtype == np.float32
-    assert np.allclose(out, [0.75, 0.25])
+    assert np.array_equal(out, np.array([0.75, 0.25], np.float32))
 
 
 def test_centroid_accumulates_in_float64():
     # float32 summation would lose the tiny component entirely
     big = np.full((1, 4), 1.0, np.float32)
     tiny = np.full((1, 4), 1e-10, np.float32)
-    emb = np.vstack([big] + [tiny] * 3)
+    bank = EmbeddingBank(np.vstack([big] + [tiny] * 3), "vlm-text")
+    hits = [RetrievalHit(i, 0.5) for i in range(4)]
     out64 = (1.0 * 0.25) + 3 * (1e-10 * 0.25)
-    out = weighted_centroid(emb, [0.25, 0.25, 0.25, 0.25])
+    out = enrich_prototype(np.full(4, 0.5, np.float32),
+                           gather_captions(hits, bank), bank, CENTROID).vector
     assert out[0] == np.float32(out64)
-
-
-def test_centroid_validation():
-    with pytest.raises(errors.LengthMismatch):
-        weighted_centroid(np.eye(2, dtype=np.float32), [1.0])
-    with pytest.raises(errors.EmptyScores):
-        weighted_centroid(np.empty((0, 3), np.float32), [])
-
-
-def test_weighted_captions_validation(rng):
-    hits = (RetrievalHit(0, 0.9), RetrievalHit(1, 0.8))
-    emb = rng.standard_normal((2, 4)).astype(np.float32)
-    with pytest.raises(errors.ValidationError):
-        WeightedCaptions(hits, np.array([0.9, 0.9]), emb)
-    with pytest.raises(errors.LengthMismatch):
-        WeightedCaptions(hits, np.array([1.0]), emb)
 
 
 def test_gather_captions_cross_bank(rng):
@@ -162,22 +150,28 @@ def test_gather_captions_cross_bank(rng):
     fusion_bank = EmbeddingBank.from_matrix(rng.standard_normal((6, 5)),
                                             "vlm-text")
     hits = [RetrievalHit(4, 0.9), RetrievalHit(1, 0.7)]
-    wc = gather_captions(hits, fusion_bank)
-    assert wc.embeddings.shape == (2, 5)
-    assert np.array_equal(wc.embeddings[0], np.asarray(fusion_bank.vectors)[4])
-    assert np.allclose(wc.weights, 0.5)
+    table = gather_captions(hits, fusion_bank)
+    assert table.ids.dtype == np.int64 and table.scores.dtype == np.float64
+    assert table.ids.tolist() == [[4, 1]]
+    assert table.scores.tolist() == [[0.9, 0.7]]
+    assert table.counts.tolist() == [2]
+    assert table.hits(0) == hits
+    empty = gather_captions([], fusion_bank)
+    assert empty.ids.shape == (1, 0) and empty.counts.tolist() == [0]
     assert retrieval_bank.dim != fusion_bank.dim  # the gather really crossed banks
-    with pytest.raises(errors.IdOutOfRange):
+    with pytest.raises(errors.IdOutOfRange, match=r"hit id 6 outside \[0, 6\)"):
         gather_captions([RetrievalHit(6, 0.5)], fusion_bank)
+    with pytest.raises(errors.IdOutOfRange):
+        gather_captions([RetrievalHit(-1, 0.5)], fusion_bank)
 
 
 # -- interpolation -----------------------------------------------------------
 
 def retrieved_fixture(rng, n=5, d=8):
-    emb = rng.standard_normal((n, d))
-    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-    hits = tuple(RetrievalHit(i, float(0.9 - 0.1 * i)) for i in range(n))
-    return WeightedCaptions(hits, uniform_weights(n), emb.astype(np.float32))
+    """(captions, bank): n hits on the n unit rows of a fusion bank."""
+    bank = EmbeddingBank.from_matrix(rng.standard_normal((n, d)), "vlm-text")
+    hits = [RetrievalHit(i, float(0.9 - 0.1 * i)) for i in range(n)]
+    return gather_captions(hits, bank), bank
 
 
 def unit32(rng, d=8):
@@ -188,7 +182,7 @@ def unit32(rng, d=8):
 def test_alpha_zero_no_renorm_is_bitwise_identity(rng):
     proto = unit32(rng)
     cfg = EnrichmentConfig(alpha=0.0, renormalize_output=False)
-    out = enrich_prototype(proto, retrieved_fixture(rng), cfg)
+    out = enrich_prototype(proto, *retrieved_fixture(rng), cfg)
     assert np.array_equal(out.vector.view(np.uint32), proto.view(np.uint32))
     assert not out.partial
 
@@ -196,38 +190,35 @@ def test_alpha_zero_no_renorm_is_bitwise_identity(rng):
 def test_beta_zero_no_renorm_is_bitwise_identity(rng):
     q = unit32(rng)
     cfg = EnrichmentConfig(beta=0.0, renormalize_output=False)
-    out = enrich_query(q, retrieved_fixture(rng), cfg)
+    out = enrich_query(q, *retrieved_fixture(rng), cfg)
     assert np.array_equal(out.vector.view(np.uint32), q.view(np.uint32))
 
 
 def test_alpha_one_is_pure_centroid(rng):
     proto = unit32(rng)
-    rv = retrieved_fixture(rng)
-    cfg = EnrichmentConfig(alpha=1.0, use_temperature_tt=False,
-                           renormalize_output=False)
-    out = enrich_prototype(proto, rv, cfg)
-    expect = weighted_centroid(rv.embeddings, uniform_weights(len(rv)))
-    # interpolation runs in float64 even at the endpoint, so compare values
+    captions, bank = retrieved_fixture(rng)
+    out = enrich_prototype(proto, captions, bank, CENTROID)
+    expect = np.asarray(bank.vectors, np.float64).mean(axis=0)
     assert np.allclose(out.vector, expect, atol=1e-7)
 
 
 def test_interpolation_matches_scalar_formula(rng):
     proto = unit32(rng)
-    rv = retrieved_fixture(rng)
+    captions, bank = retrieved_fixture(rng)
     cfg = EnrichmentConfig(alpha=0.3, renormalize_output=False)
-    out = enrich_prototype(proto, rv, cfg)
-    scores = [h.score for h in rv.hits]
-    w = softmax_weights(scores, cfg.tau_tt)
-    cent = weighted_centroid(rv.embeddings, w).astype(np.float64)
-    expect = 0.3 * cent + 0.7 * proto.astype(np.float64)
+    out = enrich_prototype(proto, captions, bank, cfg)
+    w = softmax_weights(captions.scores[0], cfg.tau_tt)
+    cent = (w @ np.asarray(bank.vectors, np.float64)).astype(np.float32)
+    expect = 0.3 * cent.astype(np.float64) + 0.7 * proto.astype(np.float64)
     assert np.allclose(out.vector, expect.astype(np.float32), atol=0)
 
 
 def test_renormalize_flag(rng):
     proto = unit32(rng)
-    rv = retrieved_fixture(rng)
-    on = enrich_prototype(proto, rv, EnrichmentConfig(alpha=0.4)).vector
-    off = enrich_prototype(proto, rv, EnrichmentConfig(
+    captions, bank = retrieved_fixture(rng)
+    on = enrich_prototype(proto, captions, bank,
+                          EnrichmentConfig(alpha=0.4)).vector
+    off = enrich_prototype(proto, captions, bank, EnrichmentConfig(
         alpha=0.4, renormalize_output=False)).vector
     assert np.linalg.norm(on.astype(np.float64)) == pytest.approx(1.0, abs=1e-6)
     assert np.linalg.norm(off.astype(np.float64)) != pytest.approx(1.0, abs=1e-3)
@@ -237,33 +228,35 @@ def test_renormalize_flag(rng):
 
 def test_empty_retrieval_passes_through_as_partial(rng, caplog):
     proto = unit32(rng)
+    _, bank = retrieved_fixture(rng)
     cfg = EnrichmentConfig(alpha=0.4)
-    with caplog.at_level("WARNING", logger="retroclass.enrich"):
-        out = enrich_prototype(proto, None, cfg)
-    assert out.partial
-    assert np.array_equal(out.vector, proto)
-    assert any("partial" in rec.message for rec in caplog.records)
+    for captions in (None, gather_captions([], bank)):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="retroclass.enrich"):
+            out = enrich_prototype(proto, captions, bank, cfg)
+        assert out.partial
+        assert np.array_equal(out.vector, proto)
+        assert any("partial" in rec.message for rec in caplog.records)
 
 
 def test_temperature_toggle_switches_weighting(rng):
     proto = unit32(rng)
-    emb = rng.standard_normal((4, 8)).astype(np.float32)
-    hits = tuple(RetrievalHit(i, float(s)) for i, s in
-                 enumerate([5.0, 1.0, 0.5, 0.2]))
-    rv = WeightedCaptions(hits, uniform_weights(4), emb)
+    bank = EmbeddingBank.from_matrix(rng.standard_normal((4, 8)), "vlm-text")
+    hits = [RetrievalHit(i, float(s)) for i, s in
+            enumerate([5.0, 1.0, 0.5, 0.2])]
+    captions = gather_captions(hits, bank)
     cfg_soft = EnrichmentConfig(alpha=1.0, tau_tt=1.0, renormalize_output=False)
-    cfg_avg = EnrichmentConfig(alpha=1.0, use_temperature_tt=False,
-                               renormalize_output=False)
-    soft = enrich_prototype(proto, rv, cfg_soft).vector
-    avg = enrich_prototype(proto, rv, cfg_avg).vector
+    soft = enrich_prototype(proto, captions, bank, cfg_soft).vector
+    avg = enrich_prototype(proto, captions, bank, CENTROID).vector
     assert not np.allclose(soft, avg, atol=1e-4)
-    assert np.allclose(avg, emb.astype(np.float64).mean(axis=0), atol=1e-6)
+    assert np.allclose(avg, np.asarray(bank.vectors, np.float64).mean(axis=0),
+                       atol=1e-6)
 
 
 def test_dim_mismatch_between_captions_and_vector(rng):
     proto = unit32(rng, d=9)
     with pytest.raises(errors.DimensionMismatch):
-        enrich_prototype(proto, retrieved_fixture(rng, d=8),
+        enrich_prototype(proto, *retrieved_fixture(rng, d=8),
                          EnrichmentConfig(alpha=0.5))
 
 

@@ -334,7 +334,7 @@ def test_ivf_eval_with_short_hit_lists_matches_row_by_row(small_fixture):
         short += len(hits) < cfg.k
         rows.append(enrich_prototype(spec.merged_prototype(),
                                      gather_captions(hits, fx.vlm_bank),
-                                     cfg).vector)
+                                     fx.vlm_bank, cfg).vector)
     prototypes = np.vstack(rows)
     preds = []
     for i in range(fx.queries.count):
@@ -342,7 +342,7 @@ def test_ivf_eval_with_short_hit_lists_matches_row_by_row(small_fixture):
         hits = ivf_search(vlm_index, query, cfg.k, 1)
         short += len(hits) < cfg.k
         vec = enrich_query(query.vector, gather_captions(hits, fx.vlm_bank),
-                           cfg).vector
+                           fx.vlm_bank, cfg).vector
         ranked = predict_topk(logits(vec, prototypes), len(specs))
         preds.append(Prediction(i, tuple(ranked), True))
     assert short > 0

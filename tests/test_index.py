@@ -487,6 +487,30 @@ def test_nonfinite_bank_row_is_corrupt_not_empty(tmp_path, rng):
         ivf_search(index, q, 5, 1)
 
 
+def test_build_ivf_names_a_nonfinite_bank_row(tmp_path, rng, monkeypatch):
+    """Whether the NaN row falls in the training sample or only in the full
+    assignment pass, the build raises instead of writing a NaN centroid, and
+    names that row."""
+    corrupt, _ = _bank_with_nan_row(tmp_path, rng, 7)
+    with pytest.raises(errors.CorruptBank, match="^bank row 7 is not finite$"):
+        build_ivf(corrupt, 4, seed=0)  # 50 rows: the whole bank is the sample
+    trained = []
+    real = index_mod._spherical_kmeans
+    monkeypatch.setattr(index_mod, "_spherical_kmeans",
+                        lambda *a: trained.append(1) or real(*a))
+    monkeypatch.setattr(index_mod, "_TRAIN_ROWS_PER_CLUSTER", 2)  # 8 of 50
+    reached_training = set()
+    for seed in range(20):
+        before = len(trained)
+        with pytest.raises(errors.CorruptBank,
+                           match="^bank row 7 is not finite$"):
+            build_ivf(corrupt, 4, seed=seed)
+        reached_training.add(len(trained) > before)
+    # some samples hold row 7 and are refused before training; the others
+    # train on finite rows and meet row 7 in the assignment pass
+    assert reached_training == {False, True}
+
+
 def test_nonfinite_centroid_is_corrupt_index(tmp_path, rng):
     path, bank = _saved_index(tmp_path, rng)
     raw = bytearray(path.read_bytes())
