@@ -30,8 +30,8 @@ LADDER = [
 
 
 def eval_report(fixture, config):
-    specs = fixture.build_specs()
-    report = run_eval(specs, fixture.queries, list(fixture.labels),
+    table = fixture.build_specs()
+    report = run_eval(table, fixture.queries, list(fixture.labels),
                       fixture.llm_bank, fixture.vlm_bank, config)
     return report.to_json_dict(include_timing=False)
 

@@ -31,11 +31,11 @@ def main() -> None:
                        queries_per_class=args.queries_per_class,
                        captions_per_class=args.captions_per_class,
                        eta_p=args.eta_p, eta_c=args.eta_c)
-    specs = fx.build_specs()
+    table = fx.build_specs()
     labels = list(fx.labels)
 
     def evaluate(config):
-        return run_eval(specs, fx.queries, labels, fx.llm_bank, fx.vlm_bank,
+        return run_eval(table, fx.queries, labels, fx.llm_bank, fx.vlm_bank,
                         config)
 
     zs = evaluate(EnrichmentConfig(alpha=0.0, beta=0.0))

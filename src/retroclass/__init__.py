@@ -22,7 +22,7 @@ from .harness import (EvalReport, SweepGrid, SynthFixture, accuracy,
 from .index import (HitTable, IvfIndex, QueryEmbedding, RetrievalHit,
                     Retriever, batch_topk, build_ivf, exact_topk, ivf_search,
                     load_index, recall_at_k, save_index, search)
-from .prompts import (ClassSpec, PromptTemplate, build_class_specs,
+from .prompts import (ClassTable, PromptTemplate, build_class_specs,
                       expand_template, load_class_config,
                       merge_alias_prototypes)
 

@@ -39,15 +39,22 @@ def logits_rows(queries, prototypes) -> np.ndarray:
         raise errors.DimensionMismatch(
             f"query dim {q.shape[1]} != prototype dim {matrix.shape[1]}")
     qnorms = row_norms(q)
+    bad = np.flatnonzero(~np.isfinite(qnorms))
+    if bad.size:
+        raise row_error(errors.ValidationError, "query", int(bad[0]),
+                        q.shape[0], "query vector is not finite")
     bad = np.flatnonzero(qnorms <= 1e-12)
     if bad.size:
         raise row_error(errors.ZeroVector, "query", int(bad[0]), q.shape[0],
                         "query vector has near-zero norm")
     p64 = matrix.astype(np.float64)
     pnorms = np.linalg.norm(p64, axis=1)
-    if np.any(pnorms <= 1e-12):
-        bad = int(np.flatnonzero(pnorms <= 1e-12)[0])
-        raise errors.DegeneratePrototype(f"prototype row {bad} has near-zero norm")
+    bad = np.flatnonzero(~(np.isfinite(pnorms) & (pnorms > 1e-12)))
+    if bad.size:
+        row = int(bad[0])
+        raise errors.DegeneratePrototype(
+            f"prototype row {row} has "
+            f"{'near-zero' if np.isfinite(pnorms[row]) else 'non-finite'} norm")
     raw = np.empty((q.shape[0], matrix.shape[0]), dtype=np.float64)
     for i, row in enumerate(q):
         raw[i] = p64 @ row

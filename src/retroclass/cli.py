@@ -30,7 +30,7 @@ from .files import read_json, read_jsonl, replace_atomically
 from .harness import (SweepGrid, emit_report, load_fixture_dir, parse_labels,
                       run_eval, run_sweep, synth_fixture)
 from .index import (QueryEmbedding, Retriever, build_ivf, check_threads,
-                    load_index, save_index)
+                    check_unit_rows, load_index, save_index)
 from .prompts import build_class_specs, load_class_config
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
@@ -154,17 +154,17 @@ def _cmd_enrich_prototypes(args) -> int:
     llm_bank = bank_load(args.llm_bank)
     vlm_bank = bank_load(args.vlm_bank)
     config = _load_config(args.config)
-    specs = build_class_specs(classes, zs_template, rt_template,
+    table = build_class_specs(classes, zs_template, rt_template,
                               proto_bank, rquery_bank)
     index = load_index(args.index, llm_bank) if args.index is not None else None
     retriever = Retriever(llm_bank, index, args.nprobe)
     proto_set = enrich_all_prototypes(
-        specs, llm_bank, vlm_bank, retriever, config,
+        table, llm_bank, vlm_bank, retriever, config,
         merge_aliases="after" if args.merge_after else "before")
     # bank rows are unit norm by format; cosine logits are norm-invariant,
     # so storing renormalized rows preserves every ranking
-    records = [CaptionRecord(spec.index, spec.name, "prototype")
-               for spec in specs]
+    records = [CaptionRecord(i, names[0], "prototype")
+               for i, names in enumerate(table.names)]
     out_bank = EmbeddingBank.from_matrix(proto_set.matrix, vlm_bank.space_tag,
                                          records=records)
     bank_save(out_bank, args.out)
@@ -180,7 +180,7 @@ def _cmd_classify(args) -> int:
             f"{query_bank.space_tag!r}")
     config = _load_config(args.config)
     from .enrich import PrototypeSet
-    proto_set = PrototypeSet(np.array(proto_bank.vectors), kind="final")
+    proto_set = PrototypeSet(np.array(proto_bank.vectors))
     retriever = None
     if config.beta > 0:
         if args.vlm_bank is None:
@@ -190,6 +190,7 @@ def _cmd_classify(args) -> int:
         index = (load_index(args.index, vlm_bank)
                  if args.index is not None else None)
         retriever = Retriever(vlm_bank, index, args.nprobe)
+    check_unit_rows(np.asarray(query_bank.vectors), "query")
     queries = [QueryEmbedding(row, query_bank.space_tag)
                for row in query_bank.vectors]
     predictions = classify_batch(queries, proto_set, proto_set, retriever,
@@ -215,11 +216,11 @@ def _eval_inputs(args):
         classes, zs_template, rt_template = load_class_config(args.classes)
         proto_bank = bank_load(args.proto_bank)
         rquery_bank = bank_load(args.retrieval_bank)
-        specs = build_class_specs(classes, zs_template, rt_template,
+        table = build_class_specs(classes, zs_template, rt_template,
                                   proto_bank, rquery_bank)
         query_bank = bank_load(args.queries)
         labels = list(read_json(args.labels, "labels", parse_labels))
-        inputs = (specs, query_bank, labels, bank_load(args.llm_bank),
+        inputs = (table, query_bank, labels, bank_load(args.llm_bank),
                   bank_load(args.vlm_bank))
     llm_bank, vlm_bank = inputs[3:]
     return inputs, {

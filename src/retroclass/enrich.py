@@ -30,7 +30,7 @@ from .bank import EmbeddingBank, row_norms
 from .files import read_json
 from .errors import row_error
 from .index import HitTable, RetrievalHit, Retriever
-from .prompts import merge_alias_prototypes
+from .prompts import ClassTable
 
 log = logging.getLogger("retroclass.enrich")
 
@@ -264,12 +264,9 @@ class PrototypeSet:
     """A stack of class vectors: one row per class, in class-index order."""
 
     matrix: np.ndarray
-    kind: str  # "zeroshot" | "retrieved" | "final"
     partial: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("zeroshot", "retrieved", "final"):
-            raise errors.ValidationError(f"unknown prototype kind {self.kind!r}")
         matrix = np.asarray(self.matrix, dtype=np.float32)
         if matrix.ndim != 2 or matrix.shape[0] < 1:
             raise errors.ValidationError("prototype matrix must be (n_classes, dim)")
@@ -281,105 +278,72 @@ class PrototypeSet:
         return int(self.matrix.shape[0])
 
 
-def zeroshot_prototypes(specs) -> PrototypeSet:
+def zeroshot_prototypes(table: ClassTable) -> PrototypeSet:
     """Merged (renormalized-mean) prototype per class, no retrieval."""
-    if not specs:
-        raise errors.ValidationError("spec list is empty")
-    rows = [spec.merged_prototype() for spec in specs]
-    return PrototypeSet(np.vstack(rows), kind="zeroshot")
+    return PrototypeSet(table.merged(table.prototypes))
 
 
-@dataclass(frozen=True)
-class PrototypeRows:
-    """The rows prototype enrichment works on.
-
-    One row per class, or one per alias when aliases merge after
-    enrichment; ``bounds[c]:bounds[c + 1]`` are class c's rows.
-    """
-
-    base: np.ndarray                 # (rows, dim) float32 prototypes
-    queries: np.ndarray              # (rows, dim) float32 retrieval queries
-    bounds: np.ndarray               # (n_classes + 1,) row offsets
-    class_ids: tuple[int, ...]       # spec.index of each class
-    merge_after: bool
-
-
-def prototype_rows(specs, llm_bank: EmbeddingBank,
-                   vlm_text_bank: EmbeddingBank, retriever: Retriever,
-                   merge_aliases: str = "before") -> PrototypeRows:
-    """Check the enrichment inputs and lay out the rows to enrich."""
-    if not specs:
-        raise errors.ValidationError("spec list is empty")
+def check_enrichment_banks(table: ClassTable, llm_bank: EmbeddingBank,
+                           vlm_text_bank: EmbeddingBank,
+                           merge_aliases: str) -> None:
+    """Check the merge policy, that the two caption banks align, and that
+    each side of the table matches its bank's space and dim."""
     if merge_aliases not in ("before", "after"):
         raise errors.ValidationError(
             f'merge_aliases must be "before" or "after", got {merge_aliases!r}')
     if llm_bank.count != vlm_text_bank.count:
         raise errors.BankMisalignment(
             f"caption banks misaligned: {llm_bank.count} vs {vlm_text_bank.count} rows")
-    if retriever.bank is not llm_bank:
-        raise errors.ValidationError(
-            "retriever must be bound to the retrieval-space caption bank")
-    for spec in specs:
-        if spec.retrieval_space != llm_bank.space_tag:
+    for what, rows, space, bank in (
+            ("retrieval query", table.retrieval_queries, table.retrieval_space,
+             llm_bank),
+            ("prototype", table.prototypes, table.prototype_space,
+             vlm_text_bank)):
+        if space != bank.space_tag:
             raise errors.SpaceMismatch(
-                f"class {spec.name!r} retrieval space {spec.retrieval_space!r} "
-                f"!= bank space {llm_bank.space_tag!r}")
-        if spec.prototype_space != vlm_text_bank.space_tag:
-            raise errors.SpaceMismatch(
-                f"class {spec.name!r} prototype space {spec.prototype_space!r} "
-                f"!= bank space {vlm_text_bank.space_tag!r}")
-        if spec.retrieval_queries.shape[1] != llm_bank.dim:
+                f"{what} space {space!r} != bank space {bank.space_tag!r}")
+        if rows.shape[1] != bank.dim:
             raise errors.DimensionMismatch(
-                f"class {spec.name!r} retrieval query dim "
-                f"{spec.retrieval_queries.shape[1]} != bank dim {llm_bank.dim}")
-        if spec.prototypes.shape[1] != vlm_text_bank.dim:
-            raise errors.DimensionMismatch(
-                f"class {spec.name!r} prototype dim {spec.prototypes.shape[1]} "
-                f"!= bank dim {vlm_text_bank.dim}")
-
-    if merge_aliases == "before":
-        base = [spec.merged_prototype() for spec in specs]
-        queries = [spec.merged_retrieval_query() for spec in specs]
-        sizes = [1] * len(specs)
-    else:
-        base = [row for spec in specs for row in spec.prototypes]
-        queries = [row for spec in specs for row in spec.retrieval_queries]
-        sizes = [len(spec.all_names) for spec in specs]
-    return PrototypeRows(np.vstack(base), np.vstack(queries),
-                         np.concatenate(([0], np.cumsum(sizes))),
-                         tuple(spec.index for spec in specs),
-                         merge_aliases == "after")
+                f"{what} dim {rows.shape[1]} != bank dim {bank.dim}")
 
 
-def fuse_prototypes(rows: PrototypeRows, hits: HitTable | None,
-                    vlm_text_bank: EmbeddingBank,
-                    config: EnrichmentConfig) -> PrototypeSet:
+def enrichment_queries(table: ClassTable, merge_aliases: str) -> np.ndarray:
+    """The rows prototype enrichment retrieves for: one merged retrieval
+    query per class, or one per name when aliases merge after enrichment."""
+    if merge_aliases == "after":
+        return table.retrieval_queries
+    return table.merged(table.retrieval_queries)
+
+
+def fuse_prototypes(table: ClassTable, hits: HitTable | None,
+                    vlm_text_bank: EmbeddingBank, config: EnrichmentConfig,
+                    merge_aliases: str) -> PrototypeSet:
     """Enriched prototypes for one config from already retrieved hits.
 
-    ``hits`` holds each row's retrieval from the llm bank at ``config.k``;
-    it may be None when alpha is 0, which needs no retrieval.
+    ``hits`` holds the retrieval of each :func:`enrichment_queries` row from
+    the llm bank at ``config.k``; it may be None when alpha is 0, which needs
+    no retrieval.
     """
+    after = merge_aliases == "after"
+    base = table.prototypes if after else table.merged(table.prototypes)
     if config.alpha == 0.0:
         # endpoint short-circuit: no retrieval, no partial rows
-        n = rows.base.shape[0]
-        out = _identity_or_renorm(rows.base, config.renormalize_output,
+        n = base.shape[0]
+        out = _identity_or_renorm(base, config.renormalize_output,
                                   "prototype", np.arange(n), n)
-        partial = np.zeros(out.shape[0], dtype=bool)
+        partial = np.zeros(n, dtype=bool)
     else:
-        out, partial = fuse_rows(rows.base, hits, vlm_text_bank.vectors,
+        out, partial = fuse_rows(base, hits, vlm_text_bank.vectors,
                                  config.alpha, config.tau_tt,
                                  config.use_temperature_tt,
                                  config.renormalize_output, "prototype")
-    if rows.merge_after:
-        spans = list(zip(rows.bounds[:-1], rows.bounds[1:]))
-        out = np.vstack([merge_alias_prototypes(out[a:b]) for a, b in spans])
-        partial = np.array([partial[a:b].any() for a, b in spans])
-    return PrototypeSet(out, kind="final",
-                        partial=tuple(cid for cid, p in zip(rows.class_ids, partial)
-                                      if p))
+    if after:
+        out = table.merged(out)
+        partial = np.logical_or.reduceat(partial, table.bounds[:-1])
+    return PrototypeSet(out, partial=tuple(np.flatnonzero(partial).tolist()))
 
 
-def enrich_all_prototypes(specs, llm_bank: EmbeddingBank,
+def enrich_all_prototypes(table: ClassTable, llm_bank: EmbeddingBank,
                           vlm_text_bank: EmbeddingBank,
                           retriever: Retriever,
                           config: EnrichmentConfig,
@@ -392,9 +356,12 @@ def enrich_all_prototypes(specs, llm_bank: EmbeddingBank,
     prototypes merge before enrichment (one retrieval per class) or after
     (one retrieval per alias, merging the enriched outputs).
     """
-    rows = prototype_rows(specs, llm_bank, vlm_text_bank, retriever,
-                          merge_aliases)
+    check_enrichment_banks(table, llm_bank, vlm_text_bank, merge_aliases)
+    if retriever.bank is not llm_bank:
+        raise errors.ValidationError(
+            "retriever must be bound to the retrieval-space caption bank")
     hits = None
     if config.alpha > 0:
-        hits = retriever.search(rows.queries, config.k, what="prototype")
-    return fuse_prototypes(rows, hits, vlm_text_bank, config)
+        hits = retriever.search(enrichment_queries(table, merge_aliases),
+                                config.k, what="prototype")
+    return fuse_prototypes(table, hits, vlm_text_bank, config, merge_aliases)

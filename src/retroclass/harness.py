@@ -22,11 +22,11 @@ from .bank import CaptionRecord, EmbeddingBank, bank_load, bank_save
 # that wrapping it rebinds this module's name too
 from .classify import (Prediction, classify_batch,  # noqa: F401
                        rank_queries, select_prototypes)
-from .enrich import (EnrichmentConfig, fuse_prototypes, prototype_rows,
-                     zeroshot_prototypes)
+from .enrich import (EnrichmentConfig, check_enrichment_banks,
+                     enrichment_queries, fuse_prototypes, zeroshot_prototypes)
 from .files import read_json, replace_atomically
 from .index import IvfIndex, Retriever, check_threads
-from .prompts import build_class_specs, parse_class_config
+from .prompts import ClassTable, build_class_specs, parse_class_config
 
 log = logging.getLogger("retroclass.harness")
 
@@ -127,7 +127,7 @@ def rank_accuracy(order: np.ndarray, labels, ms=(1, 5),
                       wall_time_ms=wall_time_ms or {})
 
 
-def run_eval(specs, query_bank: EmbeddingBank, labels,
+def run_eval(table: ClassTable, query_bank: EmbeddingBank, labels,
              llm_bank: EmbeddingBank, vlm_bank: EmbeddingBank,
              config: EnrichmentConfig,
              llm_index: IvfIndex | None = None,
@@ -140,12 +140,12 @@ def run_eval(specs, query_bank: EmbeddingBank, labels,
 
     ``threads`` is validated and otherwise unused (see ``check_threads``).
     """
-    return _evaluate([config], specs, query_bank, labels, llm_bank, vlm_bank,
+    return _evaluate([config], table, query_bank, labels, llm_bank, vlm_bank,
                      llm_index, vlm_index, nprobe, threads, dataset,
                      merge_aliases)[0]
 
 
-def _evaluate(configs: list[EnrichmentConfig], specs,
+def _evaluate(configs: list[EnrichmentConfig], table: ClassTable,
               query_bank: EmbeddingBank, labels, llm_bank: EmbeddingBank,
               vlm_bank: EmbeddingBank, llm_index: IvfIndex | None,
               vlm_index: IvfIndex | None, nprobe: int | None, threads: int,
@@ -163,21 +163,19 @@ def _evaluate(configs: list[EnrichmentConfig], specs,
     if len(labels) != query_bank.count:
         raise errors.LabelMismatch(
             f"{query_bank.count} queries but {len(labels)} labels")
-    for spec in specs:
-        if spec.prototype_space != query_bank.space_tag:
-            raise errors.SpaceMismatch(
-                f"class {spec.name!r} prototype space {spec.prototype_space!r} "
-                f"!= query space {query_bank.space_tag!r}")
+    if table.prototype_space != query_bank.space_tag:
+        raise errors.SpaceMismatch(
+            f"prototype space {table.prototype_space!r} "
+            f"!= query space {query_bank.space_tag!r}")
     k = configs[0].k
 
     t0 = time.perf_counter()
-    zs = zeroshot_prototypes(specs)
-    rows = proto_hits = None
+    zs = zeroshot_prototypes(table)
+    proto_hits = None
     if any(c.alpha > 0 for c in configs):
-        llm_retriever = Retriever(llm_bank, llm_index, nprobe)
-        rows = prototype_rows(specs, llm_bank, vlm_bank, llm_retriever,
-                              merge_aliases)
-        proto_hits = llm_retriever.search(rows.queries, k, what="prototype")
+        check_enrichment_banks(table, llm_bank, vlm_bank, merge_aliases)
+        proto_hits = Retriever(llm_bank, llm_index, nprobe).search(
+            enrichment_queries(table, merge_aliases), k, what="prototype")
     query_hits = None
     if any(c.beta > 0 for c in configs):
         query_hits = Retriever(vlm_bank, vlm_index, nprobe).search(
@@ -187,8 +185,8 @@ def _evaluate(configs: list[EnrichmentConfig], specs,
     reports = []
     for config in configs:
         t1 = time.perf_counter()
-        enriched = fuse_prototypes(rows, proto_hits, vlm_bank, config) \
-            if config.alpha > 0 else None
+        enriched = fuse_prototypes(table, proto_hits, vlm_bank, config,
+                                   merge_aliases) if config.alpha > 0 else None
         t2 = time.perf_counter()
         order, _ = rank_queries(query_bank.vectors,
                                 select_prototypes(zs, enriched, config),
@@ -272,8 +270,8 @@ class SweepGrid:
         return read_json(path, "grid", cls.from_dict)
 
 
-def run_sweep(grid: SweepGrid, specs, query_bank: EmbeddingBank, labels,
-              llm_bank: EmbeddingBank, vlm_bank: EmbeddingBank,
+def run_sweep(grid: SweepGrid, table: ClassTable, query_bank: EmbeddingBank,
+              labels, llm_bank: EmbeddingBank, vlm_bank: EmbeddingBank,
               base_config: EnrichmentConfig | None = None,
               dataset: str = "synthetic", threads: int = 1,
               merge_aliases: str = "before",
@@ -292,7 +290,7 @@ def run_sweep(grid: SweepGrid, specs, query_bank: EmbeddingBank, labels,
                        use_temperature_it=use_it)
                for alpha, beta, tau_tt, tau_it, (use_tt, use_it)
                in grid.points()]
-    return _evaluate(configs, specs, query_bank, labels, llm_bank, vlm_bank,
+    return _evaluate(configs, table, query_bank, labels, llm_bank, vlm_bank,
                      llm_index, vlm_index, nprobe, threads, dataset,
                      merge_aliases)
 
@@ -321,7 +319,7 @@ class SynthFixture:
     vlm_bank: EmbeddingBank
     class_config: dict
 
-    def build_specs(self):
+    def build_specs(self) -> ClassTable:
         classes, zs_template, rt_template = parse_class_config(self.class_config)
         return build_class_specs(classes, zs_template, rt_template,
                                  self.prototype_bank, self.retrieval_query_bank)
@@ -463,8 +461,7 @@ def report_csv_row(report: EvalReport) -> str:
     return ",".join(_format_csv_value(c) for c in cells)
 
 
-def emit_report(reports: list[EvalReport], fmt: str, path,
-                include_timing: bool = True) -> None:
+def emit_report(reports: list[EvalReport], fmt: str, path) -> None:
     """Write reports as versioned JSON or a fixed-header CSV.
 
     CSV carries no timing columns, so byte-identical runs produce
@@ -478,8 +475,8 @@ def emit_report(reports: list[EvalReport], fmt: str, path,
     with replace_atomically(path, "report") as fh:
         if fmt == "json":
             json.dump({"schema_version": REPORT_SCHEMA_VERSION,
-                       "reports": [r.to_json_dict(include_timing=include_timing)
-                                   for r in reports]}, fh, indent=2)
+                       "reports": [r.to_json_dict() for r in reports]},
+                      fh, indent=2)
             fh.write("\n")
         else:
             fh.write(CSV_HEADER + "\n")

@@ -49,7 +49,7 @@ class QueryEmbedding:
 
     def __post_init__(self):
         vec = np.asarray(self.vector, dtype=np.float32).reshape(-1)
-        _check_unit_rows(vec[None, :], "query")
+        check_unit_rows(vec[None, :], "query")
         object.__setattr__(self, "vector", vec)
 
     @classmethod
@@ -62,10 +62,12 @@ class QueryEmbedding:
         return cls((vec / norm).astype(np.float32), space_tag)
 
 
-def _check_unit_rows(queries: np.ndarray, what: str) -> None:
-    """Every row of the float32 stack is unit norm within ``NORM_ATOL``."""
+def check_unit_rows(queries: np.ndarray, what: str) -> None:
+    """Every row of the float32 stack is unit norm within ``NORM_ATOL``; an
+    error about one row of several names it as ``what i``."""
     norms = row_norms(queries.astype(np.float64))
-    bad = np.flatnonzero((norms <= 1e-8) | (np.abs(norms - 1.0) > NORM_ATOL))
+    # written so that a NaN norm fails it too
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_ATOL))
     if bad.size:
         row, norm = int(bad[0]), float(norms[bad[0]])
         if norm <= 1e-8:
@@ -211,7 +213,7 @@ def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
     if space_tag is not None and space_tag != bank.space_tag:
         raise errors.SpaceMismatch(
             f"query space {space_tag!r} != bank space {bank.space_tag!r}")
-    _check_unit_rows(queries, what)
+    check_unit_rows(queries, what)
 
     n = queries.shape[0]
     ids = np.zeros((n, k), dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Prompt templates and per-class specs.
+"""Prompt templates and the class table.
 
 Two prompt styles exist: a generic one ("a photo of a {CLS}") and a
 domain-specific one ("a {domain word} of a {CLS}"). Substitution is verbatim,
@@ -6,7 +6,7 @@ with no article agreement, so "a amplifier" is the expected rendering.
 
 A classification setup typically uses the domain-specific template for the
 zero-shot prompt and the generic template for the retrieval prompt; both are
-carried per class so the two encoders can be driven independently.
+carried per prompt row so the two encoders can be driven independently.
 """
 
 from __future__ import annotations
@@ -70,50 +70,32 @@ def expand_template(template: PromptTemplate, class_name: str) -> str:
 
 
 @dataclass(frozen=True)
-class ClassSpec:
-    """Everything classification needs for one class.
+class ClassTable:
+    """Every class's prompt rows, stacked in one table.
 
-    Rows of ``prototypes`` and ``retrieval_queries`` are aligned with
-    ``all_names`` (primary name first, aliases after, declared order). Alias
-    rows stay separate until a merge policy combines them.
+    Row r is the r-th rendered prompt, walking classes in declared order and
+    names within a class as (primary, aliases...); class c owns rows
+    ``bounds[c]:bounds[c + 1]``. Alias rows stay separate until a merge
+    policy combines them.
     """
 
-    index: int
-    name: str
-    aliases: tuple[str, ...]
+    names: tuple[tuple[str, ...], ...]  # per class: primary name, then aliases
     zeroshot_prompts: tuple[str, ...]
     retrieval_prompts: tuple[str, ...]
-    prototypes: np.ndarray          # (n_names, dim) float32 unit rows
-    retrieval_queries: np.ndarray   # (n_names, retrieval dim) float32 unit rows
+    prototypes: np.ndarray          # (rows, dim) float32 unit rows
+    retrieval_queries: np.ndarray   # (rows, retrieval dim) float32 unit rows
+    bounds: np.ndarray              # (n_classes + 1,) row offsets
     prototype_space: str
     retrieval_space: str
 
-    def __post_init__(self):
-        for arr_name in ("prototypes", "retrieval_queries"):
-            arr = np.asarray(getattr(self, arr_name), dtype=np.float32)
-            if arr.ndim != 2 or arr.shape[0] != 1 + len(self.aliases):
-                raise errors.PromptBankMismatch(
-                    f"{arr_name} must have one row per name for class {self.name!r}")
-            arr.setflags(write=False)
-            object.__setattr__(self, arr_name, arr)
+    def __len__(self) -> int:
+        return len(self.names)
 
-    @property
-    def all_names(self) -> tuple[str, ...]:
-        return (self.name,) + self.aliases
-
-    @property
-    def zeroshot_prompt(self) -> str:
-        return self.zeroshot_prompts[0]
-
-    @property
-    def retrieval_prompt(self) -> str:
-        return self.retrieval_prompts[0]
-
-    def merged_prototype(self) -> np.ndarray:
-        return merge_alias_prototypes(self.prototypes)
-
-    def merged_retrieval_query(self) -> np.ndarray:
-        return merge_alias_prototypes(self.retrieval_queries)
+    def merged(self, rows) -> np.ndarray:
+        """One :func:`merge_alias_prototypes` row per class of ``rows``,
+        which are laid out like the table's."""
+        return np.vstack([merge_alias_prototypes(rows[a:b])
+                          for a, b in zip(self.bounds[:-1], self.bounds[1:])])
 
 
 def merge_alias_prototypes(vectors) -> np.ndarray:
@@ -134,49 +116,42 @@ def build_class_specs(classes: list[tuple[str, list[str]]],
                       zeroshot_template: PromptTemplate,
                       retrieval_template: PromptTemplate,
                       prototype_bank: EmbeddingBank,
-                      retrieval_query_bank: EmbeddingBank) -> list[ClassSpec]:
-    """Assemble specs from class declarations plus two aligned prompt banks.
-
-    Bank row r corresponds to the r-th rendered prompt, walking classes in
-    declared order and names within a class as (primary, aliases...).
-    """
+                      retrieval_query_bank: EmbeddingBank) -> ClassTable:
+    """Assemble the class table from class declarations plus two aligned
+    prompt banks, whose row r is the table's row r."""
     if not classes:
         raise errors.ValidationError("class list is empty")
     seen = set()
-    rendered = 0
-    for name, aliases in classes:
+    for name, _ in classes:
         if not isinstance(name, str) or not name.strip():
             raise errors.EmptyClassName("class name must be non-empty")
         if name in seen:
             raise errors.ValidationError(f"duplicate class name {name!r}")
         seen.add(name)
-        rendered += 1 + len(aliases)
+    names = tuple((name, *aliases) for name, aliases in classes)
+    flat = [nm for class_names in names for nm in class_names]
     for bank, label in ((prototype_bank, "prototype"),
                         (retrieval_query_bank, "retrieval query")):
-        if bank.count != rendered:
+        if bank.count != len(flat):
             raise errors.PromptBankMismatch(
-                f"{rendered} prompts but {label} bank has {bank.count} rows")
-
-    specs = []
-    row = 0
-    for class_index, (name, aliases) in enumerate(classes):
-        names = (name, *aliases)
-        n = len(names)
-        specs.append(ClassSpec(
-            index=class_index,
-            name=name,
-            aliases=tuple(aliases),
-            zeroshot_prompts=tuple(expand_template(zeroshot_template, nm)
-                                   for nm in names),
-            retrieval_prompts=tuple(expand_template(retrieval_template, nm)
-                                    for nm in names),
-            prototypes=np.array(prototype_bank.vectors[row:row + n]),
-            retrieval_queries=np.array(retrieval_query_bank.vectors[row:row + n]),
-            prototype_space=prototype_bank.space_tag,
-            retrieval_space=retrieval_query_bank.space_tag,
-        ))
-        row += n
-    return specs
+                f"{len(flat)} prompts but {label} bank has {bank.count} rows")
+    prototypes = np.array(prototype_bank.vectors, dtype=np.float32)
+    retrieval_queries = np.array(retrieval_query_bank.vectors, dtype=np.float32)
+    bounds = np.cumsum([0] + [len(n) for n in names])
+    for arr in (prototypes, retrieval_queries, bounds):
+        arr.setflags(write=False)
+    return ClassTable(
+        names=names,
+        zeroshot_prompts=tuple(expand_template(zeroshot_template, nm)
+                               for nm in flat),
+        retrieval_prompts=tuple(expand_template(retrieval_template, nm)
+                                for nm in flat),
+        prototypes=prototypes,
+        retrieval_queries=retrieval_queries,
+        bounds=bounds,
+        prototype_space=prototype_bank.space_tag,
+        retrieval_space=retrieval_query_bank.space_tag,
+    )
 
 
 # ---------------------------------------------------------------------------

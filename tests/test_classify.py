@@ -3,12 +3,13 @@ import pytest
 
 from retroclass import errors
 from retroclass.classify import (Prediction, classify_batch, classify_query,
-                                 logits, predict_topk, read_predictions,
-                                 write_predictions)
+                                 logits, logits_rows, predict_topk,
+                                 read_predictions, write_predictions)
 from retroclass.enrich import (EnrichmentConfig, PrototypeSet,
                                enrich_all_prototypes, enrich_query,
                                gather_captions, zeroshot_prototypes)
 from retroclass.index import HitTable, QueryEmbedding, Retriever, exact_topk
+from retroclass.prompts import merge_alias_prototypes
 
 
 def unit32(rng, d=8):
@@ -16,8 +17,8 @@ def unit32(rng, d=8):
     return (v / np.linalg.norm(v)).astype(np.float32)
 
 
-def proto_set(rows, kind="zeroshot"):
-    return PrototypeSet(np.asarray(rows, np.float32), kind=kind)
+def proto_set(rows):
+    return PrototypeSet(np.asarray(rows, np.float32))
 
 
 # -- logits ------------------------------------------------------------------
@@ -53,6 +54,21 @@ def test_logits_validation(rng):
     with pytest.raises(errors.DegeneratePrototype):
         logits(np.ones(3, np.float32),
                np.array([[1, 0, 0], [0, 0, 0]], np.float32))
+
+
+def test_logits_reject_nonfinite_rows(rng):
+    """NaN fails every norm comparison, so it must be checked for, not
+    scored into NaN logits."""
+    protos = proto_set(np.eye(3))
+    queries = np.eye(3, dtype=np.float32)
+    for bad in (np.nan, np.inf):
+        rows = queries.copy()
+        rows[1, 0] = bad
+        with pytest.raises(errors.ValidationError, match="query 1: .*finite"):
+            logits_rows(rows, protos)
+        with pytest.raises(errors.DegeneratePrototype,
+                           match="prototype row 1 has non-finite norm"):
+            logits_rows(queries, rows)
 
 
 # -- predict_topk ------------------------------------------------------------
@@ -234,16 +250,18 @@ def test_batch_rows_equal_one_query_calls(golden_fixture, n, cfg):
     """Every row of a batch is bitwise the one-query result and the result
     of the same arithmetic done one vector at a time."""
     fx = golden_fixture
-    specs = fx.build_specs()
-    zs = zeroshot_prototypes(specs)
-    enriched = enrich_all_prototypes(specs, fx.llm_bank, fx.vlm_bank,
+    table = fx.build_specs()
+    zs = zeroshot_prototypes(table)
+    enriched = enrich_all_prototypes(table, fx.llm_bank, fx.vlm_bank,
                                      Retriever(fx.llm_bank), cfg)
     loop_protos = np.vstack([
-        loop_fuse(spec.merged_prototype(),
-                  QueryEmbedding(spec.merged_retrieval_query(), "llm-text"),
+        loop_fuse(merge_alias_prototypes(table.prototypes[a:b]),
+                  QueryEmbedding(
+                      merge_alias_prototypes(table.retrieval_queries[a:b]),
+                      "llm-text"),
                   (fx.llm_bank, fx.vlm_bank), cfg, cfg.alpha, cfg.tau_tt,
                   cfg.use_temperature_tt)
-        for spec in specs])
+        for a, b in zip(table.bounds[:-1], table.bounds[1:])])
     assert np.array_equal(enriched.matrix.view(np.uint32),
                           loop_protos.view(np.uint32))
     retr = Retriever(fx.vlm_bank)

@@ -413,6 +413,37 @@ def test_check_norms_on_nonfinite_bank_row_is_corrupt(workdir, tmp_path):
     assert proc.stderr.splitlines() == ["error: bank rows are not unit norm"]
 
 
+def test_nonfinite_query_row_is_a_validation_error_naming_it(workdir,
+                                                            tmp_path):
+    """A NaN query row is named as the bad query: not blamed on the caption
+    bank, not scored into a wrong accuracy or NaN logits."""
+    fx = tmp_path / "fx"
+    shutil.copytree(workdir / "fx", fx)
+    raw = bytearray((fx / "queries.bank").read_bytes())
+    start = len(raw) - (20 - 4) * 16 * 4
+    raw[start:start + 16 * 4] = np.full(16, np.nan, "<f4").tobytes()
+    (fx / "queries.bank").write_bytes(bytes(raw))
+    configs = []
+    for i, point in enumerate([{}, {"alpha": 0.0, "beta": 0.0},
+                               {"alpha": 0.2, "beta": 0.0}]):
+        configs.append(tmp_path / f"cfg{i}.json")
+        configs[-1].write_text(json.dumps(point))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"alphas": [0.0, 0.2], "betas": [0.0, 0.5]}))
+    argvs = [["eval", "--fixture-dir", fx, "--config", c] for c in configs]
+    argvs += [["sweep", "--fixture-dir", fx, "--grid", grid]]
+    argvs += [["classify", "--queries", fx / "queries.bank",
+               "--prototypes", fx / "prototypes.bank", "--config", c,
+               "--vlm-bank", fx / "vlm_db.bank"] for c in configs]
+    for argv in argvs:
+        proc = run_cli(*argv, "--out", tmp_path / "out", check=False)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: query 4: "), \
+            (argv, proc.stderr)
+        assert not (tmp_path / "out").exists()
+
+
 def _retagged_queries(fx, tmp_path):
     """A copy of the fixture directory whose query bank is tagged
     llm-text, while its prototypes stay vlm-text."""

@@ -11,7 +11,8 @@ from retroclass.bank import EmbeddingBank
 from retroclass.enrich import (EnrichmentConfig, enrich_all_prototypes,
                                enrich_prototype, enrich_query, gather_captions,
                                softmax_weights, zeroshot_prototypes)
-from retroclass.index import RetrievalHit, Retriever
+from retroclass.index import IvfIndex, RetrievalHit, Retriever, build_ivf
+from retroclass.prompts import merge_alias_prototypes
 
 finite_scores = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1,
@@ -262,13 +263,13 @@ def test_dim_mismatch_between_captions_and_vector(rng):
 
 # -- whole-set enrichment ----------------------------------------------------
 
-def test_zeroshot_prototypes_rows(small_fixture):
-    specs = small_fixture.build_specs()
-    zs = zeroshot_prototypes(specs)
-    assert zs.kind == "zeroshot"
-    assert zs.matrix.shape == (6, 24)
-    for i, spec in enumerate(specs):
-        assert np.array_equal(zs.matrix[i], spec.merged_prototype())
+def test_zeroshot_prototypes_rows(small_fixture, alias_specs):
+    for table in (small_fixture.build_specs(), alias_specs):
+        zs = zeroshot_prototypes(table)
+        assert zs.matrix.shape == (6, 24)
+        for c, (a, b) in enumerate(zip(table.bounds[:-1], table.bounds[1:])):
+            assert np.array_equal(zs.matrix[c],
+                                  merge_alias_prototypes(table.prototypes[a:b]))
 
 
 def test_enrich_all_prototypes_shapes_and_partial(small_fixture):
@@ -277,7 +278,6 @@ def test_enrich_all_prototypes_shapes_and_partial(small_fixture):
     out = enrich_all_prototypes(specs, small_fixture.llm_bank,
                                 small_fixture.vlm_bank, retr,
                                 EnrichmentConfig())
-    assert out.kind == "final"
     assert out.matrix.shape == (6, 24)
     assert out.partial == ()
     norms = np.linalg.norm(out.matrix.astype(np.float64), axis=1)
@@ -316,6 +316,46 @@ def test_enrich_all_merge_before_vs_after_both_valid(small_fixture):
         enrich_all_prototypes(specs, small_fixture.llm_bank,
                               small_fixture.vlm_bank, retr, cfg,
                               merge_aliases="sometimes")
+
+
+def test_enrich_all_merge_after_flags_classes_with_an_empty_alias_row(
+        small_fixture, alias_specs):
+    """With aliases merged after enrichment, a class is partial when any
+    of its name rows retrieved nothing, and its prototype is the merge of
+    the rows enriched one at a time."""
+    fx, table = small_fixture, alias_specs
+    trained = build_ivf(fx.llm_bank, 4, seed=1)
+    # one more list, empty, centred beyond the first alias row of class 5,
+    # away from its primary row: at nprobe 1 that alias row alone probes it
+    queries = table.retrieval_queries
+    first, alias = table.bounds[5], table.bounds[5] + 1
+    target = queries[alias] + 4.0 * (queries[alias] - queries[first])
+    target = (target / np.linalg.norm(target)).astype(np.float32)
+    index = IvfIndex(trained.n_clusters + 1, trained.dim, trained.seed,
+                     np.vstack([trained.centroids, target]),
+                     [*trained.lists, np.empty(0, np.uint64)]).attach(fx.llm_bank)
+    retr = Retriever(fx.llm_bank, index, 1)
+    cfg = EnrichmentConfig()
+    out = enrich_all_prototypes(table, fx.llm_bank, fx.vlm_bank, retr, cfg,
+                                merge_aliases="after")
+
+    spans = list(zip(table.bounds[:-1], table.bounds[1:]))
+    empty = retr.search(queries, cfg.k).counts == 0
+    assert empty[alias] and not empty[first]
+    expect = tuple(c for c, (a, b) in enumerate(spans) if empty[a:b].any())
+    assert out.partial == expect == (5,)
+
+    loop = []
+    for a, b in spans:
+        rows = []
+        for r in range(a, b):
+            hits = retr.search(queries[r:r + 1], cfg.k).hits(0)
+            rows.append(enrich_prototype(table.prototypes[r],
+                                         gather_captions(hits, fx.vlm_bank),
+                                         fx.vlm_bank, cfg).vector)
+        loop.append(merge_alias_prototypes(np.vstack(rows)))
+    assert np.array_equal(out.matrix.view(np.uint32),
+                          np.vstack(loop).view(np.uint32))
 
 
 def test_enrich_all_misaligned_banks(small_fixture, rng):

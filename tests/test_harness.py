@@ -326,13 +326,14 @@ def test_ivf_eval_with_short_hit_lists_matches_row_by_row(small_fixture):
                       fx.llm_bank, fx.vlm_bank, cfg, llm_index=llm_index,
                       vlm_index=vlm_index, nprobe=1)
 
-    specs = fx.build_specs()
+    table = fx.build_specs()
     rows, short = [], 0
-    for spec in specs:
-        query = index_mod.QueryEmbedding(spec.merged_retrieval_query(), "llm-text")
+    for proto, rquery in zip(table.merged(table.prototypes),
+                             table.merged(table.retrieval_queries)):
+        query = index_mod.QueryEmbedding(rquery, "llm-text")
         hits = ivf_search(llm_index, query, cfg.k, 1)
         short += len(hits) < cfg.k
-        rows.append(enrich_prototype(spec.merged_prototype(),
+        rows.append(enrich_prototype(proto,
                                      gather_captions(hits, fx.vlm_bank),
                                      fx.vlm_bank, cfg).vector)
     prototypes = np.vstack(rows)
@@ -343,7 +344,7 @@ def test_ivf_eval_with_short_hit_lists_matches_row_by_row(small_fixture):
         short += len(hits) < cfg.k
         vec = enrich_query(query.vector, gather_captions(hits, fx.vlm_bank),
                            fx.vlm_bank, cfg).vector
-        ranked = predict_topk(logits(vec, prototypes), len(specs))
+        ranked = predict_topk(logits(vec, prototypes), len(table))
         preds.append(Prediction(i, tuple(ranked), True))
     assert short > 0
     expect = accuracy(preds, fx.labels, dataset="synthetic", config=cfg)

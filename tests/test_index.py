@@ -386,6 +386,20 @@ def test_search_row_errors_name_the_row(rng):
     assert search(bank, rows[:0], 3).ids.shape == (0, 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_search_nonfinite_query_row_is_named_not_blamed_on_the_bank(rng, bad):
+    """A non-finite query row is a bad query, not a corrupt bank row."""
+    bank = make_bank(rng, 50, 8)
+    rows = np.vstack([query_for(bank, rng).vector for _ in range(2)])
+    rows[1] = bad
+    with pytest.raises(errors.ValidationError, match="query 1: .*not unit") \
+            as info:
+        search(bank, rows, 3)
+    assert not isinstance(info.value, errors.CorruptData)
+    with pytest.raises(errors.ValidationError, match="not unit"):
+        QueryEmbedding(rows[1], "llm-text")
+
+
 def _with_empty_list(index, bank, centroid, at):
     """``index`` with one more list, empty, whose centroid is ``centroid``."""
     centroids = np.insert(index.centroids, at, centroid, axis=0)

@@ -116,38 +116,46 @@ def spec_inputs(rng, classes):
 def test_specs_basic_structure(rng):
     classes = [("resistor", []), ("capacitor", [])]
     proto, rquery = spec_inputs(rng, classes)
-    specs = build_class_specs(classes, PromptTemplate.domain_specific("circuit diagram"),
+    table = build_class_specs(classes, PromptTemplate.domain_specific("circuit diagram"),
                               PromptTemplate.generic(), proto, rquery)
-    assert len(specs) == 2
-    assert specs[0].zeroshot_prompt == "a circuit diagram of a resistor"
-    assert specs[0].retrieval_prompt == "a photo of a resistor"
-    assert specs[0].zeroshot_prompt != specs[0].retrieval_prompt
-    assert specs[1].index == 1
-    assert specs[0].prototype_space == "vlm-text"
-    assert specs[0].retrieval_space == "llm-text"
+    assert len(table) == 2
+    assert table.names == (("resistor",), ("capacitor",))
+    assert table.zeroshot_prompts[0] == "a circuit diagram of a resistor"
+    assert table.retrieval_prompts[0] == "a photo of a resistor"
+    assert table.zeroshot_prompts[1] == "a circuit diagram of a capacitor"
+    assert table.bounds.tolist() == [0, 1, 2]
+    assert table.prototype_space == "vlm-text"
+    assert table.retrieval_space == "llm-text"
 
 
 def test_specs_alias_rows_in_declared_order(rng):
     classes = [("lynx", ["Lynx lynx", "bobcat"]), ("owl", [])]
     proto, rquery = spec_inputs(rng, classes)
-    specs = build_class_specs(classes, PromptTemplate.generic(),
+    table = build_class_specs(classes, PromptTemplate.generic(),
                               PromptTemplate.generic(), proto, rquery)
-    assert specs[0].all_names == ("lynx", "Lynx lynx", "bobcat")
-    assert specs[0].prototypes.shape == (3, 6)
-    assert np.array_equal(specs[0].prototypes, np.asarray(proto.vectors)[:3])
-    assert np.array_equal(specs[1].prototypes, np.asarray(proto.vectors)[3:4])
-    assert specs[0].zeroshot_prompts == ("a photo of a lynx",
-                                         "a photo of a Lynx lynx",
-                                         "a photo of a bobcat")
+    assert table.names[0] == ("lynx", "Lynx lynx", "bobcat")
+    assert table.bounds.tolist() == [0, 3, 4]
+    assert table.prototypes.shape == (4, 6)
+    assert np.array_equal(table.prototypes, np.asarray(proto.vectors))
+    assert np.array_equal(table.retrieval_queries, np.asarray(rquery.vectors))
+    assert table.zeroshot_prompts[:3] == ("a photo of a lynx",
+                                          "a photo of a Lynx lynx",
+                                          "a photo of a bobcat")
+    assert not table.prototypes.flags.writeable
 
 
 def test_specs_merged_vectors_unit(rng):
-    classes = [("fox", ["Vulpes vulpes"])]
+    classes = [("fox", ["Vulpes vulpes"]), ("hare", [])]
     proto, rquery = spec_inputs(rng, classes)
-    spec = build_class_specs(classes, PromptTemplate.generic(),
-                             PromptTemplate.generic(), proto, rquery)[0]
-    for vec in (spec.merged_prototype(), spec.merged_retrieval_query()):
-        assert np.linalg.norm(vec.astype(np.float64)) == pytest.approx(1.0, abs=1e-4)
+    table = build_class_specs(classes, PromptTemplate.generic(),
+                              PromptTemplate.generic(), proto, rquery)
+    for rows in (table.prototypes, table.retrieval_queries):
+        merged = table.merged(rows)
+        assert merged.shape == (2, 6) and merged.dtype == np.float32
+        assert np.array_equal(merged[0], merge_alias_prototypes(rows[:2]))
+        assert np.array_equal(merged[1], merge_alias_prototypes(rows[2:]))
+        norms = np.linalg.norm(merged.astype(np.float64), axis=1)
+        assert norms == pytest.approx([1.0, 1.0], abs=1e-4)
 
 
 def test_specs_row_count_mismatch(rng):
