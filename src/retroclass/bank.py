@@ -196,7 +196,7 @@ def bank_save(bank: EmbeddingBank, path) -> None:
     with replace_atomically(path, "bank", "wb") as fh:
         fh.write(header)
         fh.write(tag_bytes)
-        fh.write(payload.tobytes())
+        fh.write(payload)
     with replace_atomically(_meta_path(path), "metadata sidecar") as fh:
         for i in range(bank.count):
             rec = records[i] if records is not None else None

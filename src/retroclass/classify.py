@@ -20,12 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .bank import row_norms
+from .bank import EmbeddingBank, row_norms
 from .enrich import EnrichmentConfig, PrototypeSet, fuse_rows
 from .errors import row_error
 from .files import read_jsonl, replace_atomically
-from .index import (HitTable, QueryEmbedding, Retriever, check_threads,
-                    stack_queries)
+from .index import HitTable, QueryEmbedding, Retriever, check_threads
 
 
 def logits_rows(queries, prototypes) -> np.ndarray:
@@ -96,17 +95,6 @@ class Prediction:
                 "enriched": self.enriched}
 
 
-def select_prototypes(zeroshot: PrototypeSet, enriched: PrototypeSet | None,
-                      config: EnrichmentConfig | None) -> PrototypeSet:
-    """The prototype set queries are scored against under ``config``."""
-    if config is None:
-        return zeroshot
-    if config.alpha > 0 and enriched is None:
-        raise errors.ValidationError(
-            "enriched prototypes are required when alpha > 0")
-    return enriched if enriched is not None else zeroshot
-
-
 def rank_queries(queries: np.ndarray, prototypes: PrototypeSet,
                  hits: HitTable | None, caption_vectors,
                  config: EnrichmentConfig | None) -> tuple[np.ndarray, np.ndarray]:
@@ -123,54 +111,44 @@ def rank_queries(queries: np.ndarray, prototypes: PrototypeSet,
     return rank_rows(scores), scores
 
 
-def classify_query(query: QueryEmbedding,
-                   zeroshot: PrototypeSet,
-                   enriched: PrototypeSet | None = None,
+def classify_query(query: QueryEmbedding, prototypes: PrototypeSet,
                    retriever: Retriever | None = None,
                    config: EnrichmentConfig | None = None,
                    query_id: int = 0) -> Prediction:
-    """Rank every class for one query.
-
-    With no config, or a config whose alpha and beta are both 0, this is the
-    plain zero-shot pipeline. Otherwise the enriched prototype set must be
-    supplied when alpha > 0, and a retriever over the caption bank must be
-    supplied when beta > 0 (the query is interpolated with its own retrieved
-    caption centroid before scoring).
-    """
-    return classify_batch([query], zeroshot, enriched, retriever, config,
+    """:func:`classify_batch` for one query."""
+    return classify_batch(EmbeddingBank(query.vector[None, :], query.space_tag),
+                          prototypes, retriever, config,
                           first_query_id=query_id)[0]
 
 
-def classify_batch(queries: list[QueryEmbedding],
-                   zeroshot: PrototypeSet,
-                   enriched: PrototypeSet | None = None,
+def classify_batch(queries: EmbeddingBank, prototypes: PrototypeSet,
                    retriever: Retriever | None = None,
                    config: EnrichmentConfig | None = None,
                    threads: int = 1,
                    first_query_id: int = 0) -> list[Prediction]:
-    """Classify queries independently; output order matches input order.
+    """Rank every class for each query of the bank, in bank order.
 
-    Each prediction is bitwise what :func:`classify_query` gives for that
-    query alone. ``threads`` is accepted and validated but starts no
-    workers; BLAS does its own threading.
+    With no config, or a config whose alpha and beta are both 0, this is the
+    plain zero-shot pipeline; ``prototypes`` is the set to score against,
+    enriched or not. With beta > 0 a retriever over the caption bank is
+    required: each query is interpolated with its own retrieved caption
+    centroid before scoring. Each prediction is bitwise what
+    :func:`classify_query` gives for that query alone. ``threads`` is
+    accepted and validated but starts no workers; BLAS does its own
+    threading.
     """
     check_threads(threads)
-    if not queries:
-        return []
-    prototypes = select_prototypes(zeroshot, enriched, config)
     active = config is not None and (config.alpha > 0 or config.beta > 0)
-    enrich_queries = config is not None and config.beta > 0
-    if enrich_queries and retriever is None:
-        raise errors.ValidationError(
-            "a caption retriever is required when beta > 0")
-    matrix = stack_queries(queries, prototypes.matrix.shape[1],
-                           retriever.bank.space_tag if enrich_queries else None)
     hits = caption_vectors = None
-    if enrich_queries:
-        hits = retriever.search(matrix, config.k)
+    if config is not None and config.beta > 0:
+        if retriever is None:
+            raise errors.ValidationError(
+                "a caption retriever is required when beta > 0")
+        hits = retriever.search(queries.vectors, config.k,
+                                space_tag=queries.space_tag)
         caption_vectors = retriever.bank.vectors
-    order, scores = rank_queries(matrix, prototypes, hits, caption_vectors,
-                                 config)
+    order, scores = rank_queries(queries.vectors, prototypes, hits,
+                                 caption_vectors, config)
     ranked = np.take_along_axis(scores, order, axis=1)
     return [Prediction(first_query_id + i, tuple(zip(ids, vals)), active)
             for i, (ids, vals) in enumerate(zip(order.tolist(),

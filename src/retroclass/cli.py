@@ -25,12 +25,12 @@ from . import errors
 from .bank import (FORMAT_VERSION, CaptionRecord, EmbeddingBank, bank_load,
                    bank_save, check_norms, parse_caption_record)
 from .classify import classify_batch, write_predictions
-from .enrich import EnrichmentConfig, enrich_all_prototypes
+from .enrich import EnrichmentConfig, PrototypeSet, enrich_all_prototypes
 from .files import read_json, read_jsonl, replace_atomically
 from .harness import (SweepGrid, emit_report, load_fixture_dir, parse_labels,
                       run_eval, run_sweep, synth_fixture)
-from .index import (QueryEmbedding, Retriever, build_ivf, check_threads,
-                    check_unit_rows, load_index, save_index)
+from .index import (Retriever, build_ivf, check_threads, load_index,
+                    save_index)
 from .prompts import build_class_specs, load_class_config
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
@@ -179,7 +179,6 @@ def _cmd_classify(args) -> int:
             f"prototype space {proto_bank.space_tag!r} != query space "
             f"{query_bank.space_tag!r}")
     config = _load_config(args.config)
-    from .enrich import PrototypeSet
     proto_set = PrototypeSet(np.array(proto_bank.vectors))
     retriever = None
     if config.beta > 0:
@@ -190,25 +189,31 @@ def _cmd_classify(args) -> int:
         index = (load_index(args.index, vlm_bank)
                  if args.index is not None else None)
         retriever = Retriever(vlm_bank, index, args.nprobe)
-    check_unit_rows(np.asarray(query_bank.vectors), "query")
-    queries = [QueryEmbedding(row, query_bank.space_tag)
-               for row in query_bank.vectors]
-    predictions = classify_batch(queries, proto_set, proto_set, retriever,
-                                 config, threads=args.threads)
+    predictions = classify_batch(query_bank, proto_set, retriever, config,
+                                 threads=args.threads)
     write_predictions(predictions, args.out)
     return errors.EXIT_OK
 
 
 def _eval_inputs(args):
-    """The inputs and keywords that eval and sweep pass to the harness."""
+    """The inputs and keywords that eval and sweep pass to the harness.
+
+    The inputs come either from ``--fixture-dir`` or from the seven file
+    flags, never from a mix: a file flag beside ``--fixture-dir`` is an error.
+    """
+    files = ("queries", "labels", "classes", "proto_bank", "retrieval_bank",
+             "llm_bank", "vlm_bank")
+    given = [f"--{n.replace('_', '-')}" for n in files
+             if getattr(args, n) is not None]
     if args.fixture_dir is not None:
+        if given:
+            raise errors.ValidationError(
+                f"--fixture-dir cannot be combined with {', '.join(given)}")
         fixture = load_fixture_dir(args.fixture_dir)
         inputs = (fixture.build_specs(), fixture.queries, list(fixture.labels),
                   fixture.llm_bank, fixture.vlm_bank)
     else:
-        needed = ("queries", "labels", "classes", "proto_bank",
-                  "retrieval_bank", "llm_bank", "vlm_bank")
-        missing = [f"--{n.replace('_', '-')}" for n in needed
+        missing = [f"--{n.replace('_', '-')}" for n in files
                    if getattr(args, n) is None]
         if missing:
             raise errors.ValidationError(

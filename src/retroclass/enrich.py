@@ -21,6 +21,7 @@ row), so a row's result is bitwise the same whatever the batch it is in.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,14 @@ class EnrichmentConfig:
             if not isinstance(flag, bool):
                 raise errors.ValidationError(
                     f"{name} must be true or false, got {flag!r}")
+        for name in ("tau_tt", "tau_it", "alpha", "beta"):
+            val = getattr(self, name)
+            # stored as float, so that an integer-valued config reports as
+            # the same numbers a sweep of it does
+            if not isinstance(val, numbers.Real) or isinstance(val, bool):
+                raise errors.ValidationError(
+                    f"{name} must be a number, got {val!r}")
+            object.__setattr__(self, name, float(val))
         for name in ("tau_tt", "tau_it"):
             tau = getattr(self, name)
             if not np.isfinite(tau) or tau <= 0:
@@ -190,6 +199,9 @@ def fuse_rows(base, hits: HitTable, vectors, frac: float, tau: float,
     """
     base = np.asarray(base, dtype=np.float32)
     n = base.shape[0]
+    if hits.counts.shape[0] != n:
+        raise errors.ValidationError(
+            f"hit table has {hits.counts.shape[0]} rows for {n} {what} rows")
     partial = hits.counts == 0
     for i in np.flatnonzero(partial):
         # graceful degradation: no neighbors means the input passes through

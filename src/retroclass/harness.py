@@ -21,7 +21,7 @@ from .bank import CaptionRecord, EmbeddingBank, bank_load, bank_save
 # classify_batch stays importable from here: perfbench's tracer tests check
 # that wrapping it rebinds this module's name too
 from .classify import (Prediction, classify_batch,  # noqa: F401
-                       rank_queries, select_prototypes)
+                       rank_queries)
 from .enrich import (EnrichmentConfig, check_enrichment_banks,
                      enrichment_queries, fuse_prototypes, zeroshot_prototypes)
 from .files import read_json, replace_atomically
@@ -185,12 +185,11 @@ def _evaluate(configs: list[EnrichmentConfig], table: ClassTable,
     reports = []
     for config in configs:
         t1 = time.perf_counter()
-        enriched = fuse_prototypes(table, proto_hits, vlm_bank, config,
-                                   merge_aliases) if config.alpha > 0 else None
+        prototypes = fuse_prototypes(table, proto_hits, vlm_bank, config,
+                                     merge_aliases) if config.alpha > 0 else zs
         t2 = time.perf_counter()
-        order, _ = rank_queries(query_bank.vectors,
-                                select_prototypes(zs, enriched, config),
-                                query_hits, vlm_bank.vectors, config)
+        order, _ = rank_queries(query_bank.vectors, prototypes, query_hits,
+                                vlm_bank.vectors, config)
         t3 = time.perf_counter()
         reports.append(rank_accuracy(
             order, labels, ms=(1, 5), dataset=dataset, config=config,

@@ -78,33 +78,18 @@ def check_unit_rows(queries: np.ndarray, what: str) -> None:
                         f"{NORM_ATOL}")
 
 
-def stack_queries(queries: list[QueryEmbedding], dim: int,
-                  space_tag: str | None = None) -> np.ndarray:
-    """The query vectors as one (n, dim) float32 stack, checking each query's
-    dim and, when ``space_tag`` is given, its space."""
-    n = len(queries)
-    for i, q in enumerate(queries):
-        if q.vector.shape[0] != dim:
-            raise row_error(errors.DimensionMismatch, "query", i, n,
-                            f"query has {q.vector.shape[0]} dims, expected {dim}")
-        if space_tag is not None and q.space_tag != space_tag:
-            raise row_error(errors.SpaceMismatch, "query", i, n,
-                            f"query space {q.space_tag!r} != bank space {space_tag!r}")
-    return np.vstack([q.vector for q in queries]) if queries else \
-        np.empty((0, dim), dtype=np.float32)
-
-
 @dataclass(frozen=True)
 class HitTable:
     """Top-k retrieval results of n queries, as arrays.
 
-    Row i holds ``counts[i]`` hits in its first columns, score-desc with ties
-    id-asc. An IVF probe can return fewer than k hits, or none; the unused
-    cells are 0.
+    The table is (n, min(k, bank rows)) wide: no row can hold more hits than
+    the bank has rows, so a large k never sizes it. Row i holds
+    ``counts[i]`` hits in its first columns, score-desc with ties id-asc. An
+    IVF probe can return fewer hits, or none; the unused cells are 0.
     """
 
-    ids: np.ndarray      # (n, k) int64
-    scores: np.ndarray   # (n, k) float64, the float32 retrieval scores widened
+    ids: np.ndarray      # (n, width) int64
+    scores: np.ndarray   # (n, width) float64, the float32 scores widened
     counts: np.ndarray   # (n,) int64
 
     def hits(self, row: int) -> list[RetrievalHit]:
@@ -215,9 +200,9 @@ def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
             f"query space {space_tag!r} != bank space {bank.space_tag!r}")
     check_unit_rows(queries, what)
 
-    n = queries.shape[0]
-    ids = np.zeros((n, k), dtype=np.int64)
-    scores = np.zeros((n, k), dtype=np.float64)
+    n, width = queries.shape[0], min(k, bank.count)
+    ids = np.zeros((n, width), dtype=np.int64)
+    scores = np.zeros((n, width), dtype=np.float64)
     counts = np.zeros(n, dtype=np.int64)
     if index is not None and nprobe < index.n_clusters:
         rows = _probe_by_list(index, queries, k, nprobe)
@@ -456,17 +441,17 @@ def check_threads(threads: int) -> None:
         raise errors.ValidationError(f"threads must be >= 0, got {threads}")
 
 
-def batch_topk(queries: list[QueryEmbedding], bank: EmbeddingBank, k: int,
+def batch_topk(queries: EmbeddingBank, bank: EmbeddingBank, k: int,
                index: IvfIndex | None = None, nprobe: int | None = None,
                threads: int = 1) -> list[list[RetrievalHit]]:
-    """Per-query top-k with order-preserving output.
+    """Top-k hit list of each query of the bank, in bank order.
 
     ``threads`` is validated by :func:`check_threads` and otherwise unused.
     """
     check_threads(threads)
     table = Retriever(bank, index, nprobe).search(
-        stack_queries(queries, bank.dim, bank.space_tag), k)
-    return [table.hits(i) for i in range(len(queries))]
+        queries.vectors, k, space_tag=queries.space_tag)
+    return [table.hits(i) for i in range(queries.count)]
 
 
 # ---------------------------------------------------------------------------

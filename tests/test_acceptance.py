@@ -223,9 +223,9 @@ def test_criterion_4_zero_config_reduces_to_plain_cosine(golden_fixture):
                                    renormalize_output=False)
         e_off = enrich_all_prototypes(specs, fx.llm_bank, fx.vlm_bank,
                                       Retriever(fx.llm_bank), cfg_off)
-        preds = classify_batch(queries, zs, e_off, None, cfg_off)
+        preds = classify_batch(fx.queries, e_off, None, cfg_off)
         for i, pred in enumerate(preds):
-            plain = predict_topk(logits(queries[i].vector, zs), zs.n_classes)
+            plain = predict_topk(logits(fx.queries.vectors[i], zs), zs.n_classes)
             assert pred.topk == tuple(plain), f"query {i} diverged"
 
         # renormalization must never change any ranking
@@ -233,7 +233,7 @@ def test_criterion_4_zero_config_reduces_to_plain_cosine(golden_fixture):
                                   renormalize_output=True)
         e_on = enrich_all_prototypes(specs, fx.llm_bank, fx.vlm_bank,
                                      Retriever(fx.llm_bank), cfg_on)
-        preds_on = classify_batch(queries, zs, e_on, None, cfg_on)
+        preds_on = classify_batch(fx.queries, e_on, None, cfg_on)
         for off, on in zip(preds, preds_on):
             assert [c for c, _ in off.topk] == [c for c, _ in on.topk]
         notes.append(f"{len(preds)} queries, bitwise")

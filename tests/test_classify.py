@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from retroclass import errors
+from retroclass.bank import EmbeddingBank
 from retroclass.classify import (Prediction, classify_batch, classify_query,
                                  logits, logits_rows, predict_topk,
                                  read_predictions, write_predictions)
@@ -98,13 +99,6 @@ def test_classify_no_config_is_zero_shot(rng):
     assert len(pred.topk) == 5
 
 
-def test_classify_alpha_requires_enriched_set(rng):
-    protos = proto_set(np.vstack([unit32(rng) for _ in range(3)]))
-    q = QueryEmbedding(unit32(rng), "vlm-text")
-    with pytest.raises(errors.ValidationError, match="enriched"):
-        classify_query(q, protos, config=EnrichmentConfig(alpha=0.2, beta=0.0))
-
-
 def test_classify_beta_requires_retriever(rng):
     protos = proto_set(np.vstack([unit32(rng) for _ in range(3)]))
     q = QueryEmbedding(unit32(rng), "vlm-text")
@@ -146,7 +140,7 @@ def test_enrichment_off_reduces_to_zero_shot_bitwise(small_fixture):
     for i in range(small_fixture.queries.count):
         q = QueryEmbedding(np.array(small_fixture.queries.vectors[i]),
                            "vlm-text")
-        via_pipeline = classify_query(q, zs, enriched,
+        via_pipeline = classify_query(q, enriched,
                                       Retriever(small_fixture.vlm_bank), cfg)
         plain = predict_topk(logits(q.vector, zs), zs.n_classes)
         assert via_pipeline.topk == tuple(plain)
@@ -165,48 +159,58 @@ def test_any_renormalization_keeps_ranking(small_fixture):
     for i in range(small_fixture.queries.count):
         q = QueryEmbedding(np.array(small_fixture.queries.vectors[i]),
                            "vlm-text")
-        r_off = classify_query(q, zs, e_off, None, cfg_off)
-        r_on = classify_query(q, zs, e_on, None, cfg_on)
+        r_off = classify_query(q, e_off, None, cfg_off)
+        r_on = classify_query(q, e_on, None, cfg_on)
         assert [c for c, _ in r_off.topk] == [c for c, _ in r_on.topk]
 
 
 # -- batch -------------------------------------------------------------------
 
+def query_bank(fixture, rows, space_tag="vlm-text"):
+    return EmbeddingBank(np.array(fixture.queries.vectors[rows]), space_tag)
+
+
+def one_query(queries, i):
+    return QueryEmbedding(queries.vectors[i], queries.space_tag)
+
+
 def batch_inputs(small_fixture, n=10):
     specs = small_fixture.build_specs()
     zs = zeroshot_prototypes(specs)
-    queries = [QueryEmbedding(np.array(small_fixture.queries.vectors[i]),
-                              "vlm-text") for i in range(n)]
-    return zs, queries
+    return zs, query_bank(small_fixture, slice(0, n))
 
 
 def test_batch_matches_single_calls(small_fixture):
     zs, queries = batch_inputs(small_fixture)
     cfg = EnrichmentConfig(alpha=0.0, beta=0.5)
     retr = Retriever(small_fixture.vlm_bank)
-    batch = classify_batch(queries, zs, None, retr, cfg)
+    batch = classify_batch(queries, zs, retr, cfg)
     for i, pred in enumerate(batch):
-        single = classify_query(queries[i], zs, None, retr, cfg, query_id=i)
+        single = classify_query(one_query(queries, i), zs, retr, cfg,
+                                query_id=i)
         assert pred == single
-    assert [p.query_id for p in batch] == list(range(len(queries)))
+    assert [p.query_id for p in batch] == list(range(queries.count))
 
 
 def test_batch_threads_do_not_change_results(small_fixture):
     zs, queries = batch_inputs(small_fixture, n=16)
     cfg = EnrichmentConfig(alpha=0.0, beta=0.5)
     retr = Retriever(small_fixture.vlm_bank)
-    runs = [classify_batch(queries, zs, None, retr, cfg, threads=t)
+    runs = [classify_batch(queries, zs, retr, cfg, threads=t)
             for t in (0, 1, 3)]
     assert runs[0] == runs[1] == runs[2]
 
 
-def test_batch_error_carries_query_index(small_fixture, rng):
-    zs, queries = batch_inputs(small_fixture, n=2)
-    bad = QueryEmbedding(unit32(rng, d=24), "llm-text")  # wrong space
+def test_batch_error_carries_query_index(small_fixture):
+    """A bank has one space tag, so a query bank in the wrong space fails
+    as a whole, naming both spaces."""
+    zs, _ = batch_inputs(small_fixture)
+    bad = query_bank(small_fixture, slice(0, 3), "llm-text")
     cfg = EnrichmentConfig(alpha=0.0, beta=0.5)
     retr = Retriever(small_fixture.vlm_bank)
-    with pytest.raises(errors.SpaceMismatch, match="query 2"):
-        classify_batch(queries + [bad], zs, None, retr, cfg, threads=1)
+    with pytest.raises(errors.SpaceMismatch,
+                       match="query space 'llm-text' != bank space 'vlm-text'"):
+        classify_batch(bad, zs, retr, cfg, threads=1)
 
 
 def loop_fuse(base, query, banks, cfg, frac, tau, use_temperature):
@@ -265,15 +269,14 @@ def test_batch_rows_equal_one_query_calls(golden_fixture, n, cfg):
     assert np.array_equal(enriched.matrix.view(np.uint32),
                           loop_protos.view(np.uint32))
     retr = Retriever(fx.vlm_bank)
-    queries = [QueryEmbedding(np.array(fx.queries.vectors[i]), "vlm-text")
-               for i in range(0, 8 * n, 8)]
-    batch = classify_batch(queries, zs, enriched, retr, cfg,
-                           first_query_id=100)
+    queries = query_bank(fx, slice(0, 8 * n, 8))
+    batch = classify_batch(queries, enriched, retr, cfg, first_query_id=100)
     assert [p.query_id for p in batch] == list(range(100, 100 + n))
     for i, pred in enumerate(batch):
-        assert pred == classify_query(queries[i], zs, enriched, retr, cfg,
+        query = one_query(queries, i)
+        assert pred == classify_query(query, enriched, retr, cfg,
                                       query_id=100 + i)
-        qv = loop_fuse(queries[i].vector, queries[i],
+        qv = loop_fuse(query.vector, query,
                        (fx.vlm_bank, fx.vlm_bank), cfg, cfg.beta, cfg.tau_it,
                        cfg.use_temperature_it)
         assert pred.topk == loop_ranking(qv, enriched.matrix)
@@ -284,8 +287,8 @@ def test_batch_with_short_and_empty_hit_lists(small_fixture):
     row-by-row pipeline; an empty row passes through unenriched."""
     zs, queries = batch_inputs(small_fixture, n=9)
     cfg = EnrichmentConfig(alpha=0.0, beta=0.5, k=6)
-    kept = {q.vector.tobytes(): (0, 3, cfg.k)[i % 3]
-            for i, q in enumerate(queries)}
+    kept = {row.tobytes(): (0, 3, cfg.k)[i % 3]
+            for i, row in enumerate(queries.vectors)}
 
     class ShortRetriever(Retriever):
         def search(self, queries, k, space_tag=None, what="query"):
@@ -297,21 +300,25 @@ def test_batch_with_short_and_empty_hit_lists(small_fixture):
             return HitTable(table.ids, table.scores, counts)
 
     retr = ShortRetriever(small_fixture.vlm_bank)
-    batch = classify_batch(queries, zs, None, retr, cfg)
+    batch = classify_batch(queries, zs, retr, cfg)
     for i, pred in enumerate(batch):
-        hits = retr.search(queries[i].vector[None, :], cfg.k).hits(0)
-        assert len(hits) == kept[queries[i].vector.tobytes()]
-        vec = enrich_query(queries[i].vector,
+        row = queries.vectors[i]
+        hits = retr.search(row[None, :], cfg.k).hits(0)
+        assert len(hits) == kept[row.tobytes()]
+        vec = enrich_query(row,
                            gather_captions(hits, small_fixture.vlm_bank),
                            small_fixture.vlm_bank, cfg).vector
         assert pred.topk == tuple(predict_topk(logits(vec, zs), zs.n_classes))
 
 
 def test_batch_dimension_error_carries_query_index(small_fixture):
-    zs, queries = batch_inputs(small_fixture, n=3)
-    bad = QueryEmbedding.from_raw(np.ones(7), "vlm-text")
-    with pytest.raises(errors.DimensionMismatch, match="query 1"):
-        classify_batch([queries[0], bad, queries[2]], zs)
+    """A bank has one width, so a query bank of the wrong dim fails as a
+    whole, naming both dims."""
+    zs, _ = batch_inputs(small_fixture)
+    bad = EmbeddingBank.from_matrix(np.ones((3, 7)), "vlm-text")
+    with pytest.raises(errors.DimensionMismatch,
+                       match=f"query dim 7 != prototype dim {zs.matrix.shape[1]}"):
+        classify_batch(bad, zs)
 
 
 def test_batch_negative_threads_rejected(small_fixture):
@@ -321,8 +328,9 @@ def test_batch_negative_threads_rejected(small_fixture):
 
 
 def test_empty_batch(small_fixture):
-    zs, _ = batch_inputs(small_fixture, n=1)
-    assert classify_batch([], zs) == []
+    zs, queries = batch_inputs(small_fixture, n=0)
+    assert queries.count == 0
+    assert classify_batch(queries, zs) == []
 
 
 # -- prediction files --------------------------------------------------------

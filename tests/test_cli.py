@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import shutil
 import stat
 import subprocess
@@ -204,6 +205,27 @@ def test_eval_explicit_banks_match_fixture_dir(workdir, tmp_path):
     assert strip(r1) == strip(r2)
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_fixture_dir_rejects_file_flags(workdir, tmp_path, command):
+    """The inputs come from --fixture-dir or from the file flags, never a
+    mix; index, config and --threads flags still combine with it."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"alphas": [0.0], "betas": [0.0]}))
+    argv = [command, "--fixture-dir", workdir / "fx", "--threads", 2,
+            "--out", tmp_path / "out"]
+    argv += ["--grid", grid] if command == "sweep" else []
+    run_cli(*argv)
+    for flags in (["--queries", tmp_path / "missing.bank"],
+                  ["--labels", "l.json", "--vlm-bank", "v.bank"]):
+        (tmp_path / "out").unlink(missing_ok=True)
+        proc = run_cli(*argv, *flags, check=False)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert all(f in lines[0] for f in flags[::2]), proc.stderr
+        assert not (tmp_path / "out").exists()
+
+
 def test_eval_missing_inputs_lists_flags(tmp_path):
     proc = run_cli("eval", "--out", tmp_path / "r.json", check=False)
     assert proc.returncode == 2
@@ -219,6 +241,38 @@ def test_sweep_csv(workdir, tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 5
     assert lines[0].startswith("dataset,k,alpha,beta")
+
+
+def test_integer_valued_config_eval_row_equals_sweep_row(workdir, tmp_path):
+    fx = workdir / "fx"
+    config, grid = tmp_path / "cfg.json", tmp_path / "grid.json"
+    config.write_text(json.dumps({"alpha": 0, "beta": 1}))
+    grid.write_text(json.dumps({"alphas": [0], "betas": [1]}))
+    run_cli("eval", "--fixture-dir", fx, "--config", config, "--format", "csv",
+            "--out", tmp_path / "eval.csv")
+    run_cli("sweep", "--fixture-dir", fx, "--grid", grid,
+            "--out", tmp_path / "sweep.csv")
+    rows = [(tmp_path / f"{name}.csv").read_text().splitlines()
+            for name in ("eval", "sweep")]
+    assert rows[0] == rows[1]
+    assert rows[0][1].split(",")[2:4] == ["0.0", "1.0"]
+
+
+def test_large_k_does_not_size_the_hit_table(workdir, tmp_path):
+    """k beyond the caption count costs no memory: the run fits in a 3 GB
+    address space, where two (n, k) tables would need 30 GB each."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"k": 10**9}))
+    limit = 3 * 1024 ** 3
+    proc = subprocess.run(
+        [*CLI, "eval", "--fixture-dir", str(workdir / "fx"), "--config",
+         str(config), "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "r.json").read_text())[
+        "reports"][0]["config"]["k"] == 10**9
 
 
 def _strip_timing(path):
@@ -504,6 +558,8 @@ MALFORMED_INPUTS = [
     ("config-deep-nesting", b"[" * 100_000, _eval_config),
     ("config-k-fraction", b'{"k": 2.5}', _eval_config),
     ("config-toggle-string", b'{"use_temperature_tt": "false"}', _eval_config),
+    ("config-alpha-boolean", b'{"alpha": true, "beta": false, "tau_tt": true}',
+     _eval_config),
     ("grid-alpha-string", b'{"alphas": ["x"], "betas": [0]}', _sweep_grid),
     ("grid-alphas-number", b'{"alphas": 5, "betas": [0]}', _sweep_grid),
     ("grid-toggle-string", b'{"alphas": [0], "betas": [0], "toggles": '

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from retroclass import errors
 from retroclass.bank import EmbeddingBank
 from retroclass.enrich import (EnrichmentConfig, enrich_all_prototypes,
-                               enrich_prototype, enrich_query, gather_captions,
-                               softmax_weights, zeroshot_prototypes)
-from retroclass.index import IvfIndex, RetrievalHit, Retriever, build_ivf
+                               enrich_prototype, enrich_query, fuse_rows,
+                               gather_captions, softmax_weights,
+                               zeroshot_prototypes)
+from retroclass.index import (IvfIndex, RetrievalHit, Retriever, build_ivf,
+                              search)
 from retroclass.prompts import merge_alias_prototypes
 
 finite_scores = st.lists(
@@ -40,6 +42,19 @@ def test_config_validation():
         EnrichmentConfig(alpha=1.5)
     with pytest.raises(errors.ValidationError):
         EnrichmentConfig(beta=-0.1)
+
+
+def test_config_numbers_are_floats_and_not_booleans():
+    """An integer-valued config is stored as the floats a sweep of it uses;
+    a boolean is not a number here."""
+    cfg = EnrichmentConfig(tau_tt=2, tau_it=100, alpha=0, beta=1)
+    assert cfg == EnrichmentConfig(tau_tt=2.0, tau_it=100.0, alpha=0.0,
+                                   beta=1.0)
+    for name in ("tau_tt", "tau_it", "alpha", "beta"):
+        assert type(getattr(cfg, name)) is float
+        for bad in (True, False, "0.5", None):
+            with pytest.raises(errors.ValidationError, match=name):
+                EnrichmentConfig(**{name: bad})
 
 
 def test_config_dict_roundtrip_and_unknown_keys(tmp_path):
@@ -252,6 +267,16 @@ def test_temperature_toggle_switches_weighting(rng):
     assert not np.allclose(soft, avg, atol=1e-4)
     assert np.allclose(avg, np.asarray(bank.vectors, np.float64).mean(axis=0),
                        atol=1e-6)
+
+
+def test_fuse_rows_needs_one_hit_row_per_base_row(rng):
+    bank = EmbeddingBank.from_matrix(rng.standard_normal((30, 8)), "vlm-text")
+    base = np.array(bank.vectors[:8])
+    for rows in (3, 12):
+        hits = search(bank, np.array(bank.vectors[:rows]), 4)
+        with pytest.raises(errors.ValidationError,
+                           match=f"hit table has {rows} rows for 8 query rows"):
+            fuse_rows(base, hits, bank.vectors, 0.5, 1.0, True, True, "query")
 
 
 def test_dim_mismatch_between_captions_and_vector(rng):

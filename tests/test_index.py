@@ -77,6 +77,20 @@ def test_k_larger_than_count(rng):
     assert len(hits) == 4
 
 
+def test_search_table_is_no_wider_than_the_bank(rng):
+    """A large k does not size the table: no row can hold more hits than
+    the bank has rows, exact or IVF."""
+    bank = make_bank(rng, 20, 8)
+    index = build_ivf(bank, 4, seed=0)
+    matrix = np.vstack([query_for(bank, rng).vector for _ in range(3)])
+    for args in ((), (index, 2)):
+        table = search(bank, matrix, 10**6, *args)
+        assert table.ids.shape == table.scores.shape == (3, 20)
+        narrow = search(bank, matrix, 20, *args)
+        for name in ("ids", "scores", "counts"):
+            assert np.array_equal(getattr(table, name), getattr(narrow, name))
+
+
 def test_k_must_be_positive(rng):
     bank = make_bank(rng, 4, 8)
     with pytest.raises(errors.ValidationError):
@@ -542,46 +556,55 @@ def test_nonfinite_centroid_is_corrupt_index(tmp_path, rng):
 
 # -- batch_topk --------------------------------------------------------------
 
+def query_rows(queries):
+    return [QueryEmbedding(row, queries.space_tag) for row in queries.vectors]
+
+
 def test_batch_of_one_equals_single_call(rng):
     bank = make_bank(rng, 80, 8)
-    q = query_for(bank, rng)
-    assert batch_topk([q], bank, 5) == [exact_topk(q, bank, 5)]
+    queries = make_bank(rng, 1, 8)
+    assert batch_topk(queries, bank, 5) == \
+        [exact_topk(query_rows(queries)[0], bank, 5)]
 
 
 def test_batch_matches_single_calls(rng):
     bank = make_bank(rng, 200, 12)
-    queries = [query_for(bank, rng) for _ in range(30)]
+    queries = make_bank(rng, 30, 12)
     batch = batch_topk(queries, bank, 7)
-    singles = [exact_topk(q, bank, 7) for q in queries]
+    singles = [exact_topk(q, bank, 7) for q in query_rows(queries)]
     assert batch == singles
 
 
 def test_batch_empty():
     bank = EmbeddingBank.from_matrix(np.eye(4), "llm-text")
-    assert batch_topk([], bank, 3) == []
+    queries = EmbeddingBank(np.empty((0, 4), np.float32), "llm-text")
+    assert batch_topk(queries, bank, 3) == []
 
 
 def test_batch_thread_count_does_not_change_results(rng):
     bank = make_bank(rng, 150, 10)
-    queries = [query_for(bank, rng) for _ in range(20)]
+    queries = make_bank(rng, 20, 10)
     runs = [batch_topk(queries, bank, 5, threads=t) for t in (0, 1, 2, 7)]
     assert all(r == runs[0] for r in runs[1:])
 
 
 def test_batch_error_carries_query_index(rng):
+    """A bank has one space tag and one width, so a query bank in the wrong
+    space or of the wrong dim fails as a whole."""
     bank = make_bank(rng, 20, 8)
-    good = query_for(bank, rng)
-    bad = QueryEmbedding.from_raw(rng.standard_normal(8), "vlm-text")
-    with pytest.raises(errors.SpaceMismatch, match="query 1"):
-        batch_topk([good, bad], bank, 3, threads=1)
+    with pytest.raises(errors.SpaceMismatch,
+                       match="query space 'vlm-text' != bank space 'llm-text'"):
+        batch_topk(make_bank(rng, 2, 8, "vlm-text"), bank, 3, threads=1)
+    with pytest.raises(errors.DimensionMismatch, match="bank has 8 dims"):
+        batch_topk(make_bank(rng, 2, 9), bank, 3, threads=1)
 
 
 def test_batch_with_ivf_equals_ivf_singles(rng):
     bank = make_bank(rng, 300, 8)
     index = build_ivf(bank, 8, seed=2)
-    queries = [query_for(bank, rng) for _ in range(10)]
+    queries = make_bank(rng, 10, 8)
     batch = batch_topk(queries, bank, 5, index=index, nprobe=3)
-    singles = [ivf_search(index, q, 5, nprobe=3) for q in queries]
+    singles = [ivf_search(index, q, 5, nprobe=3) for q in query_rows(queries)]
     assert batch == singles
 
 
