@@ -142,16 +142,17 @@ class EmbeddingBank:
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, space_tag: str,
-                    records: list[CaptionRecord] | None = None,
-                    normalize: bool = True) -> "EmbeddingBank":
-        """Bulk constructor. Rows are normalized unless already unit norm."""
+                    records: list[CaptionRecord] | None = None) -> "EmbeddingBank":
+        """Bulk constructor from a real numeric matrix; rows are normalized."""
         matrix = np.asarray(matrix)
+        if matrix.dtype.kind not in "biuf":
+            raise errors.ValidationError(
+                f"expected a real numeric matrix, got dtype {matrix.dtype}")
         if matrix.ndim != 2:
             raise errors.InvalidDimension("expected a 2-D matrix")
         if matrix.shape[1] < 1:
             raise errors.InvalidDimension("bank dim must be >= 1")
-        data = _normalize_rows(matrix) if normalize else np.asarray(matrix, np.float32)
-        return cls(data, space_tag, records=records)
+        return cls(_normalize_rows(matrix), space_tag, records=records)
 
     # -- metadata ----------------------------------------------------------
 

@@ -69,6 +69,9 @@ def _cmd_bank_build(args) -> int:
         matrix = np.load(args.vectors)
     except (OSError, ValueError) as exc:
         raise errors.IoError(f"cannot read vectors {args.vectors}: {exc}") from exc
+    if not isinstance(matrix, np.ndarray):  # an .npz archive
+        matrix.close()
+        raise errors.ValidationError(f"{args.vectors} is not a .npy file")
     if matrix.ndim != 2:
         raise errors.ValidationError(
             f"vector file must hold a 2-D array, got shape {matrix.shape}")

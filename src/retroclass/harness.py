@@ -216,13 +216,24 @@ class SweepGrid:
     taus_tt: tuple[float, ...] = (1.0,)
     taus_it: tuple[float, ...] = (100.0,)
     toggles: tuple[tuple[bool, bool], ...] = ((True, True),)
+    # each numeric axis and the config field its values set
+    _FIELDS = {"alphas": "alpha", "betas": "beta", "taus_tt": "tau_tt",
+               "taus_it": "tau_it"}
 
     def __post_init__(self):
-        for name in ("alphas", "betas", "taus_tt", "taus_it", "toggles"):
+        for name in (*self._FIELDS, "toggles"):
             axis = tuple(getattr(self, name))
             if len(axis) == 0:
                 raise errors.EmptyGrid(f"grid axis {name} is empty")
             object.__setattr__(self, name, axis)
+        # every axis value is checked, and stored, as a config field
+        for name, key in self._FIELDS.items():
+            object.__setattr__(self, name, tuple(
+                getattr(EnrichmentConfig(**{key: v}), key)
+                for v in getattr(self, name)))
+        for use_tt, use_it in self.toggles:
+            EnrichmentConfig(use_temperature_tt=use_tt,
+                             use_temperature_it=use_it)
 
     def points(self):
         return itertools.product(self.alphas, self.betas, self.taus_tt,
@@ -232,19 +243,15 @@ class SweepGrid:
     def from_dict(cls, obj: dict) -> "SweepGrid":
         if not isinstance(obj, dict):
             raise errors.ValidationError("sweep grid must be a JSON object")
-        known = {"alphas", "betas", "taus_tt", "taus_it", "toggles"}
-        unknown = set(obj) - known
+        unknown = set(obj) - {*cls._FIELDS, "toggles"}
         if unknown:
             raise errors.ValidationError(f"unknown grid keys: {sorted(unknown)}")
         kwargs = {}
-        for key in ("alphas", "betas", "taus_tt", "taus_it"):
+        for key in cls._FIELDS:
             if key in obj:
-                axis = obj[key]
-                if not isinstance(axis, list) or any(
-                        type(v) not in (int, float) for v in axis):
-                    raise errors.ValidationError(
-                        f"grid {key} must be a list of numbers")
-                kwargs[key] = tuple(float(v) for v in axis)
+                if not isinstance(obj[key], list):
+                    raise errors.ValidationError(f"grid {key} must be a list")
+                kwargs[key] = obj[key]
         if "toggles" in obj:
             toggles = []
             for entry in obj["toggles"]:
@@ -362,6 +369,8 @@ def synth_fixture(seed: int, n_classes: int, dim: int,
         if not np.isfinite(val) or val < 0:
             raise errors.InvalidFixture(
                 f"{name} must be a non-negative finite number, got {val}")
+    if seed < 0:
+        raise errors.InvalidFixture(f"seed must be >= 0, got {seed}")
     if eta_p <= eta_c and eta_p > 0:
         log.warning("eta_p <= eta_c: caption enrichment gains are not "
                     "guaranteed in this regime")

@@ -3,11 +3,12 @@
 Scores are plain float32 dot products (rows are unit norm, so dot == cosine).
 :func:`search` is the one retrieval path: it scores each row of a query stack
 on its own, one ``block @ query`` product per block of at most
-``SCAN_BLOCK`` rows. The exact scan and the IVF centroid probe run over
-contiguous blocks (:func:`_scan`). The IVF candidate scan works list by list
-(:func:`_probe_by_list`): each probed list is gathered once per search and
-scored against every row that probes it. So a row's hits are bitwise the same
-in a batch of any size, and probing every IVF list is the exact scan.
+``SCAN_BLOCK`` rows. One loop (:func:`_scan`) runs every scan: the exact
+scan is the one-list case over contiguous blocks, the IVF centroid probe is
+an exact scan of the centroids, and the IVF candidate scan gathers each
+probed list once per search and scores it against every row that probes it.
+So a row's hits are bitwise the same in a batch of any size, and probing
+every IVF list is the exact scan.
 
 Ordering contract everywhere: hits sorted by descending score, ties broken
 by ascending id.
@@ -102,7 +103,7 @@ def _block_candidates(scores: np.ndarray, k: int, ids,
                       what: str = "bank row") -> tuple[np.ndarray, np.ndarray]:
     """(ids, scores) of the block's top-k scores, boundary ties included.
 
-    ``ids`` holds the block's int64 row ids, or is the id of its first row
+    ``ids`` holds the block's row ids, or is the id of its first row
     when the block is a contiguous run. Unit-norm rows only give finite
     scores, so a non-finite one means a corrupt row: the error names it as
     ``what`` and its id.
@@ -122,54 +123,42 @@ def _block_candidates(scores: np.ndarray, k: int, ids,
     return (pos + ids if isinstance(ids, int) else ids[pos]), scores[pos]
 
 
-def _top_k(candidates: list, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k best of a row's (ids, scores) block candidates, score-desc with
-    ties id-asc."""
-    if not candidates:
-        return np.empty(0, np.int64), np.empty(0, np.float32)
-    ids = np.concatenate([c[0] for c in candidates])
-    scores = np.concatenate([c[1] for c in candidates])
-    order = np.lexsort((ids, -scores))[:k]
-    return ids[order], scores[order]
+def _scan(vectors, queries: np.ndarray, k: int, groups=None,
+          what: str = "bank row") -> HitTable:
+    """Top-k rows of ``vectors`` for each row of ``queries``.
 
-
-def _scan(vectors, query: np.ndarray, k: int,
-          what: str = "bank row") -> tuple[np.ndarray, np.ndarray]:
-    """Top-k (ids, float32 scores) of ``vectors @ query`` over every row.
-    One matrix-vector product per block of ``SCAN_BLOCK`` rows: the BLAS
-    call shape never depends on the other queries of a search."""
-    return _top_k([_block_candidates(vectors[start:start + SCAN_BLOCK] @ query,
-                                     k, start, what)
-                   for start in range(0, vectors.shape[0], SCAN_BLOCK)], k)
-
-
-def _probe_by_list(index: IvfIndex, queries: np.ndarray, k: int,
-                   nprobe: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Top-k (ids, scores) of each query row over its ``nprobe`` best lists.
-
-    The rows are grouped by probed list. Each probed list is gathered from
-    the bank once per ``SCAN_BLOCK`` ids and scored against every row that
-    probes it, one matrix-vector product per row, so a row's scores never
-    depend on the other rows of the search.
+    ``groups`` lists (vector ids, query rows) pairs; ``None`` scores every
+    row against every vector. A group reads each block of at most
+    ``SCAN_BLOCK`` ids once, as a slice of the whole bank or a gather of a
+    list, and scores it with one ``block @ query`` per row, so the BLAS call
+    shape never depends on the other rows of a search.
     """
     n = queries.shape[0]
-    probed = np.array([_scan(index.centroids, q, nprobe, "centroid")[0]
-                       for q in queries], dtype=np.int64).reshape(n, nprobe)
-    order = np.argsort(probed.ravel(), kind="stable")
-    lists, starts = np.unique(probed.ravel()[order], return_index=True)
+    if groups is None:
+        groups = [(None, range(n))]
     candidates = [[] for _ in range(n)]
-    for c, rows in zip(lists.tolist(), np.split(order // nprobe, starts[1:])):
-        ids = index.lists[c].astype(np.int64)
-        for start in range(0, ids.shape[0], SCAN_BLOCK):
-            chunk = ids[start:start + SCAN_BLOCK]
-            block = index.bank.vectors[chunk]
-            for r in rows.tolist():
+    for ids, rows in groups:
+        total = vectors.shape[0] if ids is None else len(ids)
+        for start in range(0, total, SCAN_BLOCK):
+            stop = start + SCAN_BLOCK
+            chunk = start if ids is None else ids[start:stop]
+            block = vectors[start:stop] if ids is None else vectors[chunk]
+            for r in rows:
                 candidates[r].append(_block_candidates(block @ queries[r], k,
-                                                       chunk))
+                                                       chunk, what))
             # free the block before the next gather, so that gather reuses
             # its pages instead of faulting in fresh ones
             del block
-    return [_top_k(c, k) for c in candidates]
+    width = min(k, vectors.shape[0])
+    table = HitTable(np.zeros((n, width), np.int64), np.zeros((n, width)),
+                     np.zeros(n, np.int64))
+    for r, row in enumerate(candidates):
+        if row:
+            ids, scores = (np.concatenate(c) for c in zip(*row))
+            order = np.lexsort((ids, -scores))[:k]
+            m = table.counts[r] = order.shape[0]
+            table.ids[r, :m], table.scores[r, :m] = ids[order], scores[order]
+    return table
 
 
 def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
@@ -200,19 +189,15 @@ def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
             f"query space {space_tag!r} != bank space {bank.space_tag!r}")
     check_unit_rows(queries, what)
 
-    n, width = queries.shape[0], min(k, bank.count)
-    ids = np.zeros((n, width), dtype=np.int64)
-    scores = np.zeros((n, width), dtype=np.float64)
-    counts = np.zeros(n, dtype=np.int64)
-    if index is not None and nprobe < index.n_clusters:
-        rows = _probe_by_list(index, queries, k, nprobe)
-    else:
-        rows = [_scan(bank.vectors, query, k) for query in queries]
-    for i, (hit_ids, hit_scores) in enumerate(rows):
-        counts[i] = hit_ids.shape[0]
-        ids[i, :counts[i]] = hit_ids
-        scores[i, :counts[i]] = hit_scores
-    return HitTable(ids, scores, counts)
+    if index is None or nprobe == index.n_clusters:
+        return _scan(bank.vectors, queries, k)
+    # group the rows by probed list, so that each list is read once
+    probed = _scan(index.centroids, queries, nprobe, what="centroid").ids.ravel()
+    order = np.argsort(probed, kind="stable")
+    lists, starts = np.unique(probed[order], return_index=True)
+    groups = [(index.lists[c], rows.tolist()) for c, rows in
+              zip(lists.tolist(), np.split(order // nprobe, starts[1:]))]
+    return _scan(bank.vectors, queries, k, groups)
 
 
 def exact_topk(query: QueryEmbedding, bank: EmbeddingBank, k: int) -> list[RetrievalHit]:
@@ -361,6 +346,8 @@ def build_ivf(bank: EmbeddingBank, n_clusters: int, seed: int,
             f"{n_clusters} clusters for {bank.count} vectors")
     if max_iters < 1:
         raise errors.ValidationError(f"max_iters must be >= 1, got {max_iters}")
+    if not 0 <= seed < 2**64:  # the index header stores it as a u64
+        raise errors.ValidationError(f"seed must be in [0, 2**64), got {seed}")
 
     rng = np.random.default_rng(seed)
     budget = _TRAIN_ROWS_PER_CLUSTER * n_clusters
@@ -409,8 +396,7 @@ class Retriever:
                  nprobe: int | None = None):
         if index is not None:
             if index.bank is not bank:
-                index = IvfIndex(index.n_clusters, index.dim, index.seed,
-                                 index.centroids, index.lists).attach(bank)
+                raise errors.ValidationError("index is not attached to this bank")
             if nprobe is None:
                 raise errors.InvalidProbe("nprobe is required with an index")
         self.bank = bank

@@ -34,6 +34,17 @@ def test_from_matrix_normalizes_rows(rng):
     assert bank.dim == 6 and bank.count == 10
 
 
+def test_from_matrix_needs_a_real_numeric_matrix(rng):
+    m = rng.standard_normal((3, 4))
+    for bad in (m + 1j, m.astype(str), m.astype(object),
+                np.zeros((3, 4), "f4,f4")):
+        with pytest.raises(errors.ValidationError):
+            EmbeddingBank.from_matrix(bad, "llm-text")
+    ones = np.ones((3, 4))
+    for good in (ones > 0, -ones.astype(np.int16), ones.astype(np.uint8)):
+        assert EmbeddingBank.from_matrix(good, "llm-text").count == 3
+
+
 def test_normalization_is_float64_then_float32(rng):
     m = rng.standard_normal((4, 8)).astype(np.float32)
     bank = EmbeddingBank.from_matrix(m, "llm-text")

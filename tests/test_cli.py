@@ -600,6 +600,57 @@ def test_malformed_input_file_is_a_validation_error(workdir, tmp_path,
     assert "Traceback" not in proc.stderr
 
 
+def test_grid_value_error_names_the_grid_file(workdir, tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"alphas": [2.0], "betas": [0.0]}))
+    proc = run_cli(*_sweep_grid(workdir / "fx", grid), "--out",
+                   tmp_path / "out", check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert str(grid) in proc.stderr and "alpha" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def _save_vectors(tmp_path, kind):
+    m = np.random.default_rng(0).standard_normal((3, 4))
+    if kind == "npz":
+        np.savez(tmp_path / "v.npz", m)
+        return tmp_path / "v.npz"
+    arrays = {"strings": m.astype(str), "structured": np.zeros((3, 4), "f4,f4"),
+              "complex": m + 1j}
+    np.save(tmp_path / "v.npy", arrays[kind])
+    return tmp_path / "v.npy"
+
+
+@pytest.mark.parametrize("kind", ["npz", "strings", "structured", "complex"])
+def test_bank_build_needs_one_real_numeric_array(tmp_path, kind):
+    out = tmp_path / "x.bank"
+    proc = run_cli("bank", "build", "--vectors", _save_vectors(tmp_path, kind),
+                   "--tag", "llm-text", "--out", out, check=False)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["index", "build", "--bank", "FX/llm_db.bank", "--clusters", "2",
+     "--seed=-1"],
+    ["index", "build", "--bank", "FX/llm_db.bank", "--clusters", "2",
+     "--seed", str(2**64)],
+    ["fixture", "--seed=-1", "--n-classes", "2", "--dim", "4",
+     "--queries-per-class", "1", "--captions-per-class", "1",
+     "--eta-p", "0.5", "--eta-c", "0.1"],
+], ids=["index-negative", "index-too-large", "fixture-negative"])
+def test_out_of_range_seed_is_a_validation_error(workdir, tmp_path, argv):
+    argv = [a.replace("FX", str(workdir / "fx")) for a in argv]
+    out = ["--out-dir" if argv[0] == "fixture" else "--out", tmp_path / "out"]
+    proc = run_cli(*argv, *out, check=False)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "seed" in lines[0], proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_log_level_rejected(workdir):
     proc = run_cli("bank", "inspect", "--bank", "whatever",
                    env_log="loud", check=False)

@@ -250,6 +250,24 @@ def test_grid_validation():
     assert grid.toggles == ((False, True),)
 
 
+@pytest.mark.parametrize("obj", [
+    {"alphas": [2.0], "betas": [0.0]},
+    {"alphas": [0.0], "betas": [0.0], "taus_tt": [0]},
+    {"alphas": [0.0], "betas": [0.0],
+     "toggles": [{"use_temperature_it": "false"}]},
+], ids=["alpha-above-one", "tau-tt-zero", "toggle-string"])
+def test_grid_values_are_checked_as_config_fields(obj):
+    with pytest.raises(errors.ValidationError):
+        SweepGrid.from_dict(obj)
+
+
+def test_grid_values_are_stored_as_floats():
+    grid = SweepGrid.from_dict({"alphas": [0, 1], "betas": [0.5],
+                                "taus_it": [50]})
+    assert grid.alphas == (0.0, 1.0) and grid.taus_it == (50.0,)
+    assert all(type(v) is float for v in grid.alphas + grid.taus_it)
+
+
 def test_run_sweep_anchor_point_equals_zero_shot(small_fixture):
     grid = SweepGrid(alphas=(0.0, 0.2), betas=(0.0, 0.5))
     fx = small_fixture

@@ -121,9 +121,8 @@ def test_empty_bank_errors(rng):
 def test_tie_breaks_to_lowest_id():
     row = unit([1.0, 2.0, 3.0])
     other = unit([-1.0, 0.5, 0.0])
-    bank = EmbeddingBank.from_matrix(
-        np.vstack([other, row, other, row, row]), "llm-text",
-        normalize=False)
+    bank = EmbeddingBank(np.asarray(np.vstack([other, row, other, row, row]),
+                                    np.float32), "llm-text")
     hits = exact_topk(QueryEmbedding(row, "llm-text"), bank, 4)
     assert [h.id for h in hits] == [1, 3, 4, 0]
 
@@ -228,7 +227,7 @@ def test_duplicate_rows_still_cover_all_ids(rng):
     row = unit(rng.standard_normal(6))
     other = unit(rng.standard_normal(6))
     m = np.vstack([row] * 20 + [other] * 2)
-    bank = EmbeddingBank.from_matrix(m, "llm-text", normalize=False)
+    bank = EmbeddingBank(np.asarray(m, np.float32), "llm-text")
     index = build_ivf(bank, 4, seed=9)
     covered = np.sort(np.concatenate(index.lists))
     assert np.array_equal(covered, np.arange(22, dtype=np.uint64))
@@ -625,6 +624,19 @@ def test_retriever_requires_nprobe_with_index(rng):
     index = build_ivf(bank, 4, seed=0)
     with pytest.raises(errors.InvalidProbe):
         Retriever(bank, index)
+
+
+def test_retriever_rejects_an_index_of_another_bank(rng, tmp_path):
+    bank = make_bank(rng, 40, 8)
+    other = make_bank(rng, 40, 8)
+    index = build_ivf(other, 4, seed=0)
+    save_index(index, tmp_path / "other.ivf")
+    detached = load_index(tmp_path / "other.ivf")
+    for idx in (index, detached):
+        with pytest.raises(errors.ValidationError, match="not attached"):
+            Retriever(bank, idx, nprobe=2)
+        with pytest.raises(errors.ValidationError, match="not attached"):
+            batch_topk(make_bank(rng, 3, 8), bank, 5, index=idx, nprobe=2)
 
 
 def test_retriever_space_tag_override(rng):
