@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,13 @@ class EmbeddingBank:
     @property
     def count(self) -> int:
         return int(self._vectors.shape[0])
+
+    @cached_property
+    def norm_bound(self) -> float:
+        """:func:`norm_bound` of the rows, computed once per bank: it is a
+        full pass, and ``bank_load`` does not re-check norms, so a mapped
+        bank's rows need not be unit norm."""
+        return norm_bound(self._vectors)
 
     def row(self, row_id: int) -> np.ndarray:
         if not 0 <= row_id < self.count:
@@ -273,6 +281,21 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     norm does not depend on the rows stacked around it.
     """
     return np.sqrt(np.array([row.dot(row) for row in rows], dtype=np.float64))
+
+
+def norm_bound(rows: np.ndarray) -> float:
+    """An upper bound on the largest row norm; NaN or inf if a row is not
+    finite.
+
+    Each block's float32 sums of squares are within ``dim * 2**-24`` of
+    the true ones, and the bound is widened by twice that. No float64 copy
+    of a block is made.
+    """
+    top = np.float32(0)
+    for start in range(0, rows.shape[0], _NORM_BLOCK):
+        block = rows[start:start + _NORM_BLOCK]
+        top = np.maximum(top, np.einsum("ij,ij->i", block, block).max())
+    return float(np.sqrt(np.float64(top))) * (1 + rows.shape[1] * 2.0 ** -23)
 
 
 def check_norms(bank: EmbeddingBank, atol: float = NORM_ATOL) -> bool:

@@ -1,12 +1,28 @@
 """Exact and inverted-file cosine retrieval over embedding banks.
 
 Scores are plain float32 dot products (rows are unit norm, so dot == cosine).
-:func:`search` is the one retrieval path: it scores each row of a query stack
-on its own, one ``block @ query`` product per block of at most
-``SCAN_BLOCK`` rows. One loop (:func:`_scan`) runs every scan: the exact
-scan is the one-list case over contiguous blocks, the IVF centroid probe is
-an exact scan of the centroids, and the IVF candidate scan gathers each
-probed list once per search and scores it against every row that probes it.
+:func:`search` is the one retrieval path, and one loop (:func:`_scan`) runs
+every scan over blocks of at most ``SCAN_BLOCK`` rows: the exact scan over
+contiguous blocks, the IVF centroid probe as an exact scan of the
+centroids, and the IVF candidate scan, which gathers each probed list once
+per search and scores it against every row that probes it.
+
+An exact scan gives each row the bits of a one-thread ``block @ query``
+per block, whatever the batch, the row's place in it, or
+``OPENBLAS_NUM_THREADS``. It selects, then re-scores, as FAISS's
+``IndexRefineFlat`` and ScaNN's reorder step do. One ``Q @ block.T`` per run
+of at most ``QUERY_BLOCK`` rows (one ``sgemv`` per row for runs of fewer
+than 4) keeps each row's candidates: the block rows scoring at or above its
+k-th score minus ``4 * dim * 2**-23 * N``, where ``N`` bounds the largest
+row norm (cached per bank, computed per call for the centroids). Then each
+row's candidates are scored exactly with ``sgemv``: body rows gathered into
+a zero-padded product of a multiple of 16 rows, and a block's last
+``m mod 8`` rows as its last ``(m mod 8) + 8`` rows. This is measured with
+OpenBLAS 0.3.31's Haswell kernel at 1 and 2 BLAS threads; other kernels
+and OpenBLAS's splits at 3 or more threads are untested. IVF list scans
+still score one ``block @ query`` per row, so their bits can move with the
+thread count.
+
 So a row's hits are bitwise the same in a batch of any size, and probing
 every IVF list is the exact scan.
 
@@ -22,13 +38,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .bank import EmbeddingBank, NORM_ATOL, row_norms
+from .bank import EmbeddingBank, NORM_ATOL, norm_bound, row_norms
 from .errors import row_error
 from .files import read_bytes, replace_atomically
 
 INDEX_MAGIC = b"RTRCIVF1"
 INDEX_VERSION = 1
 SCAN_BLOCK = 131072  # rows per scoring call; fixed so kernel shape is stable
+QUERY_BLOCK = 64  # query rows per selection product: 32 MB at SCAN_BLOCK rows
+_RESCORE_ROWS = 4096  # candidate rows per exact re-score product
 DEFAULT_MAX_ITERS = 25
 _TRAIN_ROWS_PER_CLUSTER = 256
 
@@ -123,26 +141,106 @@ def _block_candidates(scores: np.ndarray, k: int, ids,
     return (pos + ids if isinstance(ids, int) else ids[pos]), scores[pos]
 
 
+def _select(scores: np.ndarray, k: int, margin: float) -> np.ndarray:
+    """Ascending positions of the rows whose selection score is at or above
+    the k-th best minus ``margin``; every row when there are at most k, or
+    when a score is not finite, so that the exact scores name the row."""
+    n = scores.shape[0]
+    if n <= k or not np.isfinite(scores).all():
+        return np.arange(n)
+    kth = np.partition(scores, n - k)[n - k]
+    return np.flatnonzero(scores >= kth - margin)
+
+
+def _rescore(block: np.ndarray, pos: np.ndarray,
+             query: np.ndarray) -> np.ndarray:
+    """``(block @ query)[pos]`` for ascending ``pos``, with the bits of a
+    one-thread ``block @ query``.
+
+    This rests on the sgemv kernel of OpenBLAS 0.3.31 for Haswell, measured
+    at 1 and 2 threads. In one thread a row's bits do not depend on its
+    place in the product, except for the product's last ``m mod 8`` rows,
+    and two threads split a product of a multiple of 16 rows on an 8-row
+    boundary. So body rows are gathered into a zero-padded product of a
+    multiple of 16 rows, and the block's tail rows are scored as the
+    block's last ``(m mod 8) + 8`` rows. The kernel scores a product of
+    more than 16384 rows of 2, 3 or 5 to 8 values in another way, whose
+    bits no gathered product gives, so rows of at most 8 values are scored
+    whole, which costs about as much as a gather. Other kernels, and
+    OpenBLAS's splits at 3 or more threads, are untested.
+    """
+    if block.shape[1] <= 8:
+        return (block @ query)[pos]
+    m = block.shape[0]
+    body_end = m - m % 8
+    n_body = int(np.searchsorted(pos, body_end))
+    out = np.empty(pos.shape[0], np.float32)
+    for lo in range(0, n_body, _RESCORE_ROWS):
+        part = pos[lo:min(lo + _RESCORE_ROWS, n_body)]
+        padded = np.zeros((-(-part.shape[0] // 16) * 16, block.shape[1]),
+                          np.float32)
+        # not np.take(..., out=): it copies an unaligned block (a mapped
+        # bank file's payload) whole, 52 ms at 131072 x 256
+        padded[:part.shape[0]] = block[part]
+        out[lo:lo + part.shape[0]] = (padded @ query)[:part.shape[0]]
+    if n_body < pos.shape[0]:
+        first = max(0, body_end - 8)
+        out[n_body:] = (block[first:] @ query)[pos[n_body:] - first]
+    return out
+
+
 def _scan(vectors, queries: np.ndarray, k: int, groups=None,
-          what: str = "bank row") -> HitTable:
+          what: str = "bank row", bound: float | None = None) -> HitTable:
     """Top-k rows of ``vectors`` for each row of ``queries``.
 
     ``groups`` lists (vector ids, query rows) pairs; ``None`` scores every
     row against every vector. A group reads each block of at most
     ``SCAN_BLOCK`` ids once, as a slice of the whole bank or a gather of a
-    list, and scores it with one ``block @ query`` per row, so the BLAS call
-    shape never depends on the other rows of a search.
+    list. A list group scores its block with one ``block @ query`` per row.
+
+    The whole-bank scan gives each row the bits of a one-thread
+    ``block @ query``, whatever the batch and the BLAS thread count (as far
+    as :func:`_rescore` holds). One ``Q @ block.T`` per run of at most
+    ``QUERY_BLOCK`` rows (one ``sgemv`` per row for runs of fewer than 4,
+    where the GEMM is slower) selects, and :func:`_rescore` scores the
+    selected rows exactly. Any float32 dot product of a unit query with a row of norm at
+    most ``bound`` is within about ``dim * 2**-24 * bound`` of the true one
+    (Higham's bound), so a selection score and an exact score differ by at
+    most twice that, and a row of the exact top k scores at least the k-th
+    selection score minus ``4 * dim * 2**-24 * bound``. ``margin`` is twice
+    that. ``bound`` defaults to ``norm_bound(vectors)``. Rows whose squares
+    overflow make it infinite, and every row is re-scored. A non-finite
+    selection score re-scores its whole block, so that
+    :func:`_block_candidates` names the corrupt row as ``what`` and its id;
+    only such a row makes ``bound`` NaN.
     """
     n = queries.shape[0]
-    if groups is None:
-        groups = [(None, range(n))]
     candidates = [[] for _ in range(n)]
-    for ids, rows in groups:
-        total = vectors.shape[0] if ids is None else len(ids)
-        for start in range(0, total, SCAN_BLOCK):
-            stop = start + SCAN_BLOCK
-            chunk = start if ids is None else ids[start:stop]
-            block = vectors[start:stop] if ids is None else vectors[chunk]
+    if groups is None:
+        bound = norm_bound(vectors) if bound is None else bound
+        margin = 4 * vectors.shape[1] * 2.0 ** -23 * bound
+        for start in range(0, vectors.shape[0], SCAN_BLOCK):
+            block = vectors[start:start + SCAN_BLOCK]
+            if n > 1 and not block.flags.aligned:
+                # a mapped bank file's payload: numpy copies an unaligned
+                # operand whole for every product, and its Q @ block.T is
+                # many times slower than on the copy, so copy it once
+                block = np.array(block)
+            for lo in range(0, n, QUERY_BLOCK):
+                rows = range(lo, min(lo + QUERY_BLOCK, n))
+                if len(rows) < 4:
+                    select = np.stack([block @ queries[r] for r in rows])
+                else:
+                    select = queries[lo:rows.stop] @ block.T
+                for r, selected in zip(rows, select):
+                    pos = _select(selected, k, margin)
+                    candidates[r].append(_block_candidates(
+                        _rescore(block, pos, queries[r]), k, pos + start,
+                        what))
+    for ids, rows in groups or ():
+        for start in range(0, len(ids), SCAN_BLOCK):
+            chunk = ids[start:start + SCAN_BLOCK]
+            block = vectors[chunk]
             for r in rows:
                 candidates[r].append(_block_candidates(block @ queries[r], k,
                                                        chunk, what))
@@ -190,7 +288,7 @@ def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
     check_unit_rows(queries, what)
 
     if index is None or nprobe == index.n_clusters:
-        return _scan(bank.vectors, queries, k)
+        return _scan(bank.vectors, queries, k, bound=bank.norm_bound)
     # group the rows by probed list, so that each list is read once
     probed = _scan(index.centroids, queries, nprobe, what="centroid").ids.ravel()
     order = np.argsort(probed, kind="stable")

@@ -14,11 +14,13 @@ from retroclass.bank import EmbeddingBank, bank_load, bank_save
 CLI = [sys.executable, "-m", "retroclass"]
 
 
-def run_cli(*args, env_log=None, check=True):
+def run_cli(*args, env_log=None, check=True, blas_threads=None):
     env = dict(os.environ)
     env.pop("RETROCLASS_LOG", None)
     if env_log is not None:
         env["RETROCLASS_LOG"] = env_log
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     proc = subprocess.run([*CLI, *map(str, args)], capture_output=True,
                           text=True, env=env)
     if check and proc.returncode != 0:
@@ -448,6 +450,20 @@ def _nan_row_bank(fx, tmp_path):
     return bank_path
 
 
+def test_retrieve_nan_bank_row_in_a_64_query_batch_exits_3(workdir,
+                                                          tmp_path):
+    bank_path = _nan_row_bank(workdir / "fx", tmp_path)
+    queries = tmp_path / "q.bank"
+    rng = np.random.default_rng(3)
+    bank_save(EmbeddingBank.from_matrix(rng.standard_normal((64, 16)),
+                                        "llm-text"), queries)
+    proc = run_cli("retrieve", "--bank", bank_path, "--queries", queries,
+                   "--k", 5, "--out", tmp_path / "h.jsonl", check=False)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "error: bank row 7 gives a non-finite score (nan)"]
+
+
 def test_index_build_on_nonfinite_bank_row_is_corrupt(workdir, tmp_path):
     bank_path = _nan_row_bank(workdir / "fx", tmp_path)
     idx = tmp_path / "nan.ivf"
@@ -663,3 +679,23 @@ def test_log_level_debug_accepted(workdir, tmp_path):
     proc = run_cli("bank", "inspect", "--bank", fx / "llm_db.bank",
                    env_log="debug")
     assert json.loads(proc.stdout)["count"] == 40
+
+
+def test_retrieve_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """Over 8193 x 256 with 64 queries at k 8193, every score of every row
+    is written, and OpenBLAS splits the products between its threads; the
+    hits file is the same at 1 and 2 BLAS threads."""
+    rng = np.random.default_rng(8193)
+    for name, rows in (("bank", 8193), ("queries", 64)):
+        np.save(tmp_path / f"{name}.npy",
+                rng.standard_normal((rows, 256)).astype(np.float32))
+        run_cli("bank", "build", "--vectors", tmp_path / f"{name}.npy",
+                "--tag", "llm-text", "--out", tmp_path / f"{name}.bank")
+    outs = []
+    for threads in (1, 2):
+        outs.append(tmp_path / f"hits{threads}.jsonl")
+        run_cli("retrieve", "--bank", tmp_path / "bank.bank", "--queries",
+                tmp_path / "queries.bank", "--k", 8193, "--out", outs[-1],
+                blas_threads=threads)
+    assert len(outs[0].read_text().splitlines()) == 64
+    assert outs[0].read_bytes() == outs[1].read_bytes()

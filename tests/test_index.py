@@ -1,10 +1,16 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import retroclass
+import retroclass.bank as bank_mod
 import retroclass.index as index_mod
 from retroclass import errors
 from retroclass.bank import EmbeddingBank, bank_load, bank_save
@@ -12,6 +18,7 @@ from retroclass.index import (IvfIndex, QueryEmbedding, RetrievalHit,
                               Retriever, batch_topk, build_ivf, exact_topk,
                               ivf_search, load_index, recall_at_k, save_index,
                               search)
+from scan_bits import near_ties, scaled_copy
 
 
 def unit(v):
@@ -354,6 +361,40 @@ def test_search_batch_rows_equal_one_row_calls(monkeypatch, tmp_path, rng,
         assert (exact.counts == 10).all()
 
 
+def _scan_bits(out, blas_threads):
+    """Run ``tests/scan_bits.py`` under ``OPENBLAS_NUM_THREADS`` and load
+    what it writes."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(retroclass.__file__).resolve().parent.parent),
+         env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, Path(__file__).with_name(
+        "scan_bits.py"), out], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return np.load(out)
+
+
+def test_exact_search_is_the_one_thread_plain_scan_at_1_and_2_threads(
+        tmp_path):
+    """``search`` ids and scores equal a plain one-thread scan, one
+    ``block @ query`` per ``SCAN_BLOCK`` rows, at 1 and 2 BLAS threads:
+    every ``m mod 8``, d up to 1024, duplicate rows and ties, a short last
+    block, 1, 63, 64, 65 and 130 query rows, k >= m, and a mapped bank
+    whose rows are not unit norm. OpenBLAS splits a product between
+    threads, and the rows at a split get other bits; see ``scan_bits.py``
+    for the shapes."""
+    one = _scan_bits(tmp_path / "one.npz", 1)
+    two = _scan_bits(tmp_path / "two.npz", 2)
+    n = sum(name.startswith("ids") for name in one.files)
+    assert n >= 17
+    for i in range(n):
+        ids, scores = one[f"ref_ids{i}"], one[f"ref_scores{i}"]
+        for got in (one, two):
+            assert np.array_equal(got[f"ids{i}"], ids), i
+            assert np.array_equal(got[f"scores{i}"].view(np.uint64),
+                                  scores.view(np.uint64)), i
+
+
 def test_search_rows_match_the_one_query_views(rng):
     bank = make_bank(rng, 200, 12)
     index = build_ivf(bank, 8, seed=2)
@@ -514,6 +555,46 @@ def test_nonfinite_bank_row_is_corrupt_not_empty(tmp_path, rng):
         ivf_search(index, q, 5, 1)
 
 
+def test_nan_row_in_a_query_batch_raises_the_one_row_message(tmp_path, rng):
+    corrupt, bank = _bank_with_nan_row(tmp_path, rng, 7)
+    queries = np.vstack([query_for(bank, rng).vector for _ in range(64)])
+    with pytest.raises(errors.CorruptBank) as one:
+        search(corrupt, queries[:1], 5)
+    with pytest.raises(errors.CorruptBank) as batch:
+        search(corrupt, queries, 5)
+    assert str(batch.value) == str(one.value) == \
+        "bank row 7 gives a non-finite score (nan)"
+
+
+def test_margin_follows_the_rows_of_a_scaled_mapped_bank(tmp_path, rng):
+    """The selection margin scales with the rows' norm bound, read from
+    the rows, not assumed to be 1. Over near-tied rows scaled by 1e3 in
+    the file, a margin sized for unit rows drops some of a row's top k;
+    with the bound, a batch still returns each row's one-row hits."""
+    bank = EmbeddingBank.from_matrix(near_ties(rng, 3000, 64), "llm-text")
+    scaled = scaled_copy(bank, 1e3, tmp_path / "scaled.bank")
+    assert 1e3 <= scaled.norm_bound <= 1e3 * (1 + 1e-4)
+    assert 1.0 <= bank.norm_bound <= 1.0 + 1e-4
+    top = bank.vectors[0] + 0.3 * rng.standard_normal((64, 64)) / 8
+    queries = (top / np.linalg.norm(top, axis=1, keepdims=True)).astype(
+        np.float32)
+    batch = search(scaled, queries, 10)
+    for i in range(64):
+        assert_same_row(batch, i, search(scaled, queries[i:i + 1], 10))
+
+
+def test_norm_bound_is_computed_once_per_bank(monkeypatch, rng):
+    calls = []
+    real = bank_mod.norm_bound
+    monkeypatch.setattr(bank_mod, "norm_bound",
+                        lambda rows: calls.append(1) or real(rows))
+    bank = make_bank(rng, 100, 8)
+    queries = np.vstack([query_for(bank, rng).vector for _ in range(3)])
+    search(bank, queries, 5)
+    search(bank, queries[:1], 5)
+    assert len(calls) == 1
+
+
 def test_build_ivf_names_a_nonfinite_bank_row(tmp_path, rng, monkeypatch):
     """Whether the NaN row falls in the training sample or only in the full
     assignment pass, the build raises instead of writing a NaN centroid, and
@@ -551,6 +632,10 @@ def test_nonfinite_centroid_is_corrupt_index(tmp_path, rng):
     index.centroids[2, 0] = np.nan
     with pytest.raises(errors.CorruptIndex, match="centroid 2 "):
         ivf_search(index, query_for(bank, rng), 5, 1)
+    queries = np.vstack([query_for(bank, rng).vector for _ in range(64)])
+    with pytest.raises(errors.CorruptIndex,
+                       match="^centroid 2 gives a non-finite score"):
+        search(bank, queries, 5, index, 1)
 
 
 # -- batch_topk --------------------------------------------------------------

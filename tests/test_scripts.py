@@ -1,9 +1,12 @@
 """The example scripts under scripts/ run end to end on the current API."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import retroclass
 
@@ -48,3 +51,25 @@ def test_sweep_alpha_beta_small(tmp_path):
                "--alphas", "0,0.5", "--betas", "0,0.5", "--out", out,
                cwd=tmp_path)
     assert len(out.read_text().splitlines()) == 1 + 4
+
+
+def test_bench_scan_small(tmp_path):
+    out = tmp_path / "bench.json"
+    for label in ("before", "after"):
+        run_script("bench_scan.py", "--out", out, "--label", label,
+                   "--rows", 300, "--dim", 16, "--mapped-rows", 1000,
+                   "--mapped-dim", 8, "--repeats", 2, cwd=tmp_path)
+    runs = json.loads(out.read_text())["runs"]
+    assert sorted(runs) == ["after", "before"]
+    search = runs["after"]["search"]
+    assert sorted(search) == ["cli_retrieve_mapped", "mapped_1_row",
+                              "memory_1_rows", "memory_2_rows",
+                              "memory_320_rows", "memory_3_rows",
+                              "memory_64_rows"]
+    assert search["memory_64_rows"]["query_rows"] == 64
+    assert search["mapped_1_row"]["bank_rows"] == 1000
+    assert search["cli_retrieve_mapped"]["rescored_per_query"] is None
+    # each query re-scores at least its k candidates
+    assert all(entry["rescored_per_query"] >= 10 for name, entry in
+               search.items() if name != "cli_retrieve_mapped")
+    assert runs["after"]["machine"]["numpy"] == np.__version__
