@@ -41,7 +41,13 @@ ZERO_NORM_EPS = 1e-8
 
 # magic, version, dtype, dim, count, tag byte length
 _HEADER = struct.Struct("<8sIIIQH")
-_NORM_BLOCK = 65536  # rows normalized per pass, caps float64 temporaries
+_NORM_BLOCK = 65536  # rows per norm pass, caps float64 temporaries
+# float64 values normalized per step: 2 MB, so a step's temporaries stay
+# in a core's L2 cache. numpy sums each row of a row-major block on its
+# own, so a row's norm does not depend on the step.
+_NORMALIZE_VALUES = 1 << 18
+_SIDECAR_BLOCK = 65536  # placeholder sidecar lines formatted per write
+_PLACEHOLDER = '{"id": %d, "text": "item-%d", "source": null}\n'
 
 
 def _meta_path(path: Path) -> Path:
@@ -86,20 +92,29 @@ def _check_tag(space_tag: str) -> str:
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """Unit-normalize rows in float64, round to float32.
 
-    Rejects rows that are non-finite or too short to carry a direction.
+    Rejects the first row, in row order, that is non-finite, whose float64
+    norm overflows, or that is too short to carry a direction. A non-finite
+    value makes its row's norm non-finite, so only that row's values are
+    scanned.
     """
     out = np.empty(matrix.shape, dtype=np.float32)
-    for start in range(0, matrix.shape[0], _NORM_BLOCK):
-        block = np.asarray(matrix[start:start + _NORM_BLOCK], dtype=np.float64)
-        if not np.all(np.isfinite(block)):
-            bad = start + int(np.flatnonzero(~np.isfinite(block).all(axis=1))[0])
-            raise errors.ValidationError(f"row {bad} contains non-finite values")
-        norms = np.linalg.norm(block, axis=1)
-        small = norms <= ZERO_NORM_EPS
-        if np.any(small):
-            bad = start + int(np.flatnonzero(small)[0])
-            raise errors.ZeroVector(f"row {bad} has near-zero norm")
-        out[start:start + _NORM_BLOCK] = block / norms[:, None]
+    step = max(1, _NORMALIZE_VALUES // matrix.shape[1])
+    for start in range(0, matrix.shape[0], step):
+        block = np.asarray(matrix[start:start + step], dtype=np.float64)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(block, axis=1)
+        ok = np.isfinite(norms) & (norms > ZERO_NORM_EPS)
+        if not ok.all():
+            first = int(np.argmin(ok))
+            row = start + first
+            if np.isfinite(norms[first]):
+                raise errors.ZeroVector(f"row {row} has near-zero norm")
+            if np.isfinite(block[first]).all():
+                raise errors.ValidationError(f"row {row} norm overflows")
+            raise errors.ValidationError(f"row {row} contains non-finite values")
+        # divides in float64 and rounds once, with no float64 quotient copy
+        np.divide(block, norms[:, None], out=out[start:start + step],
+                  casting="same_kind")
     return out
 
 
@@ -207,13 +222,17 @@ def bank_save(bank: EmbeddingBank, path) -> None:
         fh.write(tag_bytes)
         fh.write(payload)
     with replace_atomically(_meta_path(path), "metadata sidecar") as fh:
-        for i in range(bank.count):
-            rec = records[i] if records is not None else None
-            if rec is None:
-                rec = CaptionRecord(i, f"item-{i}")
-            fh.write(json.dumps(
-                {"id": rec.id, "text": rec.text, "source": rec.source},
-                ensure_ascii=False) + "\n")
+        if records is None:
+            # the bytes json.dumps writes for CaptionRecord(i, f"item-{i}")
+            for start in range(0, bank.count, _SIDECAR_BLOCK):
+                stop = min(start + _SIDECAR_BLOCK, bank.count)
+                fh.write("".join(_PLACEHOLDER % (i, i)
+                                 for i in range(start, stop)))
+        else:
+            for rec in records:
+                fh.write(json.dumps(
+                    {"id": rec.id, "text": rec.text, "source": rec.source},
+                    ensure_ascii=False) + "\n")
 
 
 def bank_load(path) -> EmbeddingBank:

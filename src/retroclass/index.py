@@ -408,18 +408,25 @@ def _fix_empty_clusters(rows: np.ndarray, centroids: np.ndarray,
 
 def _update_centroids(rows: np.ndarray, labels: np.ndarray,
                       old: np.ndarray, n_clusters: int) -> np.ndarray:
-    """Mean of members, renormalized. Deterministic ascending-id accumulation."""
-    order = np.argsort(labels, kind="stable")
-    sorted_rows = rows[order].astype(np.float64)
-    sorted_labels = labels[order]
-    boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
-    starts = np.concatenate(([0], boundaries))
-    sums = np.add.reduceat(sorted_rows, starts, axis=0)
-    present = sorted_labels[starts]
-    counts = np.bincount(labels, minlength=n_clusters)
+    """Mean of members, renormalized.
 
-    new = old.astype(np.float64).copy()
-    new[present] = sums / counts[present, None]
+    Each column of a cluster's members, taken in ascending id order, is
+    summed in float64 as ``np.add.reduceat`` sums a segment: the first
+    member plus numpy's pairwise sum of the rest. A column-major copy of the
+    members gives those bits with each column contiguous, not strided by
+    the row width.
+    """
+    order = np.argsort(labels, kind="stable")
+    counts = np.bincount(labels, minlength=n_clusters)
+    stops = np.cumsum(counts)
+
+    new = old.astype(np.float64)
+    for c in np.flatnonzero(counts):
+        ids = order[stops[c] - counts[c]:stops[c]]
+        members = np.asfortranarray(rows[ids], dtype=np.float64)
+        # -0.0 adds exactly, so a column of -0.0 keeps its sign
+        sums = members[0] + np.add.reduce(members[1:], axis=0, initial=-0.0)
+        new[c] = sums / counts[c]
     norms = np.linalg.norm(new, axis=1)
     degenerate = norms <= 1e-12
     new[degenerate] = old[degenerate]

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import retroclass
+import retroclass.bank as bank_mod
 from retroclass import cli, errors
 from retroclass.bank import (MAGIC, CaptionRecord, EmbeddingBank,
                              bank_load, bank_save, check_norms)
@@ -66,6 +68,40 @@ def test_nonfinite_row_rejected():
     m = np.ones((2, 3))
     m[1, 2] = np.nan
     with pytest.raises(errors.ValidationError, match="row 1"):
+        EmbeddingBank.from_matrix(m, "llm-text")
+
+
+def test_norm_overflow_rejected():
+    """A finite row whose float64 norm overflows is refused, not saved as a
+    row of zeros, and numpy warns of nothing."""
+    m = np.array([[1e200, 1e200], [3.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.ValidationError,
+                           match="^row 0 norm overflows$"):
+            EmbeddingBank.from_matrix(m, "llm-text")
+
+
+@pytest.mark.parametrize("d", [2, 64])
+@pytest.mark.parametrize("value,message", [
+    (np.nan, "contains non-finite values"),
+    (-np.inf, "contains non-finite values"),
+    (1e300, "norm overflows"),
+    (0.0, "has near-zero norm"),
+])
+def test_first_bad_row_is_named_by_its_row_number(d, value, message):
+    """Past the first normalization step and the first 65536 rows, the
+    first bad row is named, whatever faults follow it."""
+    row = 65536 + 3 * (bank_mod._NORMALIZE_VALUES // d) + 5
+    m = np.ones((row + 4, d))
+    if value == 0.0:
+        m[row] = 0.0
+    else:
+        m[row, 1] = value
+    m[row + 1, 0] = np.nan
+    m[row + 2, 0] = 1e300
+    m[row + 3] = 0.0
+    with pytest.raises(errors.ValidationError, match=f"^row {row} {message}$"):
         EmbeddingBank.from_matrix(m, "llm-text")
 
 
@@ -204,6 +240,36 @@ def test_sidecar_synthesized_when_no_records(tmp_path, rng):
     bank_save(bank, path)
     lines = path.with_name("plain.bank.meta.jsonl").read_text().splitlines()
     assert json.loads(lines[2]) == {"id": 2, "text": "item-2", "source": None}
+
+
+def _json_lines(records) -> bytes:
+    return "".join(json.dumps({"id": r.id, "text": r.text, "source": r.source},
+                              ensure_ascii=False) + "\n"
+                   for r in records).encode("utf-8")
+
+
+@pytest.mark.parametrize("rows", ["none", "one", "over_a_block"])
+def test_placeholder_sidecar_bytes_are_the_json_dumps_form(tmp_path, rows):
+    n = {"none": 0, "one": 1, "over_a_block": bank_mod._SIDECAR_BLOCK + 2}[rows]
+    bank = EmbeddingBank.from_matrix(np.ones((n, 1)), "llm-text")
+    path = tmp_path / "p.bank"
+    bank_save(bank, path)
+    expected = _json_lines(CaptionRecord(i, f"item-{i}") for i in range(n))
+    assert path.with_name("p.bank.meta.jsonl").read_bytes() == expected
+
+
+def test_sidecar_with_records_is_json_dumps(tmp_path, rng):
+    records = [CaptionRecord(0, "caf\u00e9 \u201cquoted\u201d \\ \U0001f600"),
+               CaptionRecord(1, "item-1"),
+               CaptionRecord(2, 'line\nbreak "x"', "web/\u00fcber")]
+    bank = make_bank(rng, n=3, records=records)
+    path = tmp_path / "r.bank"
+    bank_save(bank, path)
+    sidecar = path.with_name("r.bank.meta.jsonl")
+    assert sidecar.read_bytes() == _json_lines(records)
+    bank_save(bank_load(path), tmp_path / "again.bank")  # records re-read
+    assert (tmp_path / "again.bank.meta.jsonl").read_bytes() == \
+        sidecar.read_bytes()
 
 
 def test_metadata_is_lazy_and_joins(tmp_path, rng):

@@ -648,6 +648,16 @@ def test_bank_build_needs_one_real_numeric_array(tmp_path, kind):
     assert not out.exists()
 
 
+def test_bank_build_refuses_a_row_whose_norm_overflows(tmp_path):
+    np.save(tmp_path / "v.npy", np.array([[3.0, 4.0], [1e200, 1e200]]))
+    out = tmp_path / "x.bank"
+    proc = run_cli("bank", "build", "--vectors", tmp_path / "v.npy",
+                   "--tag", "llm-text", "--out", out, check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: row 1 norm overflows\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["index", "build", "--bank", "FX/llm_db.bank", "--clusters", "2",
      "--seed=-1"],

@@ -229,6 +229,62 @@ def test_centroids_unit_norm_and_lists_sorted(rng):
         assert np.array_equal(lst, np.sort(lst))
 
 
+def _reduceat_centroids(rows, labels, old, n_clusters):
+    """The centroid update written with one ``np.add.reduceat``."""
+    order = np.argsort(labels, kind="stable")
+    sorted_rows = rows[order].astype(np.float64)
+    sorted_labels = labels[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_labels)) + 1))
+    sums = np.add.reduceat(sorted_rows, starts, axis=0)
+    present = sorted_labels[starts]
+    counts = np.bincount(labels, minlength=n_clusters)
+    new = old.astype(np.float64)
+    new[present] = sums / counts[present, None]
+    norms = np.linalg.norm(new, axis=1)
+    degenerate = norms <= 1e-12
+    new[degenerate] = old[degenerate]
+    norms[degenerate] = 1.0
+    return (new / norms[:, None]).astype(np.float32)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 17, 256, 1000])
+def test_update_centroids_equals_reduceat_bitwise(d):
+    """Per-cluster sums give the reduceat bits, with absent, one-member and
+    zero-sum clusters, for unit rows, for rows whose values span 24 decades,
+    and for rows where pairs of values near 1e12 cancel: there, summing a
+    cluster in any other order moves its float32 centroid."""
+    rng = np.random.default_rng(d)
+    for trial in range(9):
+        n = int(rng.integers(2, 3000 if d <= 256 else 600))
+        n_clusters = int(rng.integers(6, 40))
+        rows = rng.standard_normal((n, d))
+        labels = rng.integers(5, n_clusters, n)
+        if trial % 3 == 0:
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        elif trial % 3 == 1:
+            rows *= 10.0 ** rng.integers(-12, 12, (n, d))
+            rows[rng.random((n, d)) < 0.05] = -0.0
+        else:
+            pairs = np.flatnonzero(rng.random(n // 2) < 0.3) * 2
+            rows[pairs] = rng.standard_normal((len(pairs), d)) * 1e12
+            rows[pairs + 1] = -rows[pairs]
+            labels[pairs + 1] = labels[pairs]
+        rows = rows.astype(np.float32)
+        # clusters 0 and 1 stay absent, 2 and 3 hold one row each, and 4
+        # holds a row and its negation, so its sum is zero
+        labels[:2] = [2, 3]
+        if n >= 4:
+            rows[3] = -rows[2]
+            labels[2:4] = 4
+        old = rng.standard_normal((n_clusters, d))
+        old = (old / np.linalg.norm(old, axis=1, keepdims=True)).astype(
+            np.float32)
+        got = index_mod._update_centroids(rows, labels, old, n_clusters)
+        want = _reduceat_centroids(rows, labels, old, n_clusters)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
 def test_duplicate_rows_still_cover_all_ids(rng):
     # many identical rows force empty clusters, exercising the reseed path
     row = unit(rng.standard_normal(6))

@@ -73,3 +73,29 @@ def test_bench_scan_small(tmp_path):
     assert all(entry["rescored_per_query"] >= 10 for name, entry in
                search.items() if name != "cli_retrieve_mapped")
     assert runs["after"]["machine"]["numpy"] == np.__version__
+
+
+def test_bench_setup_small(tmp_path):
+    out = tmp_path / "bench.json"
+    for label in ("before", "after"):
+        run_script("bench_setup.py", "--out", out, "--label", label,
+                   "--rows", 600, "--dim", 8, "--clusters", 4,
+                   "--repeats", 2, cwd=tmp_path)
+    runs = json.loads(out.read_text())["runs"]
+    assert sorted(runs) == ["after", "before"]
+    after = runs["after"]
+    assert after["shape"] == {"rows": 600, "dim": 8, "clusters": 4}
+    assert sorted(after["bank_build"]) == [
+        "load_ms", "normalize_ms", "payload_ms", "repeats", "sidecar_ms",
+        "total_ms"]
+    assert sorted(after["index_build"]) == [
+        "assign_ms", "load_ms", "repeats", "save_ms", "total_ms", "train_ms"]
+    for command in ("bank_build", "index_build"):
+        stages = after[command]
+        assert stages["repeats"] == 2
+        assert all(v["q1"] <= v["median"] <= v["q3"]
+                   for k, v in stages.items() if k.endswith("_ms"))
+        assert after["process"][command]["peak_rss_mb"] > 0
+    # the same synthetic input gives the same bytes on every run
+    assert after["outputs"] == runs["before"]["outputs"]
+    assert after["machine"]["numpy"] == np.__version__
