@@ -3,8 +3,10 @@
 
     python scripts/bench_scan.py --out BENCH_scan.json --label change
 
-Times ``search`` at 1, 2, 3, 64 and 320 query rows over an in-memory
-8192 x 256 bank, and one query over a memory-mapped 131072 x 512 bank (one
+Times ``search`` at 1, 2, 3, 64, 256 and 320 query rows over an in-memory
+8192 x 256 bank (256 rows over it is the image query batch of the
+``perfbench`` sweep-grid workload), and one query over a memory-mapped
+131072 x 512 bank (one
 ``SCAN_BLOCK`` of the 1M x 512 bank of acceptance criterion 8, built the
 same way: an offset-0 ``np.memmap``, warmed by one call first). Each entry
 records the median and quartiles of ``--repeats`` calls, the bank rows
@@ -125,7 +127,7 @@ def main() -> None:
     queries = unit_rows(rng, 320, args.dim)
     index_mod.search(bank, queries[:1], K)  # one-time per-bank work
     entries = {f"memory_{n}_rows": time_search(bank, queries[:n], args.repeats)
-               for n in (1, 2, 3, 64, 320)}
+               for n in (1, 2, 3, 64, 256, 320)}
     cli_repeats = max(2, args.repeats // 3)
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -41,10 +41,10 @@ ZERO_NORM_EPS = 1e-8
 
 # magic, version, dtype, dim, count, tag byte length
 _HEADER = struct.Struct("<8sIIIQH")
-_NORM_BLOCK = 65536  # rows per norm pass, caps float64 temporaries
-# float64 values normalized per step: 2 MB, so a step's temporaries stay
-# in a core's L2 cache. numpy sums each row of a row-major block on its
-# own, so a row's norm does not depend on the step.
+_NORM_BLOCK = 65536  # rows per float32 pass of norm_bound
+# float64 values normalized or checked per step: 2 MB, so a step's
+# temporaries stay in a core's L2 cache. numpy sums each row of a row-major
+# block on its own, so a row's norm does not depend on the step.
 _NORMALIZE_VALUES = 1 << 18
 _SIDECAR_BLOCK = 65536  # placeholder sidecar lines formatted per write
 _PLACEHOLDER = '{"id": %d, "text": "item-%d", "source": null}\n'
@@ -318,9 +318,14 @@ def norm_bound(rows: np.ndarray) -> float:
 
 
 def check_norms(bank: EmbeddingBank, atol: float = NORM_ATOL) -> bool:
-    """Full scan verifying the unit-norm invariant. Opt-in, O(count * dim)."""
-    for start in range(0, bank.count, _NORM_BLOCK):
-        block = np.asarray(bank.vectors[start:start + _NORM_BLOCK], np.float64)
+    """Full scan verifying the unit-norm invariant. Opt-in, O(count * dim).
+
+    It takes the steps :func:`_normalize_rows` takes, so that its float64
+    temporaries stay in L2.
+    """
+    step = max(1, _NORMALIZE_VALUES // bank.dim)
+    for start in range(0, bank.count, step):
+        block = np.asarray(bank.vectors[start:start + step], np.float64)
         norms = np.linalg.norm(block, axis=1)
         if not np.all(np.abs(norms - 1.0) <= atol):
             return False

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import errors
 from .bank import EmbeddingBank, row_norms
-from .enrich import EnrichmentConfig, PrototypeSet, fuse_rows
+from .enrich import EnrichmentConfig, PrototypeSet, fuse_queries
 from .errors import row_error
 from .files import read_jsonl, replace_atomically
-from .index import HitTable, QueryEmbedding, Retriever, check_threads
+from .index import QueryEmbedding, Retriever, check_threads
 
 
 def logits_rows(queries, prototypes) -> np.ndarray:
@@ -95,18 +95,13 @@ class Prediction:
                 "enriched": self.enriched}
 
 
-def rank_queries(queries: np.ndarray, prototypes: PrototypeSet,
-                 hits: HitTable | None, caption_vectors,
-                 config: EnrichmentConfig | None) -> tuple[np.ndarray, np.ndarray]:
+def rank_queries(queries: np.ndarray,
+                 prototypes: PrototypeSet) -> tuple[np.ndarray, np.ndarray]:
     """Rank every class for each query row: (class order, logits), both (n, C).
 
-    With beta > 0 each query is first interpolated with the centroid of its
-    retrieved captions; ``hits`` index ``caption_vectors`` at ``config.k``.
+    ``queries`` are the rows :func:`~retroclass.enrich.fuse_queries` gives
+    for the config.
     """
-    if config is not None and config.beta > 0:
-        queries, _ = fuse_rows(queries, hits, caption_vectors, config.beta,
-                               config.tau_it, config.use_temperature_it,
-                               config.renormalize_output, "query")
     scores = logits_rows(queries, prototypes)
     return rank_rows(scores), scores
 
@@ -139,16 +134,16 @@ def classify_batch(queries: EmbeddingBank, prototypes: PrototypeSet,
     """
     check_threads(threads)
     active = config is not None and (config.alpha > 0 or config.beta > 0)
-    hits = caption_vectors = None
+    hits = captions = None
     if config is not None and config.beta > 0:
         if retriever is None:
             raise errors.ValidationError(
                 "a caption retriever is required when beta > 0")
         hits = retriever.search(queries.vectors, config.k,
                                 space_tag=queries.space_tag)
-        caption_vectors = retriever.bank.vectors
-    order, scores = rank_queries(queries.vectors, prototypes, hits,
-                                 caption_vectors, config)
+        captions = retriever.bank
+    order, scores = rank_queries(
+        fuse_queries(queries.vectors, hits, captions, config), prototypes)
     ranked = np.take_along_axis(scores, order, axis=1)
     return [Prediction(first_query_id + i, tuple(zip(ids, vals)), active)
             for i, (ids, vals) in enumerate(zip(order.tolist(),

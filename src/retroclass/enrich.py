@@ -355,6 +355,24 @@ def fuse_prototypes(table: ClassTable, hits: HitTable | None,
     return PrototypeSet(out, partial=tuple(np.flatnonzero(partial).tolist()))
 
 
+def fuse_queries(queries: np.ndarray, hits: HitTable | None,
+                 caption_bank: EmbeddingBank | None,
+                 config: EnrichmentConfig | None) -> np.ndarray:
+    """The query rows to score for one config.
+
+    With beta > 0 each row is interpolated with the centroid of its
+    retrieved captions: ``hits`` holds each row's retrieval at ``config.k``,
+    and its ids index ``caption_bank``. Otherwise the rows pass through, and
+    ``hits`` and ``caption_bank`` may be None.
+    """
+    if config is None or config.beta == 0:
+        return queries
+    out, _ = fuse_rows(queries, hits, caption_bank.vectors, config.beta,
+                       config.tau_it, config.use_temperature_it,
+                       config.renormalize_output, "query")
+    return out
+
+
 def enrich_all_prototypes(table: ClassTable, llm_bank: EmbeddingBank,
                           vlm_text_bank: EmbeddingBank,
                           retriever: Retriever,

@@ -23,7 +23,8 @@ from .bank import CaptionRecord, EmbeddingBank, bank_load, bank_save
 from .classify import (Prediction, classify_batch,  # noqa: F401
                        rank_queries)
 from .enrich import (EnrichmentConfig, check_enrichment_banks,
-                     enrichment_queries, fuse_prototypes, zeroshot_prototypes)
+                     enrichment_queries, fuse_prototypes, fuse_queries,
+                     zeroshot_prototypes)
 from .files import read_json, replace_atomically
 from .index import IvfIndex, Retriever, check_threads
 from .prompts import ClassTable, build_class_specs, parse_class_config
@@ -155,8 +156,13 @@ def _evaluate(configs: list[EnrichmentConfig], table: ClassTable,
     Top-k hits depend on the banks, index, nprobe, k and the query, not on
     alpha, beta, the temperatures or their toggles. So each class retrieval
     query (if any config has alpha > 0) and each image query (if any has
-    beta > 0) is retrieved once, and every config then costs array fusion
-    plus scoring. Each report's ``retrieve`` time is that shared retrieval.
+    beta > 0) is retrieved once. Fused prototypes depend only on alpha,
+    tau_tt, use_temperature_tt and renormalize_output, and fused queries on
+    beta, tau_it, use_temperature_it and renormalize_output: each distinct
+    setting is fused once, at its first config, and kept for the later
+    ones. Every config then costs scoring. Each report's ``retrieve`` time
+    is that shared retrieval, and its ``enrich_prototypes`` and
+    ``classify`` times hold only the fusion done at that config.
     """
     check_threads(threads)
     labels = [int(x) for x in labels]
@@ -182,14 +188,26 @@ def _evaluate(configs: list[EnrichmentConfig], table: ClassTable,
             query_bank.vectors, k, space_tag=query_bank.space_tag)
     retrieve_ms = (time.perf_counter() - t0) * 1000.0
 
+    # the fused prototypes and queries of each distinct setting, by the
+    # config fields they depend on (k is shared)
+    prototype_sets, query_rows = {}, {}
     reports = []
     for config in configs:
         t1 = time.perf_counter()
-        prototypes = fuse_prototypes(table, proto_hits, vlm_bank, config,
-                                     merge_aliases) if config.alpha > 0 else zs
+        proto_key = (config.alpha, config.tau_tt, config.use_temperature_tt,
+                     config.renormalize_output)
+        if proto_key not in prototype_sets:
+            prototype_sets[proto_key] = fuse_prototypes(
+                table, proto_hits, vlm_bank, config,
+                merge_aliases) if config.alpha > 0 else zs
         t2 = time.perf_counter()
-        order, _ = rank_queries(query_bank.vectors, prototypes, query_hits,
-                                vlm_bank.vectors, config)
+        query_key = (config.beta, config.tau_it, config.use_temperature_it,
+                     config.renormalize_output)
+        if query_key not in query_rows:
+            query_rows[query_key] = fuse_queries(
+                query_bank.vectors, query_hits, vlm_bank, config)
+        order, _ = rank_queries(query_rows[query_key],
+                                prototype_sets[proto_key])
         t3 = time.perf_counter()
         reports.append(rank_accuracy(
             order, labels, ms=(1, 5), dataset=dataset, config=config,

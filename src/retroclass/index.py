@@ -11,17 +11,19 @@ An exact scan gives each row the bits of a one-thread ``block @ query``
 per block, whatever the batch, the row's place in it, or
 ``OPENBLAS_NUM_THREADS``. It selects, then re-scores, as FAISS's
 ``IndexRefineFlat`` and ScaNN's reorder step do. One ``Q @ block.T`` per run
-of at most ``QUERY_BLOCK`` rows (one ``sgemv`` per row for runs of fewer
-than 4) keeps each row's candidates: the block rows scoring at or above its
-k-th score minus ``4 * dim * 2**-23 * N``, where ``N`` bounds the largest
-row norm (cached per bank, computed per call for the centroids). Then each
-row's candidates are scored exactly with ``sgemv``: body rows gathered into
-a zero-padded product of a multiple of 16 rows, and a block's last
-``m mod 8`` rows as its last ``(m mod 8) + 8`` rows. This is measured with
-OpenBLAS 0.3.31's Haswell kernel at 1 and 2 BLAS threads; other kernels
-and OpenBLAS's splits at 3 or more threads are untested. IVF list scans
-still score one ``block @ query`` per row, so their bits can move with the
-thread count.
+of query rows keeps each row's candidates (one ``sgemv`` per row for runs of
+fewer than 4). A run over an m-row block holds ``QUERY_BLOCK * SCAN_BLOCK //
+m`` rows, a budget of selection scores: 64 rows at a full block, every row
+of a 256-row batch over an 8192-row bank. A row's candidates are the block
+rows scoring at or above its k-th score minus ``4 * dim * 2**-23 * N``,
+where ``N`` bounds the largest row norm (cached per bank, computed per call
+for the centroids). Then each row's candidates are scored exactly with
+``sgemv``: body rows gathered into a zero-padded product of a multiple of 16
+rows, and a block's last ``m mod 8`` rows as its last ``(m mod 8) + 8``
+rows. This is measured with OpenBLAS 0.3.31's Haswell kernel at 1 and 2
+BLAS threads; other kernels and OpenBLAS's splits at 3 or more threads are
+untested. IVF list scans still score one ``block @ query`` per row, so
+their bits can move with the thread count.
 
 So a row's hits are bitwise the same in a batch of any size, and probing
 every IVF list is the exact scan.
@@ -45,7 +47,7 @@ from .files import read_bytes, replace_atomically
 INDEX_MAGIC = b"RTRCIVF1"
 INDEX_VERSION = 1
 SCAN_BLOCK = 131072  # rows per scoring call; fixed so kernel shape is stable
-QUERY_BLOCK = 64  # query rows per selection product: 32 MB at SCAN_BLOCK rows
+QUERY_BLOCK = 64  # query rows per selection product at SCAN_BLOCK rows: 32 MB
 _RESCORE_ROWS = 4096  # candidate rows per exact re-score product
 DEFAULT_MAX_ITERS = 25
 _TRAIN_ROWS_PER_CLUSTER = 256
@@ -200,10 +202,12 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
 
     The whole-bank scan gives each row the bits of a one-thread
     ``block @ query``, whatever the batch and the BLAS thread count (as far
-    as :func:`_rescore` holds). One ``Q @ block.T`` per run of at most
-    ``QUERY_BLOCK`` rows (one ``sgemv`` per row for runs of fewer than 4,
-    where the GEMM is slower) selects, and :func:`_rescore` scores the
-    selected rows exactly. Any float32 dot product of a unit query with a row of norm at
+    as :func:`_rescore` holds). One ``Q @ block.T`` per run of
+    ``QUERY_BLOCK * SCAN_BLOCK // m`` rows for an m-row block (one ``sgemv``
+    per row for runs of fewer than 4, where the GEMM is slower) selects, and
+    :func:`_rescore` scores the selected rows exactly. The run width only
+    sizes the selection product, which picks candidates and gives no final
+    score. Any float32 dot product of a unit query with a row of norm at
     most ``bound`` is within about ``dim * 2**-24 * bound`` of the true one
     (Higham's bound), so a selection score and an exact score differ by at
     most twice that, and a row of the exact top k scores at least the k-th
@@ -226,8 +230,11 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
                 # operand whole for every product, and its Q @ block.T is
                 # many times slower than on the copy, so copy it once
                 block = np.array(block)
-            for lo in range(0, n, QUERY_BLOCK):
-                rows = range(lo, min(lo + QUERY_BLOCK, n))
+            # a cell budget: at most QUERY_BLOCK * SCAN_BLOCK selection
+            # scores per run, so a short block takes more rows at once
+            width = QUERY_BLOCK * SCAN_BLOCK // block.shape[0]
+            for lo in range(0, n, width):
+                rows = range(lo, min(lo + width, n))
                 if len(rows) < 4:
                     select = np.stack([block @ queries[r] for r in rows])
                 else:
@@ -585,7 +592,7 @@ def load_index(path, bank: EmbeddingBank | None = None) -> IvfIndex:
         raise errors.CorruptIndex(f"centroid {bad[0]} is not finite",
                                   byte_offset=offset + int(bad[0]) * dim * 4)
     offset += cbytes
-    lists = []
+    views = []
     for _ in range(n_clusters):
         if len(data) < offset + 8:
             raise errors.CorruptIndex("truncated list header",
@@ -595,16 +602,22 @@ def load_index(path, bank: EmbeddingBank | None = None) -> IvfIndex:
         lbytes = length * 8
         if len(data) < offset + lbytes:
             raise errors.CorruptIndex("truncated id list", byte_offset=len(data))
-        lists.append(np.frombuffer(data, dtype="<u8", count=length,
-                                   offset=offset).copy())
+        views.append(np.frombuffer(data, dtype="<u8", count=length,
+                                   offset=offset))
         offset += lbytes
     if offset != len(data):
         raise errors.CorruptIndex("trailing bytes after id lists",
                                   byte_offset=offset)
 
-    ids = np.sort(np.concatenate(lists)) if lists else np.array([], np.uint64)
+    # one copy of every id; each list is a view of it
+    ids = np.concatenate(views)
+    lists = np.split(ids, np.cumsum([len(v) for v in views[:-1]]))
+    # n ids, each below n and every one of 0..n-1 among them: a permutation
     total = int(ids.shape[0])
-    if total and not np.array_equal(ids, np.arange(total, dtype=np.uint64)):
+    seen = np.zeros(total, dtype=bool)
+    if total and int(ids.max()) < total:
+        seen[ids] = True
+    if not seen.all():
         raise errors.CorruptIndex("id lists do not cover a dense range")
 
     index = IvfIndex(n_clusters=n_clusters, dim=dim, seed=int(seed),

@@ -7,8 +7,10 @@ its ids and scores (``ids<i>``, ``scores<i>``) and those of a plain scan
 (``ref_ids<i>``, ``ref_scores<i>``): one ``block @ query`` per block of
 ``SCAN_BLOCK`` rows, fully sorted by (score desc, id asc). The plain scan
 is the reference only when this runs with ``OPENBLAS_NUM_THREADS=1``;
-``test_index.py`` runs it at 1 and 2 threads and compares. WORKDIR holds
-the memory-mapped banks (default: a temporary directory).
+``test_index.py`` runs it at 1 and 2 threads and compares. It also writes
+the case's bank rows, query rows and scan block (``shape<i>``) and the
+query rows of each selection product, in scan order (``runs<i>``).
+WORKDIR holds the memory-mapped banks (default: a temporary directory).
 """
 
 import sys
@@ -45,8 +47,32 @@ def cases(rng):
         (3000, 64, 64, 10, None, "overflow"),         # x 1e20: N is inf
         (20001, 5, 64, 10, None, "random"),           # narrow rows
         (16390, 2, 1, 40, None, "duplicates"),
+        # selection products wider than QUERY_BLOCK rows
+        (8192, 256, 300, 10, None, "random"),         # sweep-grid's shape
+        (999, 7, 1000, 10, None, "duplicates"),
+        (2000, 48, 4, 10, None, "near-ties"),         # the smallest GEMM
+        # a full block takes QUERY_BLOCK rows per product, a short one more
+        (index_mod.SCAN_BLOCK + 1000, 64, 130, 10, None, "random"),
     ]
     return out
+
+
+SELECT = index_mod._select
+
+
+class RunLog:
+    """Records the query rows of each selection product ``_scan`` makes.
+    ``_scan`` passes ``_select`` one row of a product at a time, a view
+    whose base is that product."""
+
+    def __init__(self):
+        self.widths, self.product = [], None
+
+    def __call__(self, scores, k, margin):
+        if scores.base is not self.product:
+            self.product = scores.base
+            self.widths.append(scores.base.shape[0])
+        return SELECT(scores, k, margin)
 
 
 def near_ties(rng, m, d):
@@ -114,9 +140,13 @@ def main(out, workdir):
         queries = (queries / np.linalg.norm(queries, axis=1,
                                             keepdims=True)).astype(np.float32)
         index_mod.SCAN_BLOCK = block or default_block
+        index_mod._select = runs = RunLog()
         table = index_mod.search(bank, queries, k)
+        index_mod._select = SELECT
         assert (table.counts == min(k, m)).all()
         arrays[f"ids{i}"], arrays[f"scores{i}"] = table.ids, table.scores
+        arrays[f"shape{i}"] = np.array([m, nq, index_mod.SCAN_BLOCK])
+        arrays[f"runs{i}"] = np.array(runs.widths)
         arrays[f"ref_ids{i}"], arrays[f"ref_scores{i}"] = plain_scan(
             bank.vectors, queries, k)
         index_mod.SCAN_BLOCK = default_block

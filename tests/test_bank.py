@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -404,6 +405,32 @@ def test_check_norms_catches_denormalized_payload(tmp_path, rng):
     _patch(path, HEADER_FMT.size + tag_len,
            struct.pack("<f", 40.0))
     assert not check_norms(bank_load(path))
+
+
+@pytest.mark.parametrize("scale, ok", [
+    (1 + 0.9 * bank_mod.NORM_ATOL, True), (1 - 0.9 * bank_mod.NORM_ATOL, True),
+    (1 + 1.1 * bank_mod.NORM_ATOL, False), (1 - 1.1 * bank_mod.NORM_ATOL, False),
+    (np.nan, False), (np.inf, False)])
+def test_check_norms_reads_every_step(rng, scale, ok):
+    """One row past the first step of 1,024 rows at d 256, just inside or
+    outside ``NORM_ATOL``, or not finite, decides the check."""
+    step = bank_mod._NORMALIZE_VALUES // 256
+    rows = np.array(make_bank(rng, n=2 * step + 300, d=256).vectors)
+    rows[step + 517] *= np.float32(scale)
+    assert check_norms(EmbeddingBank(rows, "llm-text")) is ok
+
+
+def test_check_norms_keeps_float64_temporaries_small(rng):
+    """The check copies a step of rows to float64 at a time, not a 65,536-row
+    block (128 MB at d 256)."""
+    rows = make_bank(rng, n=20000, d=256).vectors  # 20 MB as float32
+    tracemalloc.start()
+    try:
+        assert check_norms(EmbeddingBank(rows, "llm-text"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 @given(st.integers(1, 30), st.integers(2, 12), st.integers(0, 2**32 - 1))

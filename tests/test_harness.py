@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from retroclass import errors
+from retroclass import enrich as enrich_mod
 from retroclass import index as index_mod
 from retroclass.classify import Prediction, logits, predict_topk
 from retroclass.enrich import (EnrichmentConfig, enrich_prototype, enrich_query,
@@ -330,6 +331,41 @@ def test_run_sweep_retrieves_once_per_query(small_fixture, monkeypatch,
     assert len(calls) == {"classes+queries": 2, "nothing": 0}.get(retrieves, 1)
     assert sum(rows for tag, rows in calls if tag == "llm-text") == \
         (n_classes if "classes" in retrieves else 0)
+
+
+@pytest.mark.parametrize("merge_aliases", ["before", "after"])
+def test_run_sweep_fuses_each_distinct_setting_once(small_fixture, alias_specs,
+                                                    monkeypatch, merge_aliases):
+    """Fused prototypes depend on (alpha, tau_tt, use_temperature_tt,
+    renormalize_output) and fused queries on (beta, tau_it,
+    use_temperature_it, renormalize_output); a sweep fuses each distinct
+    one once, whatever the grid points that share it."""
+    fx = small_fixture
+    real = enrich_mod.fuse_rows
+    calls = []
+
+    def counting(base, hits, vectors, frac, tau, use_temperature, renormalize,
+                 what):
+        calls.append((what, frac, tau, use_temperature, renormalize))
+        return real(base, hits, vectors, frac, tau, use_temperature,
+                    renormalize, what)
+
+    monkeypatch.setattr(enrich_mod, "fuse_rows", counting)
+    grid = SweepGrid(alphas=(0.0, 0.3, 0.6), betas=(0.0, 0.5, 0.7),
+                     taus_tt=(1.0, 0.2), taus_it=(100.0, 5.0),
+                     toggles=((True, True), (False, False), (True, False)))
+    reports = run_sweep(grid, alias_specs, fx.queries, list(fx.labels),
+                        fx.llm_bank, fx.vlm_bank,
+                        base_config=EnrichmentConfig(k=4),
+                        merge_aliases=merge_aliases)
+    configs = [r.config for r in reports]
+    expected = {("prototype", c.alpha, c.tau_tt, c.use_temperature_tt,
+                 c.renormalize_output) for c in configs if c.alpha > 0}
+    expected |= {("query", c.beta, c.tau_it, c.use_temperature_it,
+                  c.renormalize_output) for c in configs if c.beta > 0}
+    # per side: two non-zero weights x two temperatures x two toggle values
+    assert len(configs) == 108 and len(expected) == 2 * 8
+    assert sorted(calls) == sorted(expected)
 
 
 def test_ivf_eval_with_short_hit_lists_matches_row_by_row(small_fixture):

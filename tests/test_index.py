@@ -438,17 +438,32 @@ def test_exact_search_is_the_one_thread_plain_scan_at_1_and_2_threads(
     block, 1, 63, 64, 65 and 130 query rows, k >= m, and a mapped bank
     whose rows are not unit norm. OpenBLAS splits a product between
     threads, and the rows at a split get other bits; see ``scan_bits.py``
-    for the shapes."""
+    for the shapes. Each selection product takes the rows its block's cell
+    budget allows: 4, 300 and 1,000 rows over small banks, and 64 then 130
+    rows over the two blocks of a ``SCAN_BLOCK`` + 1,000-row bank."""
     one = _scan_bits(tmp_path / "one.npz", 1)
     two = _scan_bits(tmp_path / "two.npz", 2)
     n = sum(name.startswith("ids") for name in one.files)
-    assert n >= 17
+    assert n >= 25
     for i in range(n):
         ids, scores = one[f"ref_ids{i}"], one[f"ref_scores{i}"]
         for got in (one, two):
             assert np.array_equal(got[f"ids{i}"], ids), i
             assert np.array_equal(got[f"scores{i}"].view(np.uint64),
                                   scores.view(np.uint64)), i
+            assert got[f"runs{i}"].tolist() == _selection_runs(
+                *got[f"shape{i}"].tolist()), i
+
+
+def _selection_runs(m, n, scan_block):
+    """Query rows of each selection product of an exact scan of n rows over
+    m bank rows: ``QUERY_BLOCK * SCAN_BLOCK // rows`` per run of a block."""
+    runs = []
+    for start in range(0, m, scan_block):
+        width = index_mod.QUERY_BLOCK * scan_block // min(scan_block,
+                                                          m - start)
+        runs += [min(width, n - lo) for lo in range(0, n, width)]
+    return runs
 
 
 def test_search_rows_match_the_one_query_views(rng):

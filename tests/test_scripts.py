@@ -63,10 +63,11 @@ def test_bench_scan_small(tmp_path):
     assert sorted(runs) == ["after", "before"]
     search = runs["after"]["search"]
     assert sorted(search) == ["cli_retrieve_mapped", "mapped_1_row",
-                              "memory_1_rows", "memory_2_rows",
-                              "memory_320_rows", "memory_3_rows",
-                              "memory_64_rows"]
+                              "memory_1_rows", "memory_256_rows",
+                              "memory_2_rows", "memory_320_rows",
+                              "memory_3_rows", "memory_64_rows"]
     assert search["memory_64_rows"]["query_rows"] == 64
+    assert search["memory_256_rows"]["query_rows"] == 256
     assert search["mapped_1_row"]["bank_rows"] == 1000
     assert search["cli_retrieve_mapped"]["rescored_per_query"] is None
     # each query re-scores at least its k candidates
