@@ -27,16 +27,18 @@ from .files import read_jsonl, replace_atomically
 from .index import QueryEmbedding, Retriever, check_threads
 
 
-def logits_rows(queries, prototypes) -> np.ndarray:
-    """Cosine of each query row against every prototype row, (n, C) float64."""
+def _prototype_matrix(prototypes) -> np.ndarray:
     matrix = prototypes.matrix if isinstance(prototypes, PrototypeSet) else \
         np.asarray(prototypes, dtype=np.float32)
     if matrix.ndim != 2 or matrix.shape[0] < 1:
         raise errors.ValidationError("prototype matrix must be (n_classes, dim)")
+    return matrix
+
+
+def query_norms(queries) -> np.ndarray:
+    """Float64 norm of each query row; a non-finite or near-zero row is
+    named."""
     q = np.asarray(queries, dtype=np.float64)
-    if q.shape[1] != matrix.shape[1]:
-        raise errors.DimensionMismatch(
-            f"query dim {q.shape[1]} != prototype dim {matrix.shape[1]}")
     qnorms = row_norms(q)
     bad = np.flatnonzero(~np.isfinite(qnorms))
     if bad.size:
@@ -46,18 +48,50 @@ def logits_rows(queries, prototypes) -> np.ndarray:
     if bad.size:
         raise row_error(errors.ZeroVector, "query", int(bad[0]), q.shape[0],
                         "query vector has near-zero norm")
-    p64 = matrix.astype(np.float64)
-    pnorms = np.linalg.norm(p64, axis=1)
+    return qnorms
+
+
+def prototype_norms(prototypes) -> np.ndarray:
+    """Float64 norm of each prototype row; a degenerate row is named."""
+    pnorms = np.linalg.norm(_prototype_matrix(prototypes).astype(np.float64),
+                            axis=1)
     bad = np.flatnonzero(~(np.isfinite(pnorms) & (pnorms > 1e-12)))
     if bad.size:
         row = int(bad[0])
         raise errors.DegeneratePrototype(
             f"prototype row {row} has "
             f"{'near-zero' if np.isfinite(pnorms[row]) else 'non-finite'} norm")
+    return pnorms
+
+
+def _check_dims(queries: np.ndarray, matrix: np.ndarray) -> None:
+    if queries.shape[1] != matrix.shape[1]:
+        raise errors.DimensionMismatch(
+            f"query dim {queries.shape[1]} != prototype dim {matrix.shape[1]}")
+
+
+def cosine_rows(queries, prototypes, qnorms: np.ndarray,
+                pnorms: np.ndarray) -> np.ndarray:
+    """:func:`logits_rows` given :func:`query_norms` of ``queries`` and
+    :func:`prototype_norms` of ``prototypes``, so that a caller scoring one
+    stack against several sets (or several stacks against one set) takes
+    each norm once."""
+    matrix = _prototype_matrix(prototypes)
+    q = np.asarray(queries, dtype=np.float64)
+    _check_dims(q, matrix)
+    p64 = matrix.astype(np.float64)
     raw = np.empty((q.shape[0], matrix.shape[0]), dtype=np.float64)
     for i, row in enumerate(q):
         raw[i] = p64 @ row
     return np.clip(raw / (pnorms * qnorms[:, None]), -1.0, 1.0)
+
+
+def logits_rows(queries, prototypes) -> np.ndarray:
+    """Cosine of each query row against every prototype row, (n, C) float64."""
+    matrix = _prototype_matrix(prototypes)
+    q = np.asarray(queries, dtype=np.float64)
+    _check_dims(q, matrix)
+    return cosine_rows(q, matrix, query_norms(q), prototype_norms(matrix))
 
 
 def rank_rows(logit_rows: np.ndarray) -> np.ndarray:

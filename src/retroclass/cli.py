@@ -66,7 +66,8 @@ def _load_config(path: str | None) -> EnrichmentConfig:
 
 def _cmd_bank_build(args) -> int:
     try:
-        matrix = np.load(args.vectors)
+        # mapped: normalizing reads it in steps, so no whole copy is made
+        matrix = np.load(args.vectors, mmap_mode="r")
     except (OSError, ValueError) as exc:
         raise errors.IoError(f"cannot read vectors {args.vectors}: {exc}") from exc
     if not isinstance(matrix, np.ndarray):  # an .npz archive

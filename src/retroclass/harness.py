@@ -21,7 +21,7 @@ from .bank import CaptionRecord, EmbeddingBank, bank_load, bank_save
 # classify_batch stays importable from here: perfbench's tracer tests check
 # that wrapping it rebinds this module's name too
 from .classify import (Prediction, classify_batch,  # noqa: F401
-                       rank_queries)
+                       cosine_rows, prototype_norms, query_norms, rank_rows)
 from .enrich import (EnrichmentConfig, check_enrichment_banks,
                      enrichment_queries, fuse_prototypes, fuse_queries,
                      zeroshot_prototypes)
@@ -160,9 +160,10 @@ def _evaluate(configs: list[EnrichmentConfig], table: ClassTable,
     tau_tt, use_temperature_tt and renormalize_output, and fused queries on
     beta, tau_it, use_temperature_it and renormalize_output: each distinct
     setting is fused once, at its first config, and kept for the later
-    ones. Every config then costs scoring. Each report's ``retrieve`` time
-    is that shared retrieval, and its ``enrich_prototypes`` and
-    ``classify`` times hold only the fusion done at that config.
+    ones, with its float64 row norms. Every config then costs scoring.
+    Each report's ``retrieve`` time is that shared retrieval, and its
+    ``enrich_prototypes`` and ``classify`` times hold only the fusion (and
+    the norms) done at that config.
     """
     check_threads(threads)
     labels = [int(x) for x in labels]
@@ -188,8 +189,8 @@ def _evaluate(configs: list[EnrichmentConfig], table: ClassTable,
             query_bank.vectors, k, space_tag=query_bank.space_tag)
     retrieve_ms = (time.perf_counter() - t0) * 1000.0
 
-    # the fused prototypes and queries of each distinct setting, by the
-    # config fields they depend on (k is shared)
+    # the fused prototypes and queries of each distinct setting, with their
+    # norms, by the config fields they depend on (k is shared)
     prototype_sets, query_rows = {}, {}
     reports = []
     for config in configs:
@@ -197,17 +198,19 @@ def _evaluate(configs: list[EnrichmentConfig], table: ClassTable,
         proto_key = (config.alpha, config.tau_tt, config.use_temperature_tt,
                      config.renormalize_output)
         if proto_key not in prototype_sets:
-            prototype_sets[proto_key] = fuse_prototypes(
-                table, proto_hits, vlm_bank, config,
-                merge_aliases) if config.alpha > 0 else zs
+            protos = fuse_prototypes(table, proto_hits, vlm_bank, config,
+                                     merge_aliases) if config.alpha > 0 else zs
+            prototype_sets[proto_key] = protos, prototype_norms(protos)
         t2 = time.perf_counter()
         query_key = (config.beta, config.tau_it, config.use_temperature_it,
                      config.renormalize_output)
         if query_key not in query_rows:
-            query_rows[query_key] = fuse_queries(
-                query_bank.vectors, query_hits, vlm_bank, config)
-        order, _ = rank_queries(query_rows[query_key],
-                                prototype_sets[proto_key])
+            rows = fuse_queries(query_bank.vectors, query_hits, vlm_bank,
+                                config)
+            query_rows[query_key] = rows, query_norms(rows)
+        rows, qnorms = query_rows[query_key]
+        protos, pnorms = prototype_sets[proto_key]
+        order = rank_rows(cosine_rows(rows, protos, qnorms, pnorms))
         t3 = time.perf_counter()
         reports.append(rank_accuracy(
             order, labels, ms=(1, 5), dataset=dataset, config=config,

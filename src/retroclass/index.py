@@ -4,8 +4,11 @@ Scores are plain float32 dot products (rows are unit norm, so dot == cosine).
 :func:`search` is the one retrieval path, and one loop (:func:`_scan`) runs
 every scan over blocks of at most ``SCAN_BLOCK`` rows: the exact scan over
 contiguous blocks, the IVF centroid probe as an exact scan of the
-centroids, and the IVF candidate scan, which gathers each probed list once
-per search and scores it against every row that probes it.
+centroids, and the IVF candidate scan, which reads each probed list once
+per search and scores it against every row that probes it. A loaded index
+reads a list as one slice of the rows its file stores in list order (the
+layout of FAISS's IVFFlat); an index built in memory gathers the list's
+rows from its bank.
 
 An exact scan gives each row the bits of a one-thread ``block @ query``
 per block, whatever the batch, the row's place in it, or
@@ -34,7 +37,10 @@ by ascending id.
 
 from __future__ import annotations
 
+import mmap
+import os
 import struct
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,10 +48,10 @@ import numpy as np
 from . import errors
 from .bank import EmbeddingBank, NORM_ATOL, norm_bound, row_norms
 from .errors import row_error
-from .files import read_bytes, replace_atomically
+from .files import replace_atomically
 
 INDEX_MAGIC = b"RTRCIVF1"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 SCAN_BLOCK = 131072  # rows per scoring call; fixed so kernel shape is stable
 QUERY_BLOCK = 64  # query rows per selection product at SCAN_BLOCK rows: 32 MB
 _RESCORE_ROWS = 4096  # candidate rows per exact re-score product
@@ -53,6 +59,7 @@ DEFAULT_MAX_ITERS = 25
 _TRAIN_ROWS_PER_CLUSTER = 256
 
 _INDEX_HEADER = struct.Struct("<8sIIIQ")  # magic, version, n_clusters, dim, seed
+_PAYLOAD_ALIGN = 64  # the rows start at a multiple of this many bytes
 
 
 @dataclass(frozen=True)
@@ -126,13 +133,14 @@ def _block_candidates(scores: np.ndarray, k: int, ids,
     ``ids`` holds the block's row ids, or is the id of its first row
     when the block is a contiguous run. Unit-norm rows only give finite
     scores, so a non-finite one means a corrupt row: the error names it as
-    ``what`` and its id.
+    ``what`` and its id, and is :class:`CorruptBank` for a ``"bank row"``
+    and :class:`CorruptIndex` for a centroid or an index file's row.
     """
     finite = np.isfinite(scores)
     if not finite.all():
         pos = int(np.flatnonzero(~finite)[0])
         row = ids + pos if isinstance(ids, int) else int(ids[pos])
-        error = errors.CorruptIndex if what == "centroid" else errors.CorruptBank
+        error = errors.CorruptBank if what == "bank row" else errors.CorruptIndex
         raise error(f"{what} {row} gives a non-finite score ({scores[pos]})")
     n = scores.shape[0]
     if n <= k:
@@ -195,10 +203,13 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
           what: str = "bank row", bound: float | None = None) -> HitTable:
     """Top-k rows of ``vectors`` for each row of ``queries``.
 
-    ``groups`` lists (vector ids, query rows) pairs; ``None`` scores every
-    row against every vector. A group reads each block of at most
-    ``SCAN_BLOCK`` ids once, as a slice of the whole bank or a gather of a
-    list. A list group scores its block with one ``block @ query`` per row.
+    ``groups`` lists (vector ids, query rows, first) triples; ``None``
+    scores every row against every vector. A group reads each block of at
+    most ``SCAN_BLOCK`` ids once: the ids' rows are ``vectors[first:first +
+    len(ids)]`` when ``first`` is a row, and are gathered as
+    ``vectors[ids]`` when it is ``None``. A group scores its block with one
+    ``block @ query`` per row, so a slice and a gather of the same rows
+    give the same bits.
 
     The whole-bank scan gives each row the bits of a one-thread
     ``block @ query``, whatever the batch and the BLAS thread count (as far
@@ -244,15 +255,16 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
                     candidates[r].append(_block_candidates(
                         _rescore(block, pos, queries[r]), k, pos + start,
                         what))
-    for ids, rows in groups or ():
+    for ids, rows, first in groups or ():
         for start in range(0, len(ids), SCAN_BLOCK):
             chunk = ids[start:start + SCAN_BLOCK]
-            block = vectors[chunk]
+            block = vectors[chunk] if first is None else \
+                vectors[first + start:first + start + len(chunk)]
             for r in rows:
                 candidates[r].append(_block_candidates(block @ queries[r], k,
                                                        chunk, what))
-            # free the block before the next gather, so that gather reuses
-            # its pages instead of faulting in fresh ones
+            # free a gathered block before the next gather, so that gather
+            # reuses its pages instead of faulting in fresh ones
             del block
     width = min(k, vectors.shape[0])
     table = HitTable(np.zeros((n, width), np.int64), np.zeros((n, width)),
@@ -273,8 +285,9 @@ def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
 
     With ``index`` (attached to ``bank``) a row scans the ids of its
     ``nprobe`` best lists; otherwise, or when every list is probed, the whole
-    bank. ``space_tag``, when given, must be the bank's. An error about one
-    row names it as ``what i``.
+    bank. A loaded index scores its lists from its own file, mapped for this
+    call only, and never reads the bank's rows. ``space_tag``, when given,
+    must be the bank's. An error about one row names it as ``what i``.
     """
     if k < 1:
         raise errors.ValidationError(f"k must be >= 1, got {k}")
@@ -300,9 +313,14 @@ def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
     probed = _scan(index.centroids, queries, nprobe, what="centroid").ids.ravel()
     order = np.argsort(probed, kind="stable")
     lists, starts = np.unique(probed[order], return_index=True)
-    groups = [(index.lists[c], rows.tolist()) for c, rows in
-              zip(lists.tolist(), np.split(order // nprobe, starts[1:]))]
-    return _scan(bank.vectors, queries, k, groups)
+    file = index.file
+    groups = [(index.lists[c], rows.tolist(),
+               None if file is None else int(file.offsets[c]))
+              for c, rows in zip(lists.tolist(),
+                                 np.split(order // nprobe, starts[1:]))]
+    if file is None:
+        return _scan(bank.vectors, queries, k, groups)
+    return _scan(file.rows(), queries, k, groups, what="index row")
 
 
 def exact_topk(query: QueryEmbedding, bank: EmbeddingBank, k: int) -> list[RetrievalHit]:
@@ -311,9 +329,37 @@ def exact_topk(query: QueryEmbedding, bank: EmbeddingBank, k: int) -> list[Retri
                   space_tag=query.space_tag).hits(0)
 
 
+class _IndexFile:
+    """The open file of a loaded index, whose rows it scores.
+
+    Row ``offsets[c] + j`` of :meth:`rows` is the bank row ``ids[offsets[c]
+    + j]``, the j-th id of list c. The file stays open until the object is
+    collected; its rows are mapped only while an array from :meth:`rows`
+    lives, so no page of them stays resident between searches.
+    """
+
+    def __init__(self, fh, offsets: np.ndarray, ids: np.ndarray,
+                 start: int, dim: int):
+        self.offsets = offsets  # (n_clusters + 1,) int64
+        self.ids = ids
+        self._fh, self._start, self._dim = fh, start, dim
+        weakref.finalize(self, fh.close)
+
+    def rows(self) -> np.ndarray:
+        """The (count, dim) float32 rows, list after list, read-only."""
+        mapped = mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ)
+        return np.frombuffer(mapped, "<f4", len(self.ids) * self._dim,
+                             self._start).reshape(-1, self._dim)
+
+
 @dataclass
 class IvfIndex:
-    """Inverted-file index: unit-norm centroids plus per-cluster id lists."""
+    """Inverted-file index: unit-norm centroids plus per-cluster id lists.
+
+    An index built by :func:`build_ivf` scores a list by gathering its rows
+    from the attached bank. One read by :func:`load_index` keeps its file
+    (``file``) open and scores each list as one slice of the file's rows.
+    """
 
     n_clusters: int
     dim: int
@@ -321,6 +367,7 @@ class IvfIndex:
     centroids: np.ndarray                 # (n_clusters, dim) float32
     lists: list[np.ndarray]               # uint64 ids, ascending within a list
     bank: EmbeddingBank | None = field(default=None, repr=False)
+    file: _IndexFile | None = field(default=None, repr=False, compare=False)
 
     def attach(self, bank: EmbeddingBank) -> "IvfIndex":
         if bank.dim != self.dim:
@@ -557,22 +604,83 @@ def batch_topk(queries: EmbeddingBank, bank: EmbeddingBank, k: int,
 
 
 def save_index(index: IvfIndex, path) -> None:
+    """Write the index file (format version 2), little-endian:
+
+        header    magic b"RTRCIVF1", u32 version, u32 n_clusters, u32 dim,
+                  u64 seed
+        f32       centroids, (n_clusters, dim)
+        u64       offsets, (n_clusters + 1): list c is ids[offsets[c]:
+                  offsets[c + 1]]
+        u64       ids, every list's ids in list order
+        padding   zero bytes up to a multiple of 64
+        f32       rows, (count, dim): row i holds bank row ids[i]
+
+    The rows are written one list at a time, at most ``SCAN_BLOCK`` at
+    once: gathered from the bank for a built index, read from its own file
+    for a loaded one.
+    """
+    if index.file is None and index.bank is None:
+        raise errors.ValidationError("index is not attached to a bank")
     header = _INDEX_HEADER.pack(INDEX_MAGIC, INDEX_VERSION,
                                 index.n_clusters, index.dim, index.seed)
+    offsets = np.zeros(index.n_clusters + 1, "<u8")
+    np.cumsum([len(lst) for lst in index.lists], out=offsets[1:])
+    if index.file is None:
+        vectors, where = index.bank.vectors, None
+    else:
+        vectors = index.file.rows()
+        # the file row of each id
+        where = np.empty(len(index.file.ids), np.int64)
+        where[index.file.ids] = np.arange(len(where))
+    ids_end = (_INDEX_HEADER.size + 4 * index.n_clusters * index.dim
+               + offsets.nbytes + 8 * int(offsets[-1]))
     with replace_atomically(path, "index", "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(index.centroids, "<f4").tobytes())
+        fh.write(offsets.tobytes())
         for lst in index.lists:
-            fh.write(struct.pack("<Q", len(lst)))
-            fh.write(np.ascontiguousarray(lst, "<u8").tobytes())
+            fh.write(np.ascontiguousarray(lst, "<u8"))
+        fh.write(bytes(-ids_end % _PAYLOAD_ALIGN))
+        for lst in index.lists:
+            for start in range(0, len(lst), SCAN_BLOCK):
+                chunk = lst[start:start + SCAN_BLOCK]
+                rows = vectors[chunk if where is None else where[chunk]]
+                fh.write(np.ascontiguousarray(rows, "<f4"))
 
 
 def load_index(path, bank: EmbeddingBank | None = None) -> IvfIndex:
-    data = read_bytes(path, "index")
-    if len(data) < _INDEX_HEADER.size:
-        raise errors.CorruptIndex("file too small for header",
-                                  byte_offset=len(data))
-    magic, version, n_clusters, dim, seed = _INDEX_HEADER.unpack_from(data, 0)
+    """Read an index file's header, centroids and id lists, and check that
+    its rows fill the rest of the file; the rows themselves are not read.
+    The file stays open for :func:`search` to map. Any other version than
+    2 is :class:`CorruptIndex`: rebuild such an index from its bank."""
+    try:
+        fh = open(path, "rb")
+        try:
+            index = _read_index(fh)
+        except BaseException:
+            fh.close()
+            raise
+    except OSError as exc:
+        raise errors.IoError(f"cannot read index {path}: {exc}") from exc
+    if bank is not None:
+        index.attach(bank)
+    return index
+
+
+def _read_index(fh) -> IvfIndex:
+    size = os.fstat(fh.fileno()).st_size
+
+    def read(count: int, dtype: str, what: str) -> np.ndarray:
+        if fh.tell() + count * np.dtype(dtype).itemsize > size:
+            raise errors.CorruptIndex(f"truncated {what}", byte_offset=size)
+        out = np.empty(count, dtype)
+        fh.readinto(out)
+        return out
+
+    if size < _INDEX_HEADER.size:
+        raise errors.CorruptIndex("file too small for header", byte_offset=size)
+    magic, version, n_clusters, dim, seed = _INDEX_HEADER.unpack(
+        fh.read(_INDEX_HEADER.size))
     if magic != INDEX_MAGIC:
         raise errors.CorruptIndex(f"bad magic {magic!r}", byte_offset=0)
     if version != INDEX_VERSION:
@@ -580,38 +688,34 @@ def load_index(path, bank: EmbeddingBank | None = None) -> IvfIndex:
     if n_clusters < 1 or dim < 1:
         raise errors.CorruptIndex("degenerate cluster count or dim",
                                   byte_offset=12)
-    offset = _INDEX_HEADER.size
-    cbytes = n_clusters * dim * 4
-    if len(data) < offset + cbytes:
-        raise errors.CorruptIndex("truncated centroid payload",
-                                  byte_offset=len(data))
-    centroids = np.frombuffer(data, dtype="<f4", count=n_clusters * dim,
-                              offset=offset).reshape(n_clusters, dim).copy()
+    offset = fh.tell()
+    centroids = read(n_clusters * dim, "<f4", "centroid payload").reshape(
+        n_clusters, dim)
     bad = np.flatnonzero(~np.isfinite(centroids).all(axis=1))
     if bad.size:
         raise errors.CorruptIndex(f"centroid {bad[0]} is not finite",
                                   byte_offset=offset + int(bad[0]) * dim * 4)
-    offset += cbytes
-    views = []
-    for _ in range(n_clusters):
-        if len(data) < offset + 8:
-            raise errors.CorruptIndex("truncated list header",
-                                      byte_offset=len(data))
-        (length,) = struct.unpack_from("<Q", data, offset)
-        offset += 8
-        lbytes = length * 8
-        if len(data) < offset + lbytes:
-            raise errors.CorruptIndex("truncated id list", byte_offset=len(data))
-        views.append(np.frombuffer(data, dtype="<u8", count=length,
-                                   offset=offset))
-        offset += lbytes
-    if offset != len(data):
-        raise errors.CorruptIndex("trailing bytes after id lists",
-                                  byte_offset=offset)
+    offset = fh.tell()
+    offsets = read(n_clusters + 1, "<u8", "list offsets")
+    bad = np.flatnonzero(offsets[1:] < offsets[:-1])
+    if offsets[0] != 0 or bad.size:
+        at = 0 if offsets[0] != 0 else int(bad[0]) + 1
+        raise errors.CorruptIndex("list offsets do not ascend from 0",
+                                  byte_offset=offset + 8 * at)
+    ids = read(int(offsets[-1]), "<u8", "id lists")
+    pad = read(-fh.tell() % _PAYLOAD_ALIGN, "u1", "padding")
+    if pad.any():
+        raise errors.CorruptIndex("non-zero padding", byte_offset=fh.tell()
+                                  - pad.size + int(np.argmax(pad != 0)))
+    start = fh.tell()
+    expected, actual = len(ids) * dim * 4, size - start
+    if actual != expected:
+        kind = ("truncated payload" if actual < expected
+                else "trailing bytes after payload")
+        raise errors.CorruptIndex(
+            f"{kind}: expected {expected} payload bytes, found {actual}",
+            byte_offset=start + min(actual, expected))
 
-    # one copy of every id; each list is a view of it
-    ids = np.concatenate(views)
-    lists = np.split(ids, np.cumsum([len(v) for v in views[:-1]]))
     # n ids, each below n and every one of 0..n-1 among them: a permutation
     total = int(ids.shape[0])
     seen = np.zeros(total, dtype=bool)
@@ -619,9 +723,8 @@ def load_index(path, bank: EmbeddingBank | None = None) -> IvfIndex:
         seen[ids] = True
     if not seen.all():
         raise errors.CorruptIndex("id lists do not cover a dense range")
-
-    index = IvfIndex(n_clusters=n_clusters, dim=dim, seed=int(seed),
-                     centroids=centroids, lists=lists)
-    if bank is not None:
-        index.attach(bank)
-    return index
+    offsets = offsets.astype(np.int64)
+    # each list is a view of the one id array
+    return IvfIndex(n_clusters=n_clusters, dim=dim, seed=int(seed),
+                    centroids=centroids, lists=np.split(ids, offsets[1:-1]),
+                    file=_IndexFile(fh, offsets, ids, start, dim))

@@ -658,6 +658,33 @@ def test_bank_build_refuses_a_row_whose_norm_overflows(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dtype,order", [
+    ("<f4", "C"), ("<f4", "F"), ("<f8", "C"), ("<f8", "F"), ("<i2", "C"),
+    (">f4", "C"), (">f8", "F")])
+def test_bank_build_of_a_mapped_npy_is_the_whole_read_bytes(tmp_path, dtype,
+                                                           order):
+    """``bank build`` maps its ``.npy``; the bank and sidecar bytes are those
+    of building from the array read whole, across normalization steps."""
+    from retroclass.cli import main
+    rows = np.random.default_rng(3).standard_normal((5000, 64)) * 300
+    np.save(tmp_path / "v.npy", np.asarray(rows, dtype=dtype, order=order))
+    assert main(["bank", "build", "--vectors", str(tmp_path / "v.npy"),
+                 "--tag", "llm-text", "--out", str(tmp_path / "a.bank")]) == 0
+    bank_save(EmbeddingBank.from_matrix(np.load(tmp_path / "v.npy"),
+                                        "llm-text"), tmp_path / "b.bank")
+    for name in ("{}.bank", "{}.bank.meta.jsonl"):
+        assert (tmp_path / name.format("a")).read_bytes() == \
+            (tmp_path / name.format("b")).read_bytes()
+    if dtype[1] == "f":
+        rows[4100, 5] = np.nan
+        np.save(tmp_path / "v.npy", np.asarray(rows, dtype=dtype, order=order))
+        proc = run_cli("bank", "build", "--vectors", tmp_path / "v.npy",
+                       "--tag", "llm-text", "--out", tmp_path / "c.bank",
+                       check=False)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: row 4100 contains non-finite values\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["index", "build", "--bank", "FX/llm_db.bank", "--clusters", "2",
      "--seed=-1"],

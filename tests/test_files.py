@@ -17,10 +17,11 @@ from retroclass.harness import SweepGrid
 from retroclass.index import build_ivf, load_index, save_index
 
 # (offset, struct format) of the count fields in each binary header: a bank's
-# dim, count and tag length; an index's n_clusters, dim and first list length,
-# which follows the 32-byte header and the corpus index's 2 x 4 centroids
+# dim, count and tag length; an index's n_clusters, dim and its three list
+# offsets, which follow the 28-byte header and the corpus index's 2 x 4
+# centroids (the last one is the id count)
 BANK_COUNTS = [(16, "<I"), (20, "<Q"), (28, "<H")]
-INDEX_COUNTS = [(12, "<I"), (16, "<I"), (64, "<Q")]
+INDEX_COUNTS = [(12, "<I"), (16, "<I"), (60, "<Q"), (68, "<Q"), (76, "<Q")]
 
 
 class Corpus:

@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from retroclass import classify as classify_mod
 from retroclass import errors
 from retroclass import enrich as enrich_mod
+from retroclass import harness as harness_mod
 from retroclass import index as index_mod
 from retroclass.classify import Prediction, logits, predict_topk
 from retroclass.enrich import (EnrichmentConfig, enrich_prototype, enrich_query,
@@ -366,6 +368,49 @@ def test_run_sweep_fuses_each_distinct_setting_once(small_fixture, alias_specs,
     # per side: two non-zero weights x two temperatures x two toggle values
     assert len(configs) == 108 and len(expected) == 2 * 8
     assert sorted(calls) == sorted(expected)
+
+
+def _counted_sweep(fx, specs, monkeypatch, module, name):
+    """A 108-point sweep with ``module.name`` counting its calls: the
+    configs, the reports and the count."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda rows: calls.append(1) or real(rows))
+    grid = SweepGrid(alphas=(0.0, 0.3, 0.6), betas=(0.0, 0.5, 0.7),
+                     taus_tt=(1.0, 0.2), taus_it=(100.0, 5.0),
+                     toggles=((True, True), (False, False), (True, False)))
+    reports = run_sweep(grid, specs, fx.queries, list(fx.labels), fx.llm_bank,
+                        fx.vlm_bank, base_config=EnrichmentConfig(k=4))
+    monkeypatch.undo()
+    assert len(reports) == 108
+    return [r.config for r in reports], reports, len(calls)
+
+
+def test_run_sweep_takes_each_query_norm_once(small_fixture, alias_specs,
+                                              monkeypatch):
+    """A sweep takes the float64 row norms (``row_norms``) of each distinct
+    fused query stack once, not at every grid point, and each report is
+    still that point's own ``run_eval``."""
+    fx = small_fixture
+    configs, reports, calls = _counted_sweep(fx, alias_specs, monkeypatch,
+                                             classify_mod, "row_norms")
+    assert calls == len({(c.beta, c.tau_it, c.use_temperature_it,
+                          c.renormalize_output) for c in configs}) == 12
+    for config, report in list(zip(configs, reports))[::17]:
+        alone = run_eval(alias_specs, fx.queries, list(fx.labels),
+                         fx.llm_bank, fx.vlm_bank, config)
+        assert alone.to_json_dict(include_timing=False) == \
+            report.to_json_dict(include_timing=False)
+
+
+def test_run_sweep_takes_each_prototype_norm_once(small_fixture, alias_specs,
+                                                  monkeypatch):
+    configs, _, calls = _counted_sweep(small_fixture, alias_specs,
+                                       monkeypatch, harness_mod,
+                                       "prototype_norms")
+    assert calls == len({(c.alpha, c.tau_tt, c.use_temperature_tt,
+                          c.renormalize_output) for c in configs}) == 12
 
 
 def test_ivf_eval_with_short_hit_lists_matches_row_by_row(small_fixture):

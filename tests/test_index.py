@@ -603,6 +603,106 @@ def test_search_gathers_each_probed_list_once_per_chunk(monkeypatch, rng):
     assert np.array_equal(table.scores, plain.scores)
 
 
+class ReadSpy(np.ndarray):
+    """An array that records each item read and each ufunc (such as
+    ``@``) it takes part in."""
+
+    reads: list = []
+
+    def __getitem__(self, key):
+        ReadSpy.reads.append(key)
+        return np.asarray(super().__getitem__(key))
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        ReadSpy.reads.append(ufunc.__name__)
+        inputs = [np.asarray(x) if isinstance(x, ReadSpy) else x
+                  for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_loaded_index_reads_no_bank_row(monkeypatch, rng, tmp_path):
+    """A loaded index scores its lists from its own file: a search with
+    fewer than every list probed reads nothing of the bank's rows, and
+    returns the built index's hits."""
+    bank = make_bank(rng, 300, 16)
+    built = build_ivf(bank, 6, seed=5)
+    save_index(built, tmp_path / "s.ivf")
+    monkeypatch.setattr(ReadSpy, "reads", [])
+    spied = EmbeddingBank(np.asarray(bank.vectors).view(ReadSpy),
+                          bank.space_tag)
+    index = load_index(tmp_path / "s.ivf", spied)
+    queries = np.vstack([query_for(bank, rng).vector for _ in range(32)])
+    for nprobe in (1, 3, 5):
+        table = search(spied, queries, 10, index, nprobe)
+        plain = search(bank, queries, 10, built, nprobe)
+        assert np.array_equal(table.ids, plain.ids)
+        assert np.array_equal(table.scores, plain.scores)
+    assert ReadSpy.reads == []
+
+
+def test_loaded_index_slices_each_probed_list_once_per_chunk(monkeypatch,
+                                                             rng, tmp_path):
+    """A loaded index reads each probed list once per ``SCAN_BLOCK``
+    chunk, as a slice of its file's rows, however many rows probe it."""
+    monkeypatch.setattr(index_mod, "SCAN_BLOCK", 16)
+    bank = make_bank(rng, 300, 16)
+    built = build_ivf(bank, 6, seed=5)
+    save_index(built, tmp_path / "s.ivf")
+    index = load_index(tmp_path / "s.ivf", bank)
+    monkeypatch.setattr(ReadSpy, "reads", [])
+    real = index_mod._IndexFile.rows
+    monkeypatch.setattr(index_mod._IndexFile, "rows",
+                        lambda self: real(self).view(ReadSpy))
+    queries = np.vstack([query_for(bank, rng).vector for _ in range(32)])
+    table = search(bank, queries, 10, index, 3)
+    probed = set()
+    for q in queries:
+        probed.update(np.lexsort((np.arange(6), -(built.centroids @ q)))[:3])
+    offsets = np.cumsum([0] + [len(lst) for lst in built.lists])
+    expected = [(start, min(start + 16, offsets[c + 1]))
+                for c in probed for start in range(offsets[c],
+                                                   offsets[c + 1], 16)]
+    assert all(isinstance(key, slice) and key.step is None
+               for key in ReadSpy.reads)
+    assert sorted((key.start, key.stop) for key in ReadSpy.reads) == \
+        sorted(expected)
+    plain = search(bank, queries, 10, built, 3)
+    assert np.array_equal(table.ids, plain.ids)
+    assert np.array_equal(table.scores, plain.scores)
+
+
+def _ivf_bits(out, workdir, blas_threads):
+    """Run ``tests/ivf_bits.py`` under ``OPENBLAS_NUM_THREADS`` and load
+    what it writes."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(retroclass.__file__).resolve().parent.parent),
+         env.get("PYTHONPATH", "")])
+    workdir.mkdir()
+    proc = subprocess.run([sys.executable, Path(__file__).with_name(
+        "ivf_bits.py"), out, workdir], capture_output=True, text=True,
+        env=env)
+    assert proc.returncode == 0, proc.stderr
+    return np.load(out)
+
+
+def test_loaded_and_built_index_search_bitwise_alike_at_1_and_2_threads(
+        tmp_path):
+    """Lists of every size mod 16, an empty one and one of three
+    ``SCAN_BLOCK`` chunks, at d 48 and d 7: the loaded index's slices give
+    the built index's gathered ids and score bits, at 1 and 2 BLAS
+    threads."""
+    for threads in (1, 2):
+        got = _ivf_bits(tmp_path / f"t{threads}.npz", tmp_path / f"w{threads}",
+                        threads)
+        n = sum(name.startswith("built_ids") for name in got.files)
+        assert n == 12
+        for i in range(n):
+            assert np.array_equal(got[f"loaded_ids{i}"], got[f"built_ids{i}"])
+            assert np.array_equal(got[f"loaded_scores{i}"].view(np.uint64),
+                                  got[f"built_scores{i}"].view(np.uint64))
+
+
 def _bank_with_nan_row(tmp_path, rng, row):
     """A saved 50x8 bank whose row ``row`` is NaN, loaded back, and the
     original bank."""
@@ -872,6 +972,129 @@ def test_index_trailing_bytes(tmp_path, rng):
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(errors.CorruptIndex, match="trailing"):
         load_index(path, bank)
+
+
+def _v1_bytes(index) -> bytes:
+    """``index`` in the version-1 layout: the header, the centroids, then
+    each list as a u64 length and its ids; no rows."""
+    out = [index_mod._INDEX_HEADER.pack(index_mod.INDEX_MAGIC, 1,
+                                        index.n_clusters, index.dim,
+                                        index.seed),
+           index.centroids.astype("<f4").tobytes()]
+    for lst in index.lists:
+        out += [struct.pack("<Q", len(lst)), lst.astype("<u8").tobytes()]
+    return b"".join(out)
+
+
+def test_index_v1_file_is_refused_at_its_version(tmp_path, rng):
+    path, bank = _saved_index(tmp_path, rng)
+    path.write_bytes(_v1_bytes(load_index(path)))
+    with pytest.raises(errors.CorruptIndex,
+                       match="^unsupported version 1 ") as exc:
+        load_index(path, bank)
+    assert exc.value.byte_offset == 8
+
+
+def _layout(path):
+    """(offsets start, ids start, rows start) of a saved index file."""
+    _, _, n_clusters, dim, _ = index_mod._INDEX_HEADER.unpack_from(
+        path.read_bytes())
+    offsets = index_mod._INDEX_HEADER.size + n_clusters * dim * 4
+    ids = offsets + (n_clusters + 1) * 8
+    count = struct.unpack_from("<Q", path.read_bytes(), ids - 8)[0]
+    return offsets, ids, ids + count * 8 + (-(ids + count * 8) % 64)
+
+
+def test_index_file_layout_and_damage_offsets(tmp_path, rng):
+    """The rows start on a 64-byte boundary after zero padding and fill
+    the file; truncation and trailing bytes name the byte where the rows
+    part from the file's size, and damage before the rows names its
+    place."""
+    path, bank = _saved_index(tmp_path, rng)
+    raw = path.read_bytes()
+    offsets, ids, rows = _layout(path)
+    assert rows % 64 == 0 and len(raw) == rows + 50 * 6 * 4
+    assert raw[ids + 50 * 8:rows] == bytes(rows - ids - 50 * 8)
+    index = load_index(path, bank)
+    for c, lst in enumerate(index.lists):
+        stored = np.frombuffer(raw, "<f4", len(lst) * 6, rows + 4 * 6 * int(
+            np.sum([len(x) for x in index.lists[:c]]))).reshape(-1, 6)
+        assert np.array_equal(stored, bank.vectors[lst])
+    cases = [(raw[:-5], "truncated payload: expected 1200 payload bytes, "
+                        "found 1195", rows + 1195),
+             (raw + b"xx", "trailing bytes after payload: expected 1200 "
+                           "payload bytes, found 1202", rows + 1200),
+             (raw[:ids + 12], "truncated id lists", ids + 12),
+             (raw[:rows - 1], "truncated padding", rows - 1)]
+    padded = bytearray(raw)
+    padded[rows - 1] = 1
+    cases.append((bytes(padded), "non-zero padding", rows - 1))
+    backwards = bytearray(raw)
+    struct.pack_into("<Q", backwards, offsets + 8, 49)
+    struct.pack_into("<Q", backwards, offsets + 16, 3)
+    cases.append((bytes(backwards), "list offsets do not ascend from 0",
+                  offsets + 16))
+    for data, message, offset in cases:
+        path.write_bytes(data)
+        with pytest.raises(errors.CorruptIndex, match=f"^{message} ") as exc:
+            load_index(path, bank)
+        assert exc.value.byte_offset == offset, message
+
+
+def test_nan_index_row_loads_and_fails_the_search_that_scores_it(tmp_path,
+                                                                 rng):
+    """Loading and ``index inspect`` never read an index file's rows, so a
+    NaN row passes them; a search that scores it raises ``CorruptIndex``
+    naming its bank id, and ``retrieve --index`` exits 3."""
+    bank = make_bank(rng, 200, 8)
+    built = build_ivf(bank, 4, seed=1)
+    path = tmp_path / "nan.ivf"
+    save_index(built, path)
+    rows = _layout(path)[2]
+    victim = int(built.lists[2][5])
+    at = rows + (sum(len(lst) for lst in built.lists[:2]) + 5) * 8 * 4
+    raw = bytearray(path.read_bytes())
+    raw[at:at + 32] = np.full(8, np.nan, "<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    index = load_index(path, bank)
+    query = built.centroids[2:3]
+    message = f"^index row {victim} gives a non-finite score \\(nan\\)$"
+    with pytest.raises(errors.CorruptIndex, match=message):
+        search(bank, query, 5, index, 1)
+    # the full probe is the exact scan of the bank, whose rows are sound
+    assert search(bank, query, 5, index, 4).counts[0] == 5
+    bank_save(bank, tmp_path / "b.bank")
+    bank_save(EmbeddingBank(query, bank.space_tag), tmp_path / "q.bank")
+    cli = [sys.executable, "-m", "retroclass"]
+    proc = subprocess.run([*cli, "index", "inspect", "--index", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([*cli, "retrieve", "--bank", str(tmp_path / "b.bank"),
+                           "--queries", str(tmp_path / "q.bank"), "--k", "5",
+                           "--index", str(path), "--nprobe", "1", "--out",
+                           str(tmp_path / "h.jsonl")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == \
+        f"error: index row {victim} gives a non-finite score (nan)\n"
+
+
+def test_save_onto_the_loaded_file_keeps_its_bytes(tmp_path, rng):
+    """A loaded index reads its rows from its own open file, so saving it
+    onto that path writes the same bytes, and it still searches alike."""
+    bank = make_bank(rng, 300, 12)
+    built = build_ivf(bank, 7, seed=2)
+    path = tmp_path / "i.ivf"
+    save_index(built, path)
+    before = path.read_bytes()
+    loaded = load_index(path, bank)
+    save_index(loaded, path)
+    assert path.read_bytes() == before
+    queries = np.vstack([query_for(bank, rng).vector for _ in range(9)])
+    table = search(bank, queries, 8, loaded, 2)
+    plain = search(bank, queries, 8, built, 2)
+    assert np.array_equal(table.ids, plain.ids)
+    assert np.array_equal(table.scores, plain.scores)
 
 
 def test_index_sparse_ids_rejected(tmp_path, rng):

@@ -100,3 +100,25 @@ def test_bench_setup_small(tmp_path):
     # the same synthetic input gives the same bytes on every run
     assert after["outputs"] == runs["before"]["outputs"]
     assert after["machine"]["numpy"] == np.__version__
+
+
+def test_bench_ivf_small(tmp_path):
+    out = tmp_path / "bench.json"
+    for label in ("before", "after"):
+        run_script("bench_ivf.py", "--out", out, "--label", label,
+                   "--rows", 3000, "--dim", 16, "--clusters", 8, "--nprobe", 2,
+                   "--queries", 40, "--repeats", 3, cwd=tmp_path)
+    runs = json.loads(out.read_text())["runs"]
+    assert sorted(runs) == ["after", "before"]
+    after = runs["after"]
+    assert after["shape"] == {"rows": 3000, "dim": 16, "clusters": 8,
+                              "nprobe": 2, "k": 10, "queries": 40}
+    # the rows follow the header, centroids, lists and padding
+    assert after["index_bytes"] >= 3000 * (16 * 4 + 8)
+    assert after["search_1_row"]["samples"] == 40
+    for name in ("load_index", "search_1_row", "search_32_rows",
+                 "cli_retrieve"):
+        entry = after[name]
+        assert 0 < entry["ms_q1"] <= entry["ms_median"] <= entry["ms_q3"]
+    assert after["rss_rise_mb"] < 100
+    assert after["machine"]["numpy"] == np.__version__
