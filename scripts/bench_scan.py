@@ -11,11 +11,13 @@ Times ``search`` at 1, 2, 3, 64, 256 and 320 query rows over an in-memory
 same way: an offset-0 ``np.memmap``, warmed by one call first). Each entry
 records the median and quartiles of ``--repeats`` calls, the bank rows
 scored per query, and the candidate rows re-scored per query (``null``
-when the scan has no re-score step). ``cli_retrieve_mapped`` times whole
+when the scan has no re-score step; counted from the candidates passed
+to ``index._rescore``). ``cli_retrieve_mapped`` times whole
 one-query ``retroclass retrieve`` processes over that bank saved as a bank
 file (page cache warmed by one run first): each process loads the bank
-afresh, so it pays every per-bank cost of its first scan. Machine facts (nproc, numpy, the BLAS
-build, ``OPENBLAS_NUM_THREADS``) are recorded alongside.
+afresh, so it pays every per-bank cost of its first scan. Machine facts
+(nproc, numpy, the BLAS build, the core OpenBLAS runs,
+``OPENBLAS_NUM_THREADS``) are recorded alongside.
 
 The run is stored under ``runs[LABEL]`` of ``--out``; other labels already
 in that file are kept, so one file can hold a before and an after run.
@@ -24,6 +26,7 @@ on ``PYTHONPATH``.
 """
 
 import argparse
+import ctypes
 import json
 import os
 import statistics
@@ -41,12 +44,29 @@ from retroclass.bank import EmbeddingBank, bank_save
 K = 10
 
 
+def blas_core() -> str | None:
+    """The core OpenBLAS runs, which its build configuration does not name
+    (a DYNAMIC_ARCH build picks it at load): ``scipy_openblas_get_corename64_``
+    of numpy's bundled ``libscipy_openblas64_*.so``, or None where that
+    library or symbol is missing."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def machine() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"nproc": len(os.sched_getaffinity(0)),
             "numpy": np.__version__,
             "blas": {key: blas.get(key) for key in
                      ("name", "version", "openblas configuration")},
+            "blas_core": blas_core(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
@@ -61,9 +81,12 @@ def time_search(bank, queries, repeats) -> dict:
     rescored = []
     real = getattr(index_mod, "_rescore", None)
     if real is not None:
-        def counting(block, pos, query):
-            rescored.append(len(pos))
-            return real(block, pos, query)
+        def counting(*args):
+            # the candidate positions come second to last, in
+            # _rescore(block, rows, pos, queries) as in the one-row
+            # _rescore(block, pos, query) of older checkouts
+            rescored.append(len(args[-2]))
+            return real(*args)
         index_mod._rescore = counting
     try:
         times = []

@@ -292,7 +292,7 @@ class PrototypeSet:
 
 def zeroshot_prototypes(table: ClassTable) -> PrototypeSet:
     """Merged (renormalized-mean) prototype per class, no retrieval."""
-    return PrototypeSet(table.merged(table.prototypes))
+    return PrototypeSet(table.merged_prototypes)
 
 
 def check_enrichment_banks(table: ClassTable, llm_bank: EmbeddingBank,
@@ -337,7 +337,7 @@ def fuse_prototypes(table: ClassTable, hits: HitTable | None,
     no retrieval.
     """
     after = merge_aliases == "after"
-    base = table.prototypes if after else table.merged(table.prototypes)
+    base = table.prototypes if after else table.merged_prototypes
     if config.alpha == 0.0:
         # endpoint short-circuit: no retrieval, no partial rows
         n = base.shape[0]

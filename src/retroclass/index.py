@@ -18,15 +18,20 @@ of query rows keeps each row's candidates (one ``sgemv`` per row for runs of
 fewer than 4). A run over an m-row block holds ``QUERY_BLOCK * SCAN_BLOCK //
 m`` rows, a budget of selection scores: 64 rows at a full block, every row
 of a 256-row batch over an 8192-row bank. A row's candidates are the block
-rows scoring at or above its k-th score minus ``4 * dim * 2**-23 * N``,
-where ``N`` bounds the largest row norm (cached per bank, computed per call
-for the centroids). Then each row's candidates are scored exactly with
-``sgemv``: body rows gathered into a zero-padded product of a multiple of 16
-rows, and a block's last ``m mod 8`` rows as its last ``(m mod 8) + 8``
-rows. This is measured with OpenBLAS 0.3.31's Haswell kernel at 1 and 2
-BLAS threads; other kernels and OpenBLAS's splits at 3 or more threads are
-untested. IVF list scans still score one ``block @ query`` per row, so
-their bits can move with the thread count.
+rows scoring at or above a lower bound on its k-th score minus ``4 * dim *
+2**-23 * N``, where ``N`` bounds the largest row norm (cached per bank,
+computed per call for the centroids); the bound is the k-th largest
+maximum of 256 strided column groups, one ``np.partition`` per run. Then
+each run's candidates are gathered at once, each row's into its own
+zero-padded segment of a multiple of 16 rows, and each row is scored
+exactly with one ``sgemv`` over its segment; a block's last ``m mod 8``
+rows are scored as its last ``(m mod 8) + 8`` rows. This is measured with
+OpenBLAS 0.3.31 at 1 and 2 BLAS threads: its SkylakeX core, and its
+Haswell, Zen and Nehalem cores, give these bits, and its Sandybridge core
+does not; OpenBLAS's splits at 3 or more threads are untested. IVF list
+scans still score one ``block @ query`` per row, so their bits can move
+with the thread count. One merge orders every row's candidates, the
+exact scan's and the IVF lists' alike.
 
 So a row's hits are bitwise the same in a batch of any size, and probing
 every IVF list is the exact scan.
@@ -54,7 +59,8 @@ INDEX_MAGIC = b"RTRCIVF1"
 INDEX_VERSION = 2
 SCAN_BLOCK = 131072  # rows per scoring call; fixed so kernel shape is stable
 QUERY_BLOCK = 64  # query rows per selection product at SCAN_BLOCK rows: 32 MB
-_RESCORE_ROWS = 4096  # candidate rows per exact re-score product
+_RESCORE_ROWS = 4096  # candidate rows per exact re-score gather
+_GROUPS = 256  # strided column groups whose maxima bound a k-th score
 DEFAULT_MAX_ITERS = 25
 _TRAIN_ROWS_PER_CLUSTER = 256
 
@@ -126,12 +132,11 @@ class HitTable:
                 zip(self.ids[row, :c].tolist(), self.scores[row, :c].tolist())]
 
 
-def _block_candidates(scores: np.ndarray, k: int, ids,
+def _block_candidates(scores: np.ndarray, k: int, ids: np.ndarray,
                       what: str = "bank row") -> tuple[np.ndarray, np.ndarray]:
     """(ids, scores) of the block's top-k scores, boundary ties included.
 
-    ``ids`` holds the block's row ids, or is the id of its first row
-    when the block is a contiguous run. Unit-norm rows only give finite
+    ``ids`` holds the block's row ids. Unit-norm rows only give finite
     scores, so a non-finite one means a corrupt row: the error names it as
     ``what`` and its id, and is :class:`CorruptBank` for a ``"bank row"``
     and :class:`CorruptIndex` for a centroid or an index file's row.
@@ -139,64 +144,165 @@ def _block_candidates(scores: np.ndarray, k: int, ids,
     finite = np.isfinite(scores)
     if not finite.all():
         pos = int(np.flatnonzero(~finite)[0])
-        row = ids + pos if isinstance(ids, int) else int(ids[pos])
+        row = int(ids[pos])
         error = errors.CorruptBank if what == "bank row" else errors.CorruptIndex
         raise error(f"{what} {row} gives a non-finite score ({scores[pos]})")
     n = scores.shape[0]
     if n <= k:
-        pos = np.arange(n)
-    else:
-        part = np.argpartition(scores, n - k)[n - k:]
-        pos = np.flatnonzero(scores >= scores[part].min())
-    return (pos + ids if isinstance(ids, int) else ids[pos]), scores[pos]
+        return ids, scores
+    part = np.argpartition(scores, n - k)[n - k:]
+    pos = np.flatnonzero(scores >= scores[part].min())
+    return ids[pos], scores[pos]
 
 
-def _select(scores: np.ndarray, k: int, margin: float) -> np.ndarray:
-    """Ascending positions of the rows whose selection score is at or above
-    the k-th best minus ``margin``; every row when there are at most k, or
-    when a score is not finite, so that the exact scores name the row."""
-    n = scores.shape[0]
-    if n <= k or not np.isfinite(scores).all():
-        return np.arange(n)
-    kth = np.partition(scores, n - k)[n - k]
-    return np.flatnonzero(scores >= kth - margin)
+def _kth_lower_bound(scores: np.ndarray, k: int) -> np.ndarray:
+    """A lower bound on the k-th largest score of each row of ``scores``,
+    for ``1 <= k <= m`` columns.
 
-
-def _rescore(block: np.ndarray, pos: np.ndarray,
-             query: np.ndarray) -> np.ndarray:
-    """``(block @ query)[pos]`` for ascending ``pos``, with the bits of a
-    one-thread ``block @ query``.
-
-    This rests on the sgemv kernel of OpenBLAS 0.3.31 for Haswell, measured
-    at 1 and 2 threads. In one thread a row's bits do not depend on its
-    place in the product, except for the product's last ``m mod 8`` rows,
-    and two threads split a product of a multiple of 16 rows on an 8-row
-    boundary. So body rows are gathered into a zero-padded product of a
-    multiple of 16 rows, and the block's tail rows are scored as the
-    block's last ``(m mod 8) + 8`` rows. The kernel scores a product of
-    more than 16384 rows of 2, 3 or 5 to 8 values in another way, whose
-    bits no gathered product gives, so rows of at most 8 values are scored
-    whole, which costs about as much as a gather. Other kernels, and
-    OpenBLAS's splits at 3 or more threads, are untested.
+    Column j falls in group ``j % _GROUPS``. The k largest group maxima
+    are k scores of distinct columns, so the k-th largest of them is at
+    most the row's k-th largest score. The groups are strided because a
+    bank keeps related rows together (a class's captions): contiguous
+    groups put a row's top scores into a few groups and lower the bound.
+    With k at least the group count, or m at most it, this is the exact
+    k-th score. NaN ranks above every number, as in ``np.sort``. Each
+    ``np.partition`` copies at most ``SCAN_BLOCK`` scores, not the run.
     """
-    if block.shape[1] <= 8:
-        return (block @ query)[pos]
-    m = block.shape[0]
-    body_end = m - m % 8
-    n_body = int(np.searchsorted(pos, body_end))
-    out = np.empty(pos.shape[0], np.float32)
-    for lo in range(0, n_body, _RESCORE_ROWS):
-        part = pos[lo:min(lo + _RESCORE_ROWS, n_body)]
-        padded = np.zeros((-(-part.shape[0] // 16) * 16, block.shape[1]),
-                          np.float32)
-        # not np.take(..., out=): it copies an unaligned block (a mapped
-        # bank file's payload) whole, 52 ms at 131072 x 256
-        padded[:part.shape[0]] = block[part]
-        out[lo:lo + part.shape[0]] = (padded @ query)[:part.shape[0]]
-    if n_body < pos.shape[0]:
-        first = max(0, body_end - 8)
-        out[n_body:] = (block[first:] @ query)[pos[n_body:] - first]
+    n, m = scores.shape
+    if k < _GROUPS < m:
+        body = m - m % _GROUPS
+        top = scores[:, :body].reshape(n, -1, _GROUPS).max(axis=1)
+        if body < m:
+            np.maximum(top[:, :m - body], scores[:, body:],
+                       out=top[:, :m - body])
+        scores = top
+    cut = scores.shape[1] - k
+    step = max(1, SCAN_BLOCK // scores.shape[1])
+    out = np.empty(n, scores.dtype)
+    for lo in range(0, n, step):
+        out[lo:lo + step] = np.partition(scores[lo:lo + step], cut,
+                                         axis=1)[:, cut]
     return out
+
+
+def _candidates(scores: np.ndarray, k: int,
+                margin: float) -> np.ndarray | None:
+    """The candidate mask of a selection run: the cells at or above their
+    row's :func:`_kth_lower_bound` minus ``margin``. ``None`` means every
+    cell: when the block has at most k rows, or when ``margin`` is not
+    finite (a row norm overflows, or a row is not finite, which is also
+    the only way a selection score can be)."""
+    if scores.shape[1] <= k or not np.isfinite(margin):
+        return None
+    return scores >= (_kth_lower_bound(scores, k) - margin)[:, None]
+
+
+def _cells(mask, n: int, m: int, whole_rows: bool = False):
+    """(rows, positions) of the candidate cells of an (n, m) selection run,
+    row by row and ascending within a row, at most ``_RESCORE_ROWS`` at a
+    time; ``mask`` is :func:`_candidates`'. Each ``np.flatnonzero`` covers
+    the rows whose cells start in one ``_RESCORE_ROWS`` stretch, so no
+    array holds more than that plus one row's cells. With ``whole_rows``
+    that stretch is yielded whole, so no row's cells are split: for rows
+    of at most 8 values, which :func:`_rescore` scores with one whole-block
+    product per query row and call."""
+    if (n * m if mask is None else np.count_nonzero(mask)) <= _RESCORE_ROWS:
+        firsts = [0]
+    else:
+        counts = (np.full(n, m) if mask is None
+                  else np.count_nonzero(mask, axis=1))
+        stretch = (np.cumsum(counts) - counts) // _RESCORE_ROWS
+        firsts = np.flatnonzero(np.diff(stretch, prepend=-1)).tolist()
+    for a, b in zip(firsts, firsts[1:] + [n]):
+        cells = (np.arange(a * m, b * m) if mask is None
+                 else np.flatnonzero(mask[a:b]) + a * m)
+        if whole_rows:
+            yield np.divmod(cells, m)
+            continue
+        for lo in range(0, cells.shape[0], _RESCORE_ROWS):
+            yield np.divmod(cells[lo:lo + _RESCORE_ROWS], m)
+
+
+def _row_edges(rows: np.ndarray) -> np.ndarray:
+    """Row ``rows[0] + i`` of the ascending ``rows`` holds its entries
+    ``edges[i]:edges[i + 1]``."""
+    return np.searchsorted(rows, np.arange(rows[0], rows[-1] + 2))
+
+
+def _row_spans(rows: np.ndarray) -> list[tuple[int, int, int]]:
+    """(row, start, stop) of each row that the ascending ``rows`` holds."""
+    if not rows.size:
+        return []
+    edges = _row_edges(rows).tolist()
+    return [(int(rows[0]) + i, a, b)
+            for i, (a, b) in enumerate(zip(edges, edges[1:])) if b > a]
+
+
+def _rescore(block: np.ndarray, rows: np.ndarray, pos: np.ndarray,
+             queries: np.ndarray) -> np.ndarray:
+    """``(block @ queries[r])[p]`` for each candidate (r, p), with the bits
+    of a one-thread ``block @ queries[r]``. The candidates come row by row,
+    ascending within a row.
+
+    This rests on the sgemv kernels of OpenBLAS 0.3.31, measured at 1 and 2
+    threads on a Xeon with AVX-512, which runs its SkylakeX core; its
+    Haswell, Zen and Nehalem cores gave the same bits, and its Sandybridge
+    core does not. In one thread a row's bits do not depend on its place in
+    the product, except for the product's last ``m mod 8`` rows, and two
+    threads split a product of a multiple of 16 rows on an 8-row boundary.
+    So the body candidates are gathered into one zero-padded buffer, each
+    row's into a segment of a multiple of 16 rows that starts at a multiple
+    of 16, and each row is scored with one ``sgemv`` over its segment. A
+    block's tail rows are scored as the block's last ``(m mod 8) + 8`` rows.
+    The kernel scores a product of more than 16384 rows of 2, 3 or 5 to 8
+    values in another way, whose bits no gathered product gives, so rows of
+    at most 8 values are scored whole, once per query row of the call,
+    which costs about as much as a gather; :func:`_scan` passes all of
+    such a row's candidates in one call. OpenBLAS's splits at 3 or more threads are untested.
+    """
+    m, dim = block.shape
+    body_end = m - m % 8 if dim > 8 else 0
+    out = np.empty(pos.shape[0], np.float32)
+    at = slice(None) if body_end == m else np.flatnonzero(pos < body_end)
+    rows_b, pos_b = rows[at], pos[at]
+    if pos_b.size:
+        edges = _row_edges(rows_b)
+        counts = edges[1:] - edges[:-1]
+        padded = -(-counts // 16) * 16
+        seg = np.cumsum(padded) - padded
+        dest = np.arange(pos_b.shape[0]) + np.repeat(seg - edges[:-1], counts)
+        src = np.full(int(seg[-1] + padded[-1]), -1)
+        src[dest] = pos_b
+        # one gather straight into the buffer, then its padding (read from
+        # the block's last row) zeroed: faster than a gather and a scatter.
+        # Not np.take(..., out=): it copies an unaligned block (a mapped
+        # bank file's payload) whole, 52 ms at 131072 x 256
+        gathered = block[src]
+        gathered[src < 0] = 0.0
+        scores = np.empty(src.shape[0], np.float32)
+        for r, lo, hi in zip(range(int(rows_b[0]), int(rows_b[-1]) + 1),
+                             seg.tolist(), (seg + padded).tolist()):
+            if hi > lo:
+                scores[lo:hi] = gathered[lo:hi] @ queries[r]
+        out[at] = scores[dest]
+    if body_end < m:
+        rest = np.flatnonzero(pos >= body_end)
+        first = max(0, body_end - 8)
+        for r, a, b in _row_spans(rows[rest]):
+            at = rest[a:b]
+            out[at] = (block[first:] @ queries[r])[pos[at] - first]
+    return out
+
+
+def _merge(rows: np.ndarray, ids: np.ndarray, scores: np.ndarray,
+           k: int) -> tuple[np.ndarray, ...]:
+    """(rows, ids, scores, ranks) of each row's k best entries, sorted by
+    row, then score descending, then id ascending."""
+    order = np.lexsort((ids, -scores, rows))
+    rows, ids, scores = rows[order], ids[order], scores[order]
+    rank = np.arange(rows.shape[0]) - np.searchsorted(rows, rows)
+    keep = rank < k
+    return rows[keep], ids[keep], scores[keep], rank[keep]
 
 
 def _scan(vectors, queries: np.ndarray, k: int, groups=None,
@@ -209,28 +315,49 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
     len(ids)]`` when ``first`` is a row, and are gathered as
     ``vectors[ids]`` when it is ``None``. A group scores its block with one
     ``block @ query`` per row, so a slice and a gather of the same rows
-    give the same bits.
+    give the same bits, and keeps each row's :func:`_block_candidates`.
 
     The whole-bank scan gives each row the bits of a one-thread
     ``block @ query``, whatever the batch and the BLAS thread count (as far
     as :func:`_rescore` holds). One ``Q @ block.T`` per run of
     ``QUERY_BLOCK * SCAN_BLOCK // m`` rows for an m-row block (one ``sgemv``
-    per row for runs of fewer than 4, where the GEMM is slower) selects, and
-    :func:`_rescore` scores the selected rows exactly. The run width only
-    sizes the selection product, which picks candidates and gives no final
-    score. Any float32 dot product of a unit query with a row of norm at
-    most ``bound`` is within about ``dim * 2**-24 * bound`` of the true one
-    (Higham's bound), so a selection score and an exact score differ by at
-    most twice that, and a row of the exact top k scores at least the k-th
-    selection score minus ``4 * dim * 2**-24 * bound``. ``margin`` is twice
-    that. ``bound`` defaults to ``norm_bound(vectors)``. Rows whose squares
-    overflow make it infinite, and every row is re-scored. A non-finite
-    selection score re-scores its whole block, so that
-    :func:`_block_candidates` names the corrupt row as ``what`` and its id;
-    only such a row makes ``bound`` NaN.
+    per row for runs of fewer than 4, where the GEMM is slower) selects,
+    and :func:`_rescore` scores the selected cells exactly. The run width
+    only sizes the selection product, which picks candidates and gives no
+    final score. Any float32 dot product of a unit query with a row of norm
+    at most ``bound`` is within about ``dim * 2**-24 * bound`` of the true
+    one (Higham's bound), so a selection score and an exact score differ
+    by at most twice that, and a row of the exact top k scores at least
+    the k-th selection score minus ``4 * dim * 2**-24 * bound``. ``margin``
+    is twice that, and the k-th selection score is bounded from below by
+    the k-th largest maximum of 256 strided column groups
+    (:func:`_kth_lower_bound`): one ``np.partition`` per run over the group
+    maxima, exact when k is at least 256. A run's candidates are found with
+    one ``np.flatnonzero`` over its mask and re-scored in gathers of at most
+    ``_RESCORE_ROWS``. ``bound`` defaults to ``norm_bound(vectors)``. A
+    finite bound bounds every score, so no score can then be non-finite.
+    Rows whose squares overflow make it infinite, and a non-finite row
+    makes it infinite or NaN; then every cell is a candidate, and each
+    gather keeps each row's :func:`_block_candidates`, which names the
+    first non-finite score's row as ``what`` and its id, in row order.
+
+    The candidates go into flat (row, id, score) arrays, which one
+    :func:`_merge` sorts into the table; they are merged down to each row's
+    top k whenever they outgrow twice the table plus ``_RESCORE_ROWS``.
     """
     n = queries.shape[0]
-    candidates = [[] for _ in range(n)]
+    width = min(k, vectors.shape[0])
+    found, limit = [], 2 * n * width + _RESCORE_ROWS
+    held = 0
+
+    def keep(rows, ids, scores):
+        nonlocal held
+        found.append((rows, ids, scores))
+        held += rows.shape[0]
+        if held > limit:
+            found[:] = [_merge(*map(np.concatenate, zip(*found)), k)[:3]]
+            held = found[0][0].shape[0]
+
     if groups is None:
         bound = norm_bound(vectors) if bound is None else bound
         margin = 4 * vectors.shape[1] * 2.0 ** -23 * bound
@@ -243,38 +370,47 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
                 block = np.array(block)
             # a cell budget: at most QUERY_BLOCK * SCAN_BLOCK selection
             # scores per run, so a short block takes more rows at once
-            width = QUERY_BLOCK * SCAN_BLOCK // block.shape[0]
-            for lo in range(0, n, width):
-                rows = range(lo, min(lo + width, n))
-                if len(rows) < 4:
-                    select = np.stack([block @ queries[r] for r in rows])
+            run = QUERY_BLOCK * SCAN_BLOCK // block.shape[0]
+            for lo in range(0, n, run):
+                hi = min(lo + run, n)
+                if hi - lo < 4:
+                    select = np.array([block @ queries[r]
+                                       for r in range(lo, hi)])
                 else:
-                    select = queries[lo:rows.stop] @ block.T
-                for r, selected in zip(rows, select):
-                    pos = _select(selected, k, margin)
-                    candidates[r].append(_block_candidates(
-                        _rescore(block, pos, queries[r]), k, pos + start,
-                        what))
+                    select = queries[lo:hi] @ block.T
+                mask = _candidates(select, k, margin)
+                del select  # the re-score needs only the mask
+                for rows, pos in _cells(mask, hi - lo, block.shape[0],
+                                        block.shape[1] <= 8):
+                    rows += lo
+                    scores = _rescore(block, rows, pos, queries)
+                    if mask is not None:
+                        keep(rows, pos + start, scores)
+                        continue
+                    # every cell: keep each row's top k, and name a
+                    # non-finite score's row
+                    for r, a, b in _row_spans(rows):
+                        ids, top = _block_candidates(scores[a:b], k,
+                                                     pos[a:b] + start, what)
+                        keep(np.full(ids.shape[0], r), ids, top)
     for ids, rows, first in groups or ():
         for start in range(0, len(ids), SCAN_BLOCK):
             chunk = ids[start:start + SCAN_BLOCK]
             block = vectors[chunk] if first is None else \
                 vectors[first + start:first + start + len(chunk)]
             for r in rows:
-                candidates[r].append(_block_candidates(block @ queries[r], k,
-                                                       chunk, what))
+                hit_ids, scores = _block_candidates(block @ queries[r], k,
+                                                    chunk, what)
+                keep(np.full(hit_ids.shape[0], r), hit_ids, scores)
             # free a gathered block before the next gather, so that gather
             # reuses its pages instead of faulting in fresh ones
             del block
-    width = min(k, vectors.shape[0])
     table = HitTable(np.zeros((n, width), np.int64), np.zeros((n, width)),
                      np.zeros(n, np.int64))
-    for r, row in enumerate(candidates):
-        if row:
-            ids, scores = (np.concatenate(c) for c in zip(*row))
-            order = np.lexsort((ids, -scores))[:k]
-            m = table.counts[r] = order.shape[0]
-            table.ids[r, :m], table.scores[r, :m] = ids[order], scores[order]
+    if found:
+        rows, ids, scores, rank = _merge(*map(np.concatenate, zip(*found)), k)
+        table.ids[rows, rank], table.scores[rows, rank] = ids, scores
+        table.counts[:] = np.bincount(rows, minlength=n)
     return table
 
 

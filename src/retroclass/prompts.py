@@ -12,6 +12,7 @@ carried per prompt row so the two encoders can be driven independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,6 +97,13 @@ class ClassTable:
         which are laid out like the table's."""
         return np.vstack([merge_alias_prototypes(rows[a:b])
                           for a, b in zip(self.bounds[:-1], self.bounds[1:])])
+
+    @cached_property
+    def merged_prototypes(self) -> np.ndarray:
+        """``merged(prototypes)``, computed once per table, read-only."""
+        out = self.merged(self.prototypes)
+        out.setflags(write=False)
+        return out
 
 
 def merge_alias_prototypes(vectors) -> np.ndarray:

@@ -53,26 +53,25 @@ def cases(rng):
         (2000, 48, 4, 10, None, "near-ties"),         # the smallest GEMM
         # a full block takes QUERY_BLOCK rows per product, a short one more
         (index_mod.SCAN_BLOCK + 1000, 64, 130, 10, None, "random"),
+        # k at least the column groups: the exact k-th selection score
+        (8192, 256, 64, 300, None, "random"),
     ]
     return out
 
 
-SELECT = index_mod._select
+CANDIDATES = index_mod._candidates
 
 
 class RunLog:
     """Records the query rows of each selection product ``_scan`` makes.
-    ``_scan`` passes ``_select`` one row of a product at a time, a view
-    whose base is that product."""
+    ``_scan`` passes ``_candidates`` each product whole, once."""
 
     def __init__(self):
-        self.widths, self.product = [], None
+        self.widths = []
 
     def __call__(self, scores, k, margin):
-        if scores.base is not self.product:
-            self.product = scores.base
-            self.widths.append(scores.base.shape[0])
-        return SELECT(scores, k, margin)
+        self.widths.append(scores.shape[0])
+        return CANDIDATES(scores, k, margin)
 
 
 def near_ties(rng, m, d):
@@ -140,9 +139,9 @@ def main(out, workdir):
         queries = (queries / np.linalg.norm(queries, axis=1,
                                             keepdims=True)).astype(np.float32)
         index_mod.SCAN_BLOCK = block or default_block
-        index_mod._select = runs = RunLog()
+        index_mod._candidates = runs = RunLog()
         table = index_mod.search(bank, queries, k)
-        index_mod._select = SELECT
+        index_mod._candidates = CANDIDATES
         assert (table.counts == min(k, m)).all()
         arrays[f"ids{i}"], arrays[f"scores{i}"] = table.ids, table.scores
         arrays[f"shape{i}"] = np.array([m, nq, index_mod.SCAN_BLOCK])

@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -435,16 +436,17 @@ def test_exact_search_is_the_one_thread_plain_scan_at_1_and_2_threads(
     """``search`` ids and scores equal a plain one-thread scan, one
     ``block @ query`` per ``SCAN_BLOCK`` rows, at 1 and 2 BLAS threads:
     every ``m mod 8``, d up to 1024, duplicate rows and ties, a short last
-    block, 1, 63, 64, 65 and 130 query rows, k >= m, and a mapped bank
-    whose rows are not unit norm. OpenBLAS splits a product between
-    threads, and the rows at a split get other bits; see ``scan_bits.py``
-    for the shapes. Each selection product takes the rows its block's cell
-    budget allows: 4, 300 and 1,000 rows over small banks, and 64 then 130
-    rows over the two blocks of a ``SCAN_BLOCK`` + 1,000-row bank."""
+    block, 1, 63, 64, 65 and 130 query rows, k >= m, k at least the 256
+    column groups, and a mapped bank whose rows are not unit norm. OpenBLAS
+    splits a product between threads, and the rows at a split get other
+    bits; see ``scan_bits.py`` for the shapes. Each selection product takes
+    the rows its block's cell budget allows: 4, 300 and 1,000 rows over
+    small banks, and 64 then 130 rows over the two blocks of a
+    ``SCAN_BLOCK`` + 1,000-row bank."""
     one = _scan_bits(tmp_path / "one.npz", 1)
     two = _scan_bits(tmp_path / "two.npz", 2)
     n = sum(name.startswith("ids") for name in one.files)
-    assert n >= 25
+    assert n >= 26
     for i in range(n):
         ids, scores = one[f"ref_ids{i}"], one[f"ref_scores{i}"]
         for got in (one, two):
@@ -464,6 +466,118 @@ def _selection_runs(m, n, scan_block):
                                                           m - start)
         runs += [min(width, n - lo) for lo in range(0, n, width)]
     return runs
+
+
+# -- batched selection -------------------------------------------------------
+
+def _kth_largest(scores, k):
+    """Each row's k-th largest score, NaN above every number (np.sort's
+    order)."""
+    return np.sort(scores, axis=1)[:, scores.shape[1] - k]
+
+
+@pytest.mark.parametrize("kind", ["random", "one group", "contiguous top",
+                                  "all equal", "non-finite"])
+@pytest.mark.parametrize("m,k", [(8192, 10), (1000, 10), (1000, 37),
+                                 (256, 10), (100, 10), (40, 40), (700, 256),
+                                 (1000, 300), (300, 299)])
+def test_kth_lower_bound_never_exceeds_the_kth_score(m, k, kind):
+    """The k-th largest of the 256 strided group maxima is at most the k-th
+    largest score, also when a row's top scores all fall in one group
+    (columns j, j + 256, ...), when m is below 256, not a multiple of it,
+    or at most k, when k is 256 or more, and with NaN and infinities. When
+    the top k sit in k neighbouring columns, the strided groups keep them
+    apart, and the bound is the k-th score itself."""
+    rng = np.random.default_rng(m * 1000 + k)
+    for _ in range(20):
+        scores = rng.standard_normal((5, m)).astype(np.float32)
+        if kind == "one group":
+            scores[:, int(rng.integers(0, min(m, 256)))::256] += 10.0
+        elif kind == "contiguous top":
+            first = int(rng.integers(0, m - k + 1))
+            scores[:, first:first + k] += 10.0
+        elif kind == "all equal":
+            scores[:] = scores[:, :1]
+        elif kind == "non-finite":
+            cells = rng.random(scores.shape) < 0.3
+            scores[cells] = rng.choice(
+                np.array([np.nan, np.inf, -np.inf], np.float32), cells.sum())
+        bound = index_mod._kth_lower_bound(scores, k)
+        kth = _kth_largest(scores, k)
+        assert bound.dtype == np.float32 and bound.shape == (5,)
+        assert (np.isnan(kth) | (bound <= kth)).all()
+        if kind == "contiguous top" or m <= 256 or k >= 256:
+            assert np.array_equal(bound, kth, equal_nan=True)
+
+
+def test_full_block_scan_memory_stays_near_its_selection_product(rng):
+    """Over one full ``SCAN_BLOCK`` block and 64 query rows, the batched
+    selection, re-score and merge stay within 1.25 times the 35.8 MiB peak
+    of a scan that re-scores one query row at a time: the 32 MiB selection
+    product of the run, plus one row's candidates. That holds with an
+    infinite norm bound, where every cell is a candidate, and at k 300,
+    where the k-th score is taken exactly. Each row's hits are those of a
+    one-row scan."""
+    vectors = make_bank(rng, index_mod.SCAN_BLOCK, 16).vectors
+    queries = np.vstack([unit(rng.standard_normal(16)) for _ in range(64)])
+    for bound, k in ((np.inf, 10), (None, 10), (None, 300)):
+        tracemalloc.start()
+        try:
+            table = index_mod._scan(vectors, queries, k, bound=bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 35.8 * 2**20, (bound, k)
+        for i in range(64):
+            assert_same_row(table, i, index_mod._scan(
+                vectors, queries[i:i + 1], k))
+
+
+@pytest.mark.parametrize("dim", [7, 37])
+def test_rescore_gathers_split_a_row_s_candidates(monkeypatch, rng, dim):
+    """With 24 candidate rows per gather, a row's candidates span several
+    gathers (rows of more than 8 values) and the flat candidate arrays are
+    merged down many times; the hits stay bitwise those of the default
+    gathers, with the selection margin and with every cell re-scored
+    (infinite bound). Rows of at most 8 values are scored with one
+    whole-block product per query row and call, so their rows are not
+    split: one product per query row, as in a one-row scan. Near-tied rows
+    give each query row many candidates; 3,001 bank rows leave a tail."""
+    vectors = EmbeddingBank.from_matrix(near_ties(rng, 3001, dim),
+                                        "llm-text").vectors
+    top = vectors[0] + 0.3 * rng.standard_normal((70, dim)) / np.sqrt(dim)
+    queries = (top / np.linalg.norm(top, axis=1, keepdims=True)).astype(
+        np.float32)
+    want = [index_mod._scan(vectors, queries, 30, bound=bound)
+            for bound in (None, np.inf)]
+    calls = []
+    real = index_mod._rescore
+
+    def logged(block, rows, pos, queries):
+        calls.append(rows.copy())
+        return real(block, rows, pos, queries)
+
+    monkeypatch.setattr(index_mod, "_RESCORE_ROWS", 24)
+    monkeypatch.setattr(index_mod, "_rescore", logged)
+    for bound, expected in zip((None, np.inf), want):
+        calls.clear()
+        got = index_mod._scan(vectors, queries, 30, bound=bound)
+        if dim > 8:
+            assert max(len(rows) for rows in calls) <= 24
+            # a row whose candidates end one gather and start the next
+            assert any(a[-1] == b[0] for a, b in zip(calls, calls[1:]))
+        else:
+            # rows of at most 8 values are scored whole, once per query
+            # row and call: each row comes in one call, in calls of at
+            # most 24 cells plus one row's
+            assert sum(len(np.unique(rows)) for rows in calls) == 70
+            assert max(len(rows) for rows in calls) > 24
+            assert all(len(rows) - np.count_nonzero(rows == rows[-1]) < 24
+                       for rows in calls)
+        for i in range(70):
+            assert_same_row(got, i, index_mod.HitTable(
+                expected.ids[i:i + 1], expected.scores[i:i + 1],
+                expected.counts[i:i + 1]))
 
 
 def test_search_rows_match_the_one_query_views(rng):

@@ -104,11 +104,11 @@ def test_merge_empty_and_degenerate():
 
 # -- class specs -------------------------------------------------------------
 
-def spec_inputs(rng, classes):
+def spec_inputs(rng, classes, dim=6):
     n_rows = sum(1 + len(a) for _, a in classes)
-    proto = EmbeddingBank.from_matrix(rng.standard_normal((n_rows, 6)),
+    proto = EmbeddingBank.from_matrix(rng.standard_normal((n_rows, dim)),
                                       "vlm-text")
-    rquery = EmbeddingBank.from_matrix(rng.standard_normal((n_rows, 6)),
+    rquery = EmbeddingBank.from_matrix(rng.standard_normal((n_rows, dim)),
                                        "llm-text")
     return proto, rquery
 
@@ -142,6 +142,34 @@ def test_specs_alias_rows_in_declared_order(rng):
                                           "a photo of a Lynx lynx",
                                           "a photo of a bobcat")
     assert not table.prototypes.flags.writeable
+
+
+@pytest.mark.parametrize("aliases", [False, True], ids=["one-name", "aliases"])
+def test_merged_rows_are_merge_alias_prototypes_bitwise(rng, aliases):
+    """``merged`` has the bits of :func:`merge_alias_prototypes` per class,
+    with and without aliases; the table merges its prototypes once and
+    keeps them read-only."""
+    n_aliases = rng.integers(0, 3, 40) if aliases else np.zeros(40, int)
+    classes = [(f"class {c}", [f"alias {c}.{a}" for a in range(n)])
+               for c, n in enumerate(n_aliases.tolist())]
+    proto, rquery = spec_inputs(rng, classes, dim=256)
+    table = build_class_specs(classes, PromptTemplate.generic(),
+                              PromptTemplate.generic(), proto, rquery)
+    assert (np.diff(table.bounds) > 1).any() == aliases
+    for rows in (table.prototypes, table.retrieval_queries,
+                 rng.standard_normal(table.prototypes.shape)):
+        want = np.vstack([merge_alias_prototypes(rows[a:b]) for a, b in
+                          zip(table.bounds[:-1], table.bounds[1:])])
+        assert np.array_equal(table.merged(rows).view(np.uint32),
+                              want.view(np.uint32))
+    merged = table.merged_prototypes
+    assert merged is table.merged_prototypes
+    assert np.array_equal(merged, table.merged(table.prototypes))
+    assert not merged.flags.writeable
+    zero = np.array(table.prototypes)
+    zero[table.bounds[-2]:] = 0.0
+    with pytest.raises(errors.DegenerateMerge):
+        table.merged(zero)
 
 
 def test_specs_merged_vectors_unit(rng):

@@ -74,6 +74,9 @@ def test_bench_scan_small(tmp_path):
     assert all(entry["rescored_per_query"] >= 10 for name, entry in
                search.items() if name != "cli_retrieve_mapped")
     assert runs["after"]["machine"]["numpy"] == np.__version__
+    # the running OpenBLAS core's name, or null where it cannot be read
+    core = runs["after"]["machine"]["blas_core"]
+    assert core is None or isinstance(core, str) and core
 
 
 def test_bench_setup_small(tmp_path):
