@@ -22,7 +22,10 @@ The bank and index are then loaded as the CLI loads them
   those 32 queries (page cache warmed by one run first), so each one pays
   the bank and index loads;
 * ``rss_rise_mb``: the process's ``VmRSS`` after the single-query calls
-  of a fresh load, less the value before them (Linux only).
+  of a fresh load, less the value before them (Linux only);
+* ``rows_per_probed_list``: for the 32-query batch, how many lists are
+  probed by 1, 2, ... of its rows (a list's rows are read once and scored
+  against every row that probes it, so this is their reuse).
 
 Each timing records the median and quartiles. Machine facts are recorded as
 in ``scripts/bench_scan.py``. The run is stored under ``runs[LABEL]`` of
@@ -114,6 +117,11 @@ def main() -> None:
 
         index = load_index(paths["bank.ivf"], bank)
         rows = queries.vectors
+        # each batch row's probed lists, as search picks them: the top
+        # nprobe of an exact scan of the centroids
+        probed = search(EmbeddingBank(index.centroids, bank.space_tag),
+                        rows[:BATCH], args.nprobe, space_tag=bank.space_tag)
+        reuse = np.bincount(np.bincount(probed.ids.ravel()))
 
         def one(i):
             search(bank, rows[i:i + 1], K, index, args.nprobe)
@@ -149,7 +157,9 @@ def main() -> None:
              "search_1_row": quartiles(singles),
              f"search_{BATCH}_rows": quartiles(batches),
              "cli_retrieve": quartiles(processes),
-             "rss_rise_mb": rise}
+             "rss_rise_mb": rise,
+             "rows_per_probed_list": {str(r): int(c)
+                                      for r, c in enumerate(reuse) if r and c}}
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data.setdefault("runs", {})[args.label] = entry
@@ -161,6 +171,8 @@ def main() -> None:
               f"(q1 {e['ms_q1']:.2f}, q3 {e['ms_q3']:.2f})")
     print(f"{args.label} rss_rise_mb over {args.queries} single-query "
           f"searches: {rise:.1f}")
+    print(f"{args.label} lists probed by r of {BATCH} rows, r: count: "
+          f"{entry['rows_per_probed_list']}")
 
 
 if __name__ == "__main__":

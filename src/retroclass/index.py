@@ -28,10 +28,15 @@ exactly with one ``sgemv`` over its segment; a block's last ``m mod 8``
 rows are scored as its last ``(m mod 8) + 8`` rows. This is measured with
 OpenBLAS 0.3.31 at 1 and 2 BLAS threads: its SkylakeX core, and its
 Haswell, Zen and Nehalem cores, give these bits, and its Sandybridge core
-does not; OpenBLAS's splits at 3 or more threads are untested. IVF list
-scans still score one ``block @ query`` per row, so their bits can move
-with the thread count. One merge orders every row's candidates, the
-exact scan's and the IVF lists' alike.
+does not; OpenBLAS's splits at 3 or more threads are untested. An IVF
+list is scored in tiles of ``_TILE_BYTES`` (a multiple of 16 rows, the
+last tile taking the rest), each tile against every row that probes the
+list before the next tile is read, so the rows after the first find the
+tile in L2. At one BLAS thread a tile's scores are the bits of the whole
+list block's ``block @ query``; at more, OpenBLAS splits a tile's product
+between threads, so a list's bits can move with the thread count, but
+every list is tiled alike however many rows probe it. One merge orders
+every row's candidates, the exact scan's and the IVF lists' alike.
 
 So a row's hits are bitwise the same in a batch of any size, and probing
 every IVF list is the exact scan.
@@ -61,6 +66,7 @@ SCAN_BLOCK = 131072  # rows per scoring call; fixed so kernel shape is stable
 QUERY_BLOCK = 64  # query rows per selection product at SCAN_BLOCK rows: 32 MB
 _RESCORE_ROWS = 4096  # candidate rows per exact re-score gather
 _GROUPS = 256  # strided column groups whose maxima bound a k-th score
+_TILE_BYTES = 1 << 20  # IVF list bytes per tile: half a 2 MiB per-core L2
 DEFAULT_MAX_ITERS = 25
 _TRAIN_ROWS_PER_CLUSTER = 256
 
@@ -133,26 +139,30 @@ class HitTable:
 
 
 def _block_candidates(scores: np.ndarray, k: int, ids: np.ndarray,
-                      what: str = "bank row") -> tuple[np.ndarray, np.ndarray]:
-    """(ids, scores) of the block's top-k scores, boundary ties included.
+                      what: str = "bank row") -> tuple[np.ndarray, ...]:
+    """(rows, ids, scores) of each row's top-k scores of the (n, m)
+    ``scores``, boundary ties included, row by row and in column order.
 
-    ``ids`` holds the block's row ids. Unit-norm rows only give finite
-    scores, so a non-finite one means a corrupt row: the error names it as
-    ``what`` and its id, and is :class:`CorruptBank` for a ``"bank row"``
-    and :class:`CorruptIndex` for a centroid or an index file's row.
+    ``ids`` holds the m columns' ids. Unit-norm rows only give finite
+    scores, so a non-finite one means a corrupt row: the error names the
+    first such cell's column, in row order, as ``what`` and its id, and is
+    :class:`CorruptBank` for a ``"bank row"`` and :class:`CorruptIndex` for
+    a centroid or an index file's row.
     """
     finite = np.isfinite(scores)
+    n, m = scores.shape
     if not finite.all():
-        pos = int(np.flatnonzero(~finite)[0])
-        row = int(ids[pos])
+        row, pos = divmod(int(np.flatnonzero(~finite)[0]), m)
         error = errors.CorruptBank if what == "bank row" else errors.CorruptIndex
-        raise error(f"{what} {row} gives a non-finite score ({scores[pos]})")
-    n = scores.shape[0]
-    if n <= k:
-        return ids, scores
-    part = np.argpartition(scores, n - k)[n - k:]
-    pos = np.flatnonzero(scores >= scores[part].min())
-    return ids[pos], scores[pos]
+        raise error(f"{what} {int(ids[pos])} gives a non-finite score "
+                    f"({scores[row, pos]})")
+    if m <= k:
+        cells = np.arange(n * m)
+    else:
+        kth = np.partition(scores, m - k, axis=1)[:, m - k]
+        cells = np.flatnonzero(scores >= kth[:, None])
+    rows, pos = np.divmod(cells, m)
+    return rows, ids[pos], scores.ravel()[cells]
 
 
 def _kth_lower_bound(scores: np.ndarray, k: int) -> np.ndarray:
@@ -313,9 +323,16 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
     scores every row against every vector. A group reads each block of at
     most ``SCAN_BLOCK`` ids once: the ids' rows are ``vectors[first:first +
     len(ids)]`` when ``first`` is a row, and are gathered as
-    ``vectors[ids]`` when it is ``None``. A group scores its block with one
-    ``block @ query`` per row, so a slice and a gather of the same rows
-    give the same bits, and keeps each row's :func:`_block_candidates`.
+    ``vectors[ids]`` when it is ``None``. A group scores its block into
+    one score buffer per run of at most ``QUERY_BLOCK * SCAN_BLOCK // m``
+    of its rows, tile by tile: each tile of ``_TILE_BYTES`` (a multiple of
+    16 rows; the last one takes the rest, and rows of at most 8 values
+    keep the block whole, as :func:`_rescore` requires) gets one
+    ``tile @ query`` per row before the next tile is read, so it is read
+    from memory once and from L2 after. A slice and a gather of the same
+    rows give the same bits, and at one BLAS thread those of one ``block
+    @ query``. One :func:`_block_candidates` per buffer keeps each row's
+    top k.
 
     The whole-bank scan gives each row the bits of a one-thread
     ``block @ query``, whatever the batch and the BLAS thread count (as far
@@ -390,18 +407,28 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
                     # every cell: keep each row's top k, and name a
                     # non-finite score's row
                     for r, a, b in _row_spans(rows):
-                        ids, top = _block_candidates(scores[a:b], k,
-                                                     pos[a:b] + start, what)
-                        keep(np.full(ids.shape[0], r), ids, top)
+                        at, ids, top = _block_candidates(
+                            scores[None, a:b], k, pos[a:b] + start, what)
+                        keep(at + r, ids, top)
     for ids, rows, first in groups or ():
         for start in range(0, len(ids), SCAN_BLOCK):
             chunk = ids[start:start + SCAN_BLOCK]
             block = vectors[chunk] if first is None else \
                 vectors[first + start:first + start + len(chunk)]
-            for r in rows:
-                hit_ids, scores = _block_candidates(block @ queries[r], k,
-                                                    chunk, what)
-                keep(np.full(hit_ids.shape[0], r), hit_ids, scores)
+            m, dim = block.shape
+            # tiles of a multiple of 16 rows, the last one taking the rest
+            step = m if dim <= 8 else max(16, _TILE_BYTES // (64 * dim) * 16)
+            cuts = list(range(0, m, step))[:max(1, m // step)] + [m]
+            run = QUERY_BLOCK * SCAN_BLOCK // m
+            for lo in range(0, len(rows), run):
+                part = rows[lo:lo + run]
+                scores = np.empty((len(part), m), np.float32)
+                for a, b in zip(cuts, cuts[1:]):
+                    tile = block[a:b]
+                    for i, r in enumerate(part.tolist()):
+                        np.matmul(tile, queries[r], out=scores[i, a:b])
+                at, hit_ids, top = _block_candidates(scores, k, chunk, what)
+                keep(part[at], hit_ids, top)
             # free a gathered block before the next gather, so that gather
             # reuses its pages instead of faulting in fresh ones
             del block
@@ -450,7 +477,7 @@ def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
     order = np.argsort(probed, kind="stable")
     lists, starts = np.unique(probed[order], return_index=True)
     file = index.file
-    groups = [(index.lists[c], rows.tolist(),
+    groups = [(index.lists[c], rows,
                None if file is None else int(file.offsets[c]))
               for c, rows in zip(lists.tolist(),
                                  np.split(order // nprobe, starts[1:]))]

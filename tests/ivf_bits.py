@@ -6,11 +6,20 @@ subprocess.
 A built index gathers each probed list's rows from its bank; a loaded one
 slices them from its own file. For each case this writes both searches'
 ids and scores (``built_ids<i>``, ``built_scores<i>``, ``loaded_ids<i>``,
-``loaded_scores<i>``). The lists hold every size mod 16, one list is
-empty and one is longer than ``SCAN_BLOCK`` (set to 1,500 rows here), so
-the lists are read in full and short chunks; at d 48 and d 7 OpenBLAS
-splits those products between threads when more than one is allowed.
-``test_index.py`` runs it at 1 and 2 BLAS threads and compares.
+``loaded_scores<i>``), the same searches made one row at a time and
+stacked (``built_alone_ids<i>`` and so on), and, for each hit of the
+built search, its score in one ``block @ query`` over the hit's whole
+``SCAN_BLOCK`` chunk of its list (``chunk_scores<i>``).
+
+At d 48 and d 7 the lists hold every size mod 16, one list is empty and
+one is longer than ``SCAN_BLOCK`` (set to 1,500 rows for these cases), so
+the lists are read in full and short chunks, and the scan's tiles are set
+to 64 rows at d 48, so that every list of more than 127 rows crosses tile
+edges (at d 7 a chunk is one tile). A d 256 case keeps the module's own
+sizes: its lists take 1,024-row tiles, whose products OpenBLAS splits
+between threads when more than one is allowed, and at 2 threads such a
+tile's bits can differ from a whole-list product's. ``test_index.py``
+runs it at 1 and 2 BLAS threads and compares.
 """
 
 import sys
@@ -24,6 +33,10 @@ from retroclass.index import IvfIndex, load_index, save_index, search
 
 SCAN_BLOCK = 1500
 LONG_LIST = 4000  # chunks of 1,500, 1,500 and 1,000 rows
+TILE_BYTES = 64 * 48 * 4  # 64-row tiles at d 48
+# d 256 at the module's own chunk and tile sizes: lists of 2 to 6 tiles of
+# 1,024 rows, products that OpenBLAS splits between threads
+LARGE_LISTS = [2185, 3310, 3763, 6182, 700]
 
 
 def list_sizes(rng) -> list[int]:
@@ -31,9 +44,9 @@ def list_sizes(rng) -> list[int]:
     return sizes + [0, LONG_LIST]
 
 
-def case(rng, dim: int, path: Path, out: dict, i: int) -> int:
+def case(rng, dim: int, sizes: list[int], path: Path, out: dict,
+         i: int) -> int:
     """Write case ``i`` onward into ``out``; the next case number."""
-    sizes = list_sizes(rng)
     n = sum(sizes)
     bank = EmbeddingBank.from_matrix(rng.standard_normal((n, dim)), "llm-text")
     ids = rng.permutation(n).astype(np.uint64)
@@ -53,16 +66,48 @@ def case(rng, dim: int, path: Path, out: dict, i: int) -> int:
                 table = search(bank, queries, k, index, nprobe)
                 out[f"{name}_ids{i}"] = table.ids
                 out[f"{name}_scores{i}"] = table.scores
+                alone = [search(bank, queries[r:r + 1], k, index, nprobe)
+                         for r in range(len(queries))]
+                out[f"{name}_alone_ids{i}"] = np.vstack([t.ids for t in alone])
+                out[f"{name}_alone_scores{i}"] = np.vstack(
+                    [t.scores for t in alone])
+                if name == "built":
+                    out[f"chunk_scores{i}"] = chunk_scores(bank, lists,
+                                                           queries, table)
             i += 1
     return i
 
 
+def chunk_scores(bank, lists, queries, table) -> np.ndarray:
+    """Each hit's score in one ``block @ query`` over its whole chunk."""
+    where = {}  # bank id: (list, chunk start, position in the chunk)
+    for c, ids in enumerate(lists):
+        for j, id_ in enumerate(ids.tolist()):
+            start = j - j % index_mod.SCAN_BLOCK
+            where[id_] = (c, start, j - start)
+    products = {}  # (list, chunk start, row): the chunk's scores
+    out = np.zeros(table.scores.shape, np.float32)
+    for r in range(len(queries)):
+        for col in range(int(table.counts[r])):
+            c, start, pos = where[int(table.ids[r, col])]
+            if (c, start, r) not in products:
+                block = bank.vectors[lists[c][start:start +
+                                              index_mod.SCAN_BLOCK]]
+                products[c, start, r] = block @ queries[r]
+            out[r, col] = products[c, start, r][pos]
+    return out
+
+
 def main(out_path: str, workdir: str) -> None:
-    index_mod.SCAN_BLOCK = SCAN_BLOCK
+    defaults = index_mod.SCAN_BLOCK, index_mod._TILE_BYTES
+    index_mod.SCAN_BLOCK, index_mod._TILE_BYTES = SCAN_BLOCK, TILE_BYTES
     rng = np.random.default_rng(1516)
     out, i = {}, 0
     for dim in (48, 7):
-        i = case(rng, dim, Path(workdir) / f"d{dim}.ivf", out, i)
+        i = case(rng, dim, list_sizes(rng), Path(workdir) / f"d{dim}.ivf",
+                 out, i)
+    index_mod.SCAN_BLOCK, index_mod._TILE_BYTES = defaults
+    i = case(rng, 256, LARGE_LISTS, Path(workdir) / "d256.ivf", out, i)
     np.savez(out_path, **out)
 
 

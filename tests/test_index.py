@@ -717,6 +717,80 @@ def test_search_gathers_each_probed_list_once_per_chunk(monkeypatch, rng):
     assert np.array_equal(table.scores, plain.scores)
 
 
+def test_list_rows_split_into_runs_by_the_cell_budget(monkeypatch, rng):
+    """A list chunk of m rows is scored against at most ``QUERY_BLOCK *
+    SCAN_BLOCK // m`` of its probing rows at once, so its score buffer
+    stays within the exact scan's cell budget; splitting a list's rows
+    into several runs leaves the table bitwise unchanged."""
+    monkeypatch.setattr(index_mod, "SCAN_BLOCK", 16)
+    bank = make_bank(rng, 300, 16)
+    index = build_ivf(bank, 4, seed=5)
+    queries = np.vstack([query_for(bank, rng).vector for _ in range(32)])
+    whole = search(bank, queries, 10, index, 2)
+    runs = []  # (chunk rows, probing rows) of each score buffer
+    real = index_mod._block_candidates
+
+    def logged(scores, k, ids, what="bank row"):
+        if what == "bank row":
+            runs.append((len(ids), scores.shape[0]))
+        return real(scores, k, ids, what)
+
+    monkeypatch.setattr(index_mod, "QUERY_BLOCK", 2)
+    monkeypatch.setattr(index_mod, "_block_candidates", logged)
+    split = search(bank, queries, 10, index, 2)
+    assert all(rows <= 2 * 16 // m for m, rows in runs)
+    # more buffers than chunks: some chunk's rows came in several runs
+    assert len(runs) > sum(-(-len(lst) // 16) for lst in index.lists)
+    assert np.array_equal(split.ids, whole.ids)
+    assert np.array_equal(split.scores.view(np.uint64),
+                          whole.scores.view(np.uint64))
+
+
+def test_nan_rows_in_later_tiles_name_the_first_in_row_order(monkeypatch,
+                                                             rng, tmp_path):
+    """NaN rows in the second and third 16-row tiles of a list that two
+    rows probe: a loaded index raises ``CorruptIndex`` and a built one
+    ``CorruptBank``, each naming the earlier row's bank id, the first
+    non-finite score of the first row that probes the list."""
+    monkeypatch.setattr(index_mod, "_TILE_BYTES", 16 * 16 * 4)
+    bank = make_bank(rng, 300, 16)
+    built = build_ivf(bank, 4, seed=1)
+    c = int(np.argmax([len(lst) for lst in built.lists]))
+    assert len(built.lists[c]) >= 64  # tiles at 0, 16, 32 and 48
+    queries = np.vstack([built.centroids[c],
+                         bank.vectors[int(built.lists[c][0])]])
+    probed = index_mod._scan(built.centroids, queries, 2,
+                             what="centroid").ids
+    assert (probed == c).any(axis=1).all()
+    victims = [int(built.lists[c][20]), int(built.lists[c][40])]
+
+    path = tmp_path / "nan.ivf"
+    save_index(built, path)
+    raw = bytearray(path.read_bytes())
+    first = _layout(path)[2] + sum(len(lst) for lst in built.lists[:c]) * 64
+    for j in (20, 40):
+        raw[first + j * 64:first + (j + 1) * 64] = \
+            np.full(16, np.nan, "<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(errors.CorruptIndex, match=(
+            f"^index row {victims[0]} gives a non-finite score \\(nan\\)$")):
+        search(bank, queries, 5, load_index(path, bank), 2)
+
+    bank_save(bank, tmp_path / "nan.bank")
+    raw = bytearray((tmp_path / "nan.bank").read_bytes())
+    first = len(raw) - 300 * 64
+    for row in victims:
+        raw[first + row * 64:first + (row + 1) * 64] = \
+            np.full(16, np.nan, "<f4").tobytes()
+    (tmp_path / "nan.bank").write_bytes(bytes(raw))
+    corrupt = bank_load(tmp_path / "nan.bank")
+    index = IvfIndex(built.n_clusters, built.dim, built.seed,
+                     built.centroids, built.lists).attach(corrupt)
+    with pytest.raises(errors.CorruptBank, match=(
+            f"^bank row {victims[0]} gives a non-finite score \\(nan\\)$")):
+        search(corrupt, queries, 5, index, 2)
+
+
 class ReadSpy(np.ndarray):
     """An array that records each item read and each ufunc (such as
     ``@``) it takes part in."""
@@ -800,21 +874,60 @@ def _ivf_bits(out, workdir, blas_threads):
     return np.load(out)
 
 
+@pytest.fixture(scope="module")
+def ivf_bits(tmp_path_factory):
+    """``tests/ivf_bits.py``'s arrays at 1 and 2 BLAS threads, by count."""
+    tmp = tmp_path_factory.mktemp("ivf_bits")
+    return {threads: _ivf_bits(tmp / f"t{threads}.npz", tmp / f"w{threads}",
+                               threads)
+            for threads in (1, 2)}
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        a.tobytes() == b.tobytes()
+
+
 def test_loaded_and_built_index_search_bitwise_alike_at_1_and_2_threads(
-        tmp_path):
+        ivf_bits):
     """Lists of every size mod 16, an empty one and one of three
-    ``SCAN_BLOCK`` chunks, at d 48 and d 7: the loaded index's slices give
-    the built index's gathered ids and score bits, at 1 and 2 BLAS
-    threads."""
+    ``SCAN_BLOCK`` chunks, at d 48 and d 7, and lists of 2 to 6 tiles at
+    d 256: the loaded index's slices give the built index's gathered ids
+    and score bits, at 1 and 2 BLAS threads."""
     for threads in (1, 2):
-        got = _ivf_bits(tmp_path / f"t{threads}.npz", tmp_path / f"w{threads}",
-                        threads)
+        got = ivf_bits[threads]
         n = sum(name.startswith("built_ids") for name in got.files)
-        assert n == 12
+        assert n == 18
         for i in range(n):
             assert np.array_equal(got[f"loaded_ids{i}"], got[f"built_ids{i}"])
             assert np.array_equal(got[f"loaded_scores{i}"].view(np.uint64),
                                   got[f"built_scores{i}"].view(np.uint64))
+
+
+def test_tiled_list_scores_are_the_whole_chunk_product_at_1_thread(ivf_bits):
+    """With 64-row tiles at d 48 and 1,024-row tiles at d 256, lists are
+    scored tile by tile, yet at one BLAS thread each returned score is
+    bitwise the hit's entry of one ``block @ query`` over its whole
+    ``SCAN_BLOCK`` chunk."""
+    got = ivf_bits[1]
+    for i in range(18):
+        assert got[f"built_scores{i}"].any()
+        assert _same_bits(got[f"built_scores{i}"],
+                          got[f"chunk_scores{i}"].astype(np.float64))
+
+
+def test_ivf_rows_get_the_same_hits_in_a_batch_as_alone(ivf_bits):
+    """Every list is tiled alike however many rows probe it, so each of
+    the 40 rows gets the same ids and score bits in the batch as alone, at
+    1 and 2 BLAS threads, from a built and a loaded index."""
+    for threads in (1, 2):
+        got = ivf_bits[threads]
+        for i in range(18):
+            for name in ("built", "loaded"):
+                assert _same_bits(got[f"{name}_ids{i}"],
+                                  got[f"{name}_alone_ids{i}"])
+                assert _same_bits(got[f"{name}_scores{i}"],
+                                  got[f"{name}_alone_scores{i}"])
 
 
 def _bank_with_nan_row(tmp_path, rng, row):

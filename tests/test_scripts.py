@@ -124,4 +124,9 @@ def test_bench_ivf_small(tmp_path):
         entry = after[name]
         assert 0 < entry["ms_q1"] <= entry["ms_median"] <= entry["ms_q3"]
     assert after["rss_rise_mb"] < 100
+    # 32 rows probe 2 of the 8 lists each
+    reuse = after["rows_per_probed_list"]
+    assert all(1 <= int(r) <= 32 for r in reuse)
+    assert sum(int(r) * c for r, c in reuse.items()) == 32 * 2
+    assert sum(reuse.values()) <= 8
     assert after["machine"]["numpy"] == np.__version__
