@@ -11,9 +11,10 @@ benchmark's ivf-large input), then runs ``retroclass bank build`` and
 times. Each command's wall time is split into stages by wrapping the
 functions it calls:
 
-* ``bank build``: ``normalize`` (``bank._normalize_rows``), ``payload``
-  and ``sidecar`` (the bank file's and the sidecar's writes), and ``load``,
-  the rest (reading and checking the ``.npy``);
+* ``bank build``: ``normalize`` (``bank._normalize_rows``, once per
+  ingest buffer), ``payload`` and ``sidecar`` (the bank file's and the
+  sidecar's writes), and ``load``, the rest (reading and checking the
+  ``.npy``; the mapped input's pages are read while normalizing);
 * ``index build``: ``train`` (``index._spherical_kmeans``), ``assign``
   (the full-bank assignment pass), ``save`` (``index.save_index``), and
   ``load``, the rest (mapping the bank, sampling, building the lists).
@@ -108,16 +109,18 @@ class Stages:
 
     def wrap_writer(self) -> None:
         """Time ``bank.replace_atomically`` blocks: the bank file is the
-        payload, the sidecar is the sidecar."""
+        payload, the sidecar is the sidecar. The bank file's block holds
+        the sidecar's and the normalization, whose stages it leaves out."""
         real = bank_mod.replace_atomically
 
         @contextlib.contextmanager
         def timed(path, what, *args, **kwargs):
-            t0 = time.perf_counter()
+            t0, inner = time.perf_counter(), sum(self.ms.values())
             with real(path, what, *args, **kwargs) as fh:
                 yield fh
+            inner = (sum(self.ms.values()) - inner) / 1e3
             self.add("sidecar" if what == "metadata sidecar" else "payload",
-                     time.perf_counter() - t0)
+                     time.perf_counter() - t0 - inner)
         self.patched.append((bank_mod, "replace_atomically", real))
         bank_mod.replace_atomically = timed
 

@@ -8,12 +8,16 @@ so that dot product equals cosine similarity everywhere downstream.
 On-disk layout, all little-endian:
 
     8 bytes   magic  b"RTRCBANK"
-    u32       format version (1)
+    u32       format version (2)
     u32       dtype code (1 = float32)
     u32       dim
     u64       count
     u16       space-tag byte length, followed by the UTF-8 tag bytes
+    padding   zero bytes up to a multiple of 64
     payload   count * dim float32 values, row-major
+
+A version-1 file has no padding: its payload follows the tag. Both load;
+every writer writes version 2, whose aligned payload numpy reads in place.
 
 The metadata sidecar lives at ``<bankfile>.meta.jsonl`` with one JSON object
 per row: ``{"id": int, "text": str, "source": str | null}``. It is only read
@@ -34,18 +38,20 @@ from . import errors
 from .files import read_jsonl, replace_atomically
 
 MAGIC = b"RTRCBANK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DTYPE_F32 = 1
 NORM_ATOL = 1e-4
 ZERO_NORM_EPS = 1e-8
 
 # magic, version, dtype, dim, count, tag byte length
 _HEADER = struct.Struct("<8sIIIQH")
+_PAYLOAD_ALIGN = 64  # a version-2 payload starts at a multiple of this
 _NORM_BLOCK = 65536  # rows per float32 pass of norm_bound
 # float64 values normalized or checked per step: 2 MB, so a step's
 # temporaries stay in a core's L2 cache. numpy sums each row of a row-major
 # block on its own, so a row's norm does not depend on the step.
 _NORMALIZE_VALUES = 1 << 18
+_INGEST_STEPS = 32  # steps per buffer bank_build writes: 32 MB of float32
 _SIDECAR_BLOCK = 65536  # placeholder sidecar lines formatted per write
 _PLACEHOLDER = '{"id": %d, "text": "item-%d", "source": null}\n'
 
@@ -89,15 +95,29 @@ def _check_tag(space_tag: str) -> str:
     return space_tag
 
 
-def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    """Unit-normalize rows in float64, round to float32.
+def _check_matrix(matrix) -> np.ndarray:
+    matrix = np.asarray(matrix)
+    if matrix.dtype.kind not in "biuf":
+        raise errors.ValidationError(
+            f"expected a real numeric matrix, got dtype {matrix.dtype}")
+    if matrix.ndim != 2:
+        raise errors.InvalidDimension("expected a 2-D matrix")
+    if matrix.shape[1] < 1:
+        raise errors.InvalidDimension("bank dim must be >= 1")
+    return matrix
+
+
+def _normalize_rows(matrix: np.ndarray, out: np.ndarray | None = None,
+                    first: int = 0) -> np.ndarray:
+    """Unit-normalize rows in float64, round to float32, into ``out``.
 
     Rejects the first row, in row order, that is non-finite, whose float64
-    norm overflows, or that is too short to carry a direction. A non-finite
-    value makes its row's norm non-finite, so only that row's values are
-    scanned.
+    norm overflows, or that is too short to carry a direction, naming it
+    as row ``first + i``. A non-finite value makes its row's norm
+    non-finite, so only that row's values are scanned.
     """
-    out = np.empty(matrix.shape, dtype=np.float32)
+    if out is None:
+        out = np.empty(matrix.shape, dtype=np.float32)
     step = max(1, _NORMALIZE_VALUES // matrix.shape[1])
     for start in range(0, matrix.shape[0], step):
         block = np.asarray(matrix[start:start + step], dtype=np.float64)
@@ -105,11 +125,11 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
             norms = np.linalg.norm(block, axis=1)
         ok = np.isfinite(norms) & (norms > ZERO_NORM_EPS)
         if not ok.all():
-            first = int(np.argmin(ok))
-            row = start + first
-            if np.isfinite(norms[first]):
+            bad = int(np.argmin(ok))
+            row = first + start + bad
+            if np.isfinite(norms[bad]):
                 raise errors.ZeroVector(f"row {row} has near-zero norm")
-            if np.isfinite(block[first]).all():
+            if np.isfinite(block[bad]).all():
                 raise errors.ValidationError(f"row {row} norm overflows")
             raise errors.ValidationError(f"row {row} contains non-finite values")
         # divides in float64 and rounds once, with no float64 quotient copy
@@ -123,7 +143,7 @@ class EmbeddingBank:
 
     def __init__(self, vectors: np.ndarray, space_tag: str,
                  records: list[CaptionRecord] | None = None,
-                 meta_path: Path | None = None):
+                 meta_path: Path | None = None, version: int | None = None):
         vectors = np.asanyarray(vectors, dtype=np.float32)
         if vectors.ndim != 2:
             raise errors.InvalidDimension("bank vectors must be a 2-D matrix")
@@ -138,6 +158,7 @@ class EmbeddingBank:
                 f"{len(records)} records for {vectors.shape[0]} rows")
         self._records = records
         self._meta_path = meta_path
+        self.version = version  # of the file the bank was loaded from
 
     @property
     def vectors(self) -> np.ndarray:
@@ -167,15 +188,8 @@ class EmbeddingBank:
     def from_matrix(cls, matrix: np.ndarray, space_tag: str,
                     records: list[CaptionRecord] | None = None) -> "EmbeddingBank":
         """Bulk constructor from a real numeric matrix; rows are normalized."""
-        matrix = np.asarray(matrix)
-        if matrix.dtype.kind not in "biuf":
-            raise errors.ValidationError(
-                f"expected a real numeric matrix, got dtype {matrix.dtype}")
-        if matrix.ndim != 2:
-            raise errors.InvalidDimension("expected a 2-D matrix")
-        if matrix.shape[1] < 1:
-            raise errors.InvalidDimension("bank dim must be >= 1")
-        return cls(_normalize_rows(matrix), space_tag, records=records)
+        return cls(_normalize_rows(_check_matrix(matrix)), space_tag,
+                   records=records)
 
     # -- metadata ----------------------------------------------------------
 
@@ -203,36 +217,64 @@ class EmbeddingBank:
 # module-level operations
 
 
+def _write(path: Path, space_tag: str, shape: tuple[int, int], payload,
+           records: list[CaptionRecord] | None) -> None:
+    """Write a bank file, whose rows ``payload(fh)`` writes, and its
+    sidecar. Both go to temporary files; the sidecar is renamed into place,
+    then the bank, so a failure before that last rename keeps the old
+    pair."""
+    count, dim = shape
+    tag_bytes = _check_tag(space_tag).encode("utf-8")
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, DTYPE_F32, dim, count,
+                          len(tag_bytes)) + tag_bytes
+    with replace_atomically(path, "bank", "wb") as fh:
+        fh.write(header + bytes(-len(header) % _PAYLOAD_ALIGN))
+        payload(fh)
+        with replace_atomically(_meta_path(path), "metadata sidecar") as meta:
+            if records is None:
+                # the bytes json.dumps writes for CaptionRecord(i, f"item-{i}")
+                for start in range(0, count, _SIDECAR_BLOCK):
+                    stop = min(start + _SIDECAR_BLOCK, count)
+                    meta.write("".join(_PLACEHOLDER % (i, i)
+                                       for i in range(start, stop)))
+            else:
+                for rec in records:
+                    meta.write(json.dumps(
+                        {"id": rec.id, "text": rec.text, "source": rec.source},
+                        ensure_ascii=False) + "\n")
+
+
 def bank_save(bank: EmbeddingBank, path) -> None:
     """Write the bank file and its metadata sidecar.
 
     A bank loaded with a sidecar keeps its records; a bank without records
     gets ``item-<id>`` placeholders.
     """
-    path = Path(path)
-    tag_bytes = bank.space_tag.encode("utf-8")
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, DTYPE_F32,
-                          bank.dim, bank.count, len(tag_bytes))
-    payload = np.ascontiguousarray(bank.vectors, dtype="<f4")
     records = bank._records
     if records is None and bank._meta_path is not None:
         records = bank._load_records()
-    with replace_atomically(path, "bank", "wb") as fh:
-        fh.write(header)
-        fh.write(tag_bytes)
-        fh.write(payload)
-    with replace_atomically(_meta_path(path), "metadata sidecar") as fh:
-        if records is None:
-            # the bytes json.dumps writes for CaptionRecord(i, f"item-{i}")
-            for start in range(0, bank.count, _SIDECAR_BLOCK):
-                stop = min(start + _SIDECAR_BLOCK, bank.count)
-                fh.write("".join(_PLACEHOLDER % (i, i)
-                                 for i in range(start, stop)))
-        else:
-            for rec in records:
-                fh.write(json.dumps(
-                    {"id": rec.id, "text": rec.text, "source": rec.source},
-                    ensure_ascii=False) + "\n")
+    _write(Path(path), bank.space_tag, bank.vectors.shape, lambda fh: fh.write(
+        np.ascontiguousarray(bank.vectors, dtype="<f4")), records)
+
+
+def bank_build(matrix: np.ndarray, space_tag: str, path,
+               records: list[CaptionRecord] | None = None) -> None:
+    """``bank_save(EmbeddingBank.from_matrix(matrix, space_tag, records),
+    path)``, without holding the normalized rows: they are normalized into
+    one reused buffer of ``_INGEST_STEPS`` steps, and each buffer is
+    written before the next is filled."""
+    matrix = _check_matrix(matrix)
+    count, dim = matrix.shape
+    if records is not None and len(records) != count:
+        raise errors.LengthMismatch(f"{len(records)} records for {count} rows")
+    rows = max(1, _NORMALIZE_VALUES // dim) * _INGEST_STEPS
+
+    def payload(fh):
+        buf = np.empty((min(rows, count), dim), "<f4")
+        for start in range(0, count, rows):
+            fh.write(_normalize_rows(matrix[start:start + rows],
+                                     buf[:min(rows, count - start)], start))
+    _write(Path(path), space_tag, matrix.shape, payload, records)
 
 
 def bank_load(path) -> EmbeddingBank:
@@ -253,7 +295,7 @@ def bank_load(path) -> EmbeddingBank:
             magic, version, dtype, dim, count, tag_len = _HEADER.unpack(fixed)
             if magic != MAGIC:
                 raise errors.CorruptBank(f"bad magic {magic!r}", byte_offset=0)
-            if version != FORMAT_VERSION:
+            if version not in (1, FORMAT_VERSION):
                 raise errors.CorruptBank(f"unsupported version {version}",
                                          byte_offset=8)
             if dtype != DTYPE_F32:
@@ -272,10 +314,20 @@ def bank_load(path) -> EmbeddingBank:
             except UnicodeDecodeError as exc:
                 raise errors.CorruptBank("space tag is not valid UTF-8",
                                          byte_offset=_HEADER.size) from exc
+            header_size = _HEADER.size + tag_len
+            if version > 1:
+                pad = fh.read(-header_size % _PAYLOAD_ALIGN)
+                header_size += len(pad)
+                if header_size % _PAYLOAD_ALIGN:
+                    raise errors.CorruptBank("truncated padding",
+                                             byte_offset=header_size)
+                if pad.strip(b"\0"):
+                    raise errors.CorruptBank(
+                        "non-zero padding",
+                        byte_offset=header_size - len(pad.lstrip(b"\0")))
     except OSError as exc:
         raise errors.IoError(f"cannot read bank at {path}: {exc}") from exc
 
-    header_size = _HEADER.size + tag_len
     expected = count * dim * 4
     actual = file_size - header_size
     if actual != expected:
@@ -290,7 +342,8 @@ def bank_load(path) -> EmbeddingBank:
                             offset=header_size, shape=(count, dim))
     meta = _meta_path(path)
     return EmbeddingBank(vectors, space_tag,
-                         meta_path=meta if meta.exists() else None)
+                         meta_path=meta if meta.exists() else None,
+                         version=version)
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:

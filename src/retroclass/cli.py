@@ -22,7 +22,7 @@ import traceback
 import numpy as np
 
 from . import errors
-from .bank import (FORMAT_VERSION, CaptionRecord, EmbeddingBank, bank_load,
+from .bank import (CaptionRecord, EmbeddingBank, bank_build, bank_load,
                    bank_save, check_norms, parse_caption_record)
 from .classify import classify_batch, write_predictions
 from .enrich import EnrichmentConfig, PrototypeSet, enrich_all_prototypes
@@ -66,7 +66,7 @@ def _load_config(path: str | None) -> EnrichmentConfig:
 
 def _cmd_bank_build(args) -> int:
     try:
-        # mapped: normalizing reads it in steps, so no whole copy is made
+        # mapped: bank_build reads it in steps, so no whole copy is made
         matrix = np.load(args.vectors, mmap_mode="r")
     except (OSError, ValueError) as exc:
         raise errors.IoError(f"cannot read vectors {args.vectors}: {exc}") from exc
@@ -80,8 +80,7 @@ def _cmd_bank_build(args) -> int:
     if args.meta is not None:
         records = read_jsonl(args.meta, "metadata", parse_caption_record,
                              count=matrix.shape[0])
-    bank = EmbeddingBank.from_matrix(matrix, args.tag, records=records)
-    bank_save(bank, args.out)
+    bank_build(matrix, args.tag, args.out, records=records)
     return errors.EXIT_OK
 
 
@@ -102,7 +101,7 @@ def _cmd_bank_inspect(args) -> int:
         "count": bank.count,
         "space_tag": bank.space_tag,
         "dtype": "float32",
-        "version": FORMAT_VERSION,
+        "version": bank.version,
     }
     if args.check_norms:
         info["norms_ok"] = check_norms(bank)

@@ -67,6 +67,7 @@ QUERY_BLOCK = 64  # query rows per selection product at SCAN_BLOCK rows: 32 MB
 _RESCORE_ROWS = 4096  # candidate rows per exact re-score gather
 _GROUPS = 256  # strided column groups whose maxima bound a k-th score
 _TILE_BYTES = 1 << 20  # IVF list bytes per tile: half a 2 MiB per-core L2
+_MAP_BYTES = 64 << 20  # index file rows one mapping serves before a remap
 DEFAULT_MAX_ITERS = 25
 _TRAIN_ROWS_PER_CLUSTER = 256
 
@@ -323,9 +324,12 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
     scores every row against every vector. A group reads each block of at
     most ``SCAN_BLOCK`` ids once: the ids' rows are ``vectors[first:first +
     len(ids)]`` when ``first`` is a row, and are gathered as
-    ``vectors[ids]`` when it is ``None``. A group scores its block into
-    one score buffer per run of at most ``QUERY_BLOCK * SCAN_BLOCK // m``
-    of its rows, tile by tile: each tile of ``_TILE_BYTES`` (a multiple of
+    ``vectors[ids]`` when it is ``None``. ``vectors`` may instead be a
+    function that maps a loaded index's rows (``_IndexFile.rows``); the
+    mapping is then dropped and taken afresh once it has served
+    ``_MAP_BYTES`` of rows, so the pages read stay resident only that
+    long. A group scores its block into one score buffer per run of at
+    most ``QUERY_BLOCK * SCAN_BLOCK // m`` of its rows, tile by tile: each tile of ``_TILE_BYTES`` (a multiple of
     16 rows; the last one takes the rest, and rows of at most 8 values
     keep the block whole, as :func:`_rescore` requires) gets one
     ``tile @ query`` per row before the next tile is read, so it is read
@@ -362,6 +366,10 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
     :func:`_merge` sorts into the table; they are merged down to each row's
     top k whenever they outgrow twice the table plus ``_RESCORE_ROWS``.
     """
+    remap = vectors if callable(vectors) else None
+    if remap is not None:
+        vectors = remap()
+    served = 0
     n = queries.shape[0]
     width = min(k, vectors.shape[0])
     found, limit = [], 2 * n * width + _RESCORE_ROWS
@@ -413,9 +421,13 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
     for ids, rows, first in groups or ():
         for start in range(0, len(ids), SCAN_BLOCK):
             chunk = ids[start:start + SCAN_BLOCK]
+            if remap is not None and served >= _MAP_BYTES:
+                vectors = None  # unmap the old rows before mapping anew
+                vectors, served = remap(), 0
             block = vectors[chunk] if first is None else \
                 vectors[first + start:first + start + len(chunk)]
             m, dim = block.shape
+            served += block.nbytes
             # tiles of a multiple of 16 rows, the last one taking the rest
             step = m if dim <= 8 else max(16, _TILE_BYTES // (64 * dim) * 16)
             cuts = list(range(0, m, step))[:max(1, m // step)] + [m]
@@ -431,7 +443,7 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
                 keep(part[at], hit_ids, top)
             # free a gathered block before the next gather, so that gather
             # reuses its pages instead of faulting in fresh ones
-            del block
+            block = tile = None
     table = HitTable(np.zeros((n, width), np.int64), np.zeros((n, width)),
                      np.zeros(n, np.int64))
     if found:
@@ -449,8 +461,9 @@ def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
     With ``index`` (attached to ``bank``) a row scans the ids of its
     ``nprobe`` best lists; otherwise, or when every list is probed, the whole
     bank. A loaded index scores its lists from its own file, mapped for this
-    call only, and never reads the bank's rows. ``space_tag``, when given,
-    must be the bank's. An error about one row names it as ``what i``.
+    call only (afresh after every ``_MAP_BYTES`` of rows read), and never
+    reads the bank's rows. ``space_tag``, when given, must be the bank's.
+    An error about one row names it as ``what i``.
     """
     if k < 1:
         raise errors.ValidationError(f"k must be >= 1, got {k}")
@@ -483,7 +496,7 @@ def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
                                  np.split(order // nprobe, starts[1:]))]
     if file is None:
         return _scan(bank.vectors, queries, k, groups)
-    return _scan(file.rows(), queries, k, groups, what="index row")
+    return _scan(file.rows, queries, k, groups, what="index row")
 
 
 def exact_topk(query: QueryEmbedding, bank: EmbeddingBank, k: int) -> list[RetrievalHit]:
@@ -498,7 +511,9 @@ class _IndexFile:
     Row ``offsets[c] + j`` of :meth:`rows` is the bank row ``ids[offsets[c]
     + j]``, the j-th id of list c. The file stays open until the object is
     collected; its rows are mapped only while an array from :meth:`rows`
-    lives, so no page of them stays resident between searches.
+    lives. A search maps them afresh after every ``_MAP_BYTES`` of list rows
+    it reads, so at most that much of them, plus one block, stays resident
+    during a search, and none between searches.
     """
 
     def __init__(self, fh, offsets: np.ndarray, ids: np.ndarray,

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -36,6 +38,18 @@ def golden_fixture():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def save_v1():
+    """Writes a bank as a version-1 file, byte by byte: the 30-byte header,
+    the tag and the payload right after it (no sidecar)."""
+    def save(bank, path):
+        tag = bank.space_tag.encode()
+        path.write_bytes(struct.pack("<8sIIIQH", b"RTRCBANK", 1, 1, bank.dim,
+                                     bank.count, len(tag)) + tag
+                         + np.ascontiguousarray(bank.vectors, "<f4").tobytes())
+    return save
 
 
 def unit_rows(rng, n, d):

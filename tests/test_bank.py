@@ -16,9 +16,10 @@ import retroclass
 import retroclass.bank as bank_mod
 from retroclass import cli, errors
 from retroclass.bank import (MAGIC, CaptionRecord, EmbeddingBank,
-                             bank_load, bank_save, check_norms)
+                             bank_build, bank_load, bank_save, check_norms)
 from retroclass.classify import Prediction, write_predictions
 from retroclass.harness import accuracy, emit_report
+from retroclass.index import search
 
 HEADER_FMT = struct.Struct("<8sIIIQH")
 
@@ -397,14 +398,17 @@ def test_truncated_tag(tmp_path, rng):
         bank_load(path)
 
 
-def test_check_norms_catches_denormalized_payload(tmp_path, rng):
-    path = _saved(tmp_path, rng)
-    loaded = bank_load(path)
-    assert check_norms(loaded)
-    tag_len = len(loaded.space_tag.encode())
-    _patch(path, HEADER_FMT.size + tag_len,
-           struct.pack("<f", 40.0))
-    assert not check_norms(bank_load(path))
+def test_check_norms_catches_denormalized_payload(tmp_path, rng, save_v1):
+    """The first payload value, after a version-2 file's padding and right
+    after a version-1 file's tag."""
+    bank = make_bank(rng)
+    bank_save(bank, tmp_path / "v2.bank")
+    save_v1(bank, tmp_path / "v1.bank")
+    for path in (tmp_path / "v2.bank", tmp_path / "v1.bank"):
+        assert check_norms(bank_load(path))
+        _patch(path, path.stat().st_size - bank.count * bank.dim * 4,
+               struct.pack("<f", 40.0))
+        assert not check_norms(bank_load(path))
 
 
 @pytest.mark.parametrize("scale, ok", [
@@ -443,3 +447,167 @@ def test_roundtrip_property(tmp_path_factory, n, d, seed):
     assert np.array_equal(np.asarray(loaded.vectors).view(np.uint32),
                           np.asarray(bank.vectors).view(np.uint32))
     assert loaded.space_tag == bank.space_tag
+
+
+# format version 2: the payload starts at a multiple of 64 bytes
+
+@pytest.mark.parametrize("tag", ["t", "llm-text", "x" * 34, "y" * 35])
+def test_payload_starts_at_a_multiple_of_64(tmp_path, rng, tag):
+    """Zero padding follows the 30-byte header and the tag, so the mapped
+    payload is aligned (no padding after a 34-byte tag)."""
+    bank = make_bank(rng, tag=tag)
+    path = tmp_path / "a.bank"
+    bank_save(bank, path)
+    raw = path.read_bytes()
+    start = len(raw) - bank.count * bank.dim * 4
+    assert start % 64 == 0 and 0 <= start - HEADER_FMT.size - len(tag) < 64
+    assert raw[HEADER_FMT.size + len(tag):start] == \
+        bytes(start - HEADER_FMT.size - len(tag))
+    assert HEADER_FMT.unpack_from(raw)[1:] == (2, 1, bank.dim, bank.count,
+                                                len(tag))
+    loaded = bank_load(path)
+    assert loaded.version == 2 and loaded.vectors.flags.aligned
+    assert np.array_equal(loaded.vectors, bank.vectors)
+
+
+@pytest.mark.parametrize("at", [[38], [50], [63], [45, 60]])
+def test_nonzero_padding_is_corrupt(tmp_path, rng, at):
+    """After the "llm-text" tag, bytes 38 to 63 are padding; the first
+    non-zero one is named."""
+    path = _saved(tmp_path, rng)
+    for offset in at:
+        _patch(path, offset, b"\x01")
+    with pytest.raises(errors.CorruptBank, match="non-zero padding") as exc:
+        bank_load(path)
+    assert exc.value.byte_offset == at[0]
+
+
+@pytest.mark.parametrize("size", [38, 39, 63])
+def test_truncated_padding_is_corrupt(tmp_path, rng, size):
+    path = _saved(tmp_path, rng)
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(errors.CorruptBank, match="truncated padding") as exc:
+        bank_load(path)
+    assert exc.value.byte_offset == size
+
+
+def test_version_1_bank_loads_and_searches_as_its_rewrite(tmp_path, rng,
+                                                          save_v1, capsys):
+    """A version-1 file (payload right after the tag) still loads, inspects
+    as version 1, and gives the search table of its version-2 rewrite,
+    whose payload bytes are the same."""
+    bank = make_bank(rng, n=300, d=16)
+    save_v1(bank, tmp_path / "v1.bank")
+    v1 = bank_load(tmp_path / "v1.bank")
+    assert v1.version == 1 and not v1.vectors.flags.aligned
+    assert np.array_equal(v1.vectors, bank.vectors)
+    assert cli.main(["bank", "inspect", "--bank",
+                     str(tmp_path / "v1.bank")]) == 0
+    assert json.loads(capsys.readouterr().out)["version"] == 1
+    bank_save(v1, tmp_path / "v2.bank")
+    payload = bank.count * bank.dim * 4
+    assert (tmp_path / "v2.bank").read_bytes()[-payload:] == \
+        (tmp_path / "v1.bank").read_bytes()[-payload:]
+    v2 = bank_load(tmp_path / "v2.bank")
+    assert v2.version == 2
+    queries = make_bank(rng, n=9, d=16).vectors
+    for n in (1, 9):
+        old, new = search(v1, queries[:n], 10), search(v2, queries[:n], 10)
+        assert np.array_equal(old.ids, new.ids)
+        assert np.array_equal(old.scores.view(np.uint64),
+                              new.scores.view(np.uint64))
+
+
+# bank_build: streamed ingest, and the order in which a save commits
+
+def _small_buffers(monkeypatch, d, step_rows, steps):
+    """Steps of ``step_rows`` rows at width ``d``, ``steps`` per buffer."""
+    monkeypatch.setattr(bank_mod, "_NORMALIZE_VALUES", step_rows * d)
+    monkeypatch.setattr(bank_mod, "_INGEST_STEPS", steps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 13, 25, 36])
+def test_streamed_ingest_writes_the_whole_matrix_normalization(
+        tmp_path, rng, monkeypatch, n):
+    """Steps of 3 rows, buffers of 12: the payload is ``_normalize_rows`` of
+    the whole matrix, and the files are those ``bank_save`` writes."""
+    m = 10 * rng.standard_normal((n, 5))
+    want = bank_mod._normalize_rows(m)
+    bank_save(EmbeddingBank.from_matrix(m, "llm-text"), tmp_path / "s.bank")
+    _small_buffers(monkeypatch, 5, 3, 4)
+    bank_build(m, "llm-text", tmp_path / "b.bank")
+    raw = (tmp_path / "b.bank").read_bytes()
+    assert raw[-n * 5 * 4:] == want.astype("<f4").tobytes()
+    assert raw == (tmp_path / "s.bank").read_bytes()
+    assert (tmp_path / "b.bank.meta.jsonl").read_bytes() == \
+        (tmp_path / "s.bank.meta.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("value,error,message", [
+    (np.nan, errors.ValidationError, "contains non-finite values"),
+    (1e300, errors.ValidationError, "norm overflows"),
+    (0.0, errors.ZeroVector, "has near-zero norm"),
+])
+def test_bad_row_in_a_later_buffer_keeps_the_old_pair(tmp_path, rng,
+                                                      monkeypatch, value,
+                                                      error, message):
+    """Row 29 lies in the third 12-row buffer: it is named by its row in the
+    matrix, and the old bank and sidecar stay as they were, with no
+    temporary file left beside them."""
+    path = tmp_path / "b.bank"
+    bank_save(make_bank(rng, n=4, d=5), path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    m = rng.standard_normal((40, 5))
+    if value == 0.0:
+        m[29] = 0.0
+    else:
+        m[29, 1] = value
+    m[33] = 0.0
+    _small_buffers(monkeypatch, 5, 3, 4)
+    with pytest.raises(error, match=f"^row 29 {message}$"):
+        bank_build(m, "llm-text", path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_failed_sidecar_rename_keeps_the_old_pair(tmp_path, rng,
+                                                  monkeypatch):
+    """The sidecar is renamed into place before the bank, so when its
+    rename fails the old bank keeps its old captions."""
+    path = tmp_path / "b.bank"
+    old = make_bank(rng, n=4, d=3,
+                    records=[CaptionRecord(i, f"old {i}") for i in range(4)])
+    bank_save(old, path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    new_records = [CaptionRecord(i, f"new {i}") for i in range(4)]
+    real = os.replace
+
+    def replace(src, dst):
+        if str(dst).endswith(".meta.jsonl"):
+            raise OSError("disk full")
+        return real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(errors.IoError, match="disk full"):
+        bank_save(make_bank(rng, n=4, d=3, records=new_records), path)
+    with pytest.raises(errors.IoError, match="disk full"):
+        bank_build(rng.standard_normal((4, 3)), "llm-text", path, new_records)
+    monkeypatch.undo()
+    loaded = bank_load(path)
+    assert [r.text for r in loaded.metadata(range(4))] == \
+        [f"old {i}" for i in range(4)]
+    assert np.array_equal(loaded.vectors, old.vectors)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_streamed_ingest_reuses_one_small_buffer(tmp_path, rng, monkeypatch):
+    """Buffers of two 1,024-row steps at d 256 (2 MB): ingesting 20 MB of
+    rows never holds an output of its size."""
+    m = rng.standard_normal((20000, 256)).astype(np.float32)
+    monkeypatch.setattr(bank_mod, "_INGEST_STEPS", 2)
+    tracemalloc.start()
+    try:
+        bank_build(m, "llm-text", tmp_path / "b.bank")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20

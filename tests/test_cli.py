@@ -72,7 +72,7 @@ def test_bank_build_and_inspect(tmp_path):
     proc = run_cli("bank", "inspect", "--bank", bank_path, "--check-norms")
     info = json.loads(proc.stdout)
     assert info == {"dim": 4, "count": 6, "space_tag": "llm-text",
-                    "dtype": "float32", "version": 1, "norms_ok": True}
+                    "dtype": "float32", "version": 2, "norms_ok": True}
 
 
 def test_bank_build_meta_count_mismatch(tmp_path):

@@ -3,6 +3,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -390,18 +391,20 @@ def assert_same_row(table, row, single):
                           single.scores[0].view(np.uint64))
 
 
-@pytest.mark.parametrize("mapped", [False, True], ids=["in-memory", "mapped"])
+@pytest.mark.parametrize("version", [None, 1, 2],
+                         ids=["in-memory", "mapped", "mapped-v2"])
 def test_search_batch_rows_equal_one_row_calls(monkeypatch, tmp_path, rng,
-                                               mapped):
+                                               save_v1, version):
     """A row's hits do not depend on the batch it is in: exact, IVF at
     nprobe 1 and full probe, with several blocks per scan. A kernel whose
-    scores change with the batch width fails here."""
+    scores change with the batch width fails here. A mapped version-1
+    bank's payload is unaligned, and a batch scan copies its blocks."""
     monkeypatch.setattr(index_mod, "SCAN_BLOCK", 16)
     bank = make_bank(rng, 300, 64)
-    if mapped:
-        bank_save(bank, tmp_path / "b.bank")
+    if version is not None:
+        (save_v1 if version == 1 else bank_save)(bank, tmp_path / "b.bank")
         bank = bank_load(tmp_path / "b.bank")
-        assert not bank.vectors.flags.aligned
+        assert bank.vectors.flags.aligned == (version == 2)
     index = build_ivf(bank, 6, seed=3)
     queries = np.vstack([query_for(bank, rng).vector for _ in range(64)])
     for n in (1, 2, 7, 64):
@@ -857,6 +860,73 @@ def test_loaded_index_slices_each_probed_list_once_per_chunk(monkeypatch,
     plain = search(bank, queries, 10, built, 3)
     assert np.array_equal(table.ids, plain.ids)
     assert np.array_equal(table.scores, plain.scores)
+
+
+def _mapping_spy(monkeypatch):
+    """Wrap ``_IndexFile.rows``: the returned list holds a weak reference
+    to each mapping made, and each new mapping asserts that every earlier
+    one is gone (unmapped)."""
+    maps = []
+    real = index_mod._IndexFile.rows
+
+    def rows(self):
+        assert all(ref() is None for ref in maps)
+        out = real(self)
+        base = out
+        while isinstance(base, np.ndarray):
+            base = base.base
+        maps.append(weakref.ref(base))
+        return out
+
+    monkeypatch.setattr(index_mod._IndexFile, "rows", rows)
+    return maps
+
+
+def test_mapping_budget_remaps_without_changing_hits(monkeypatch, rng,
+                                                     tmp_path):
+    """A batch search maps a loaded index once under the default budget;
+    with a budget of 64 rows it drops its mapping and maps afresh many
+    times, and its table is bitwise the same."""
+    bank = make_bank(rng, 2000, 16)
+    built = build_ivf(bank, 8, seed=2)
+    save_index(built, tmp_path / "s.ivf")
+    index = load_index(tmp_path / "s.ivf", bank)
+    queries = np.vstack([query_for(bank, rng).vector for _ in range(40)])
+    maps = _mapping_spy(monkeypatch)
+    want = search(bank, queries, 10, index, 3)
+    assert len(maps) == 1
+    monkeypatch.setattr(index_mod, "_MAP_BYTES", 64 * 16 * 4)
+    got = search(bank, queries, 10, index, 3)
+    assert len(maps) > 5
+    assert np.array_equal(got.counts, want.counts)
+    assert np.array_equal(got.ids, want.ids)
+    assert np.array_equal(got.scores.view(np.uint64),
+                          want.scores.view(np.uint64))
+
+
+def test_nan_row_scored_after_a_remap_names_the_same_index_row(
+        monkeypatch, rng, tmp_path):
+    """A NaN row in the last list a search scores, read from a later
+    mapping, raises the ``CorruptIndex`` of the unbudgeted search."""
+    bank = make_bank(rng, 400, 8)
+    built = build_ivf(bank, 4, seed=1)
+    path = tmp_path / "nan.ivf"
+    save_index(built, path)
+    victim = int(built.lists[3][5])
+    at = _layout(path)[2] + (sum(len(lst) for lst in built.lists[:3]) + 5) * 32
+    raw = bytearray(path.read_bytes())
+    raw[at:at + 32] = np.full(8, np.nan, "<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    index = load_index(path, bank)
+    message = f"^index row {victim} gives a non-finite score \\(nan\\)$"
+    queries = np.array(built.centroids)  # with nprobe 2, every list
+    with pytest.raises(errors.CorruptIndex, match=message):
+        search(bank, queries, 5, index, 2)
+    maps = _mapping_spy(monkeypatch)
+    monkeypatch.setattr(index_mod, "_MAP_BYTES", 1)
+    with pytest.raises(errors.CorruptIndex, match=message):
+        search(bank, queries, 5, index, 2)
+    assert len(maps) == 4  # one per list
 
 
 def _ivf_bits(out, workdir, blas_threads):
