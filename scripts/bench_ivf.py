@@ -36,7 +36,6 @@ checkout's ``src`` first on ``PYTHONPATH``.
 
 import argparse
 import json
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -48,16 +47,15 @@ import numpy as np
 import retroclass.cli as cli_mod
 from retroclass.bank import EmbeddingBank, bank_load, bank_save
 from retroclass.index import load_index, search
-from bench_scan import machine
+from bench_scan import machine, quartiles
 from bench_setup import write_input
 
 K = 10
 BATCH = 32
 
 
-def quartiles(seconds: list[float]) -> dict:
-    q1, median, q3 = (statistics.quantiles(seconds, n=4) if len(seconds) > 1
-                      else [seconds[0]] * 3)
+def timings(seconds: list[float]) -> dict:
+    q1, median, q3 = quartiles(seconds)
     return {"samples": len(seconds), "ms_median": median * 1e3,
             "ms_q1": q1 * 1e3, "ms_q3": q3 * 1e3}
 
@@ -153,10 +151,10 @@ def main() -> None:
                        "clusters": args.clusters, "nprobe": args.nprobe,
                        "k": K, "queries": args.queries},
              "index_bytes": index_bytes,
-             "load_index": quartiles(loads),
-             "search_1_row": quartiles(singles),
-             f"search_{BATCH}_rows": quartiles(batches),
-             "cli_retrieve": quartiles(processes),
+             "load_index": timings(loads),
+             "search_1_row": timings(singles),
+             f"search_{BATCH}_rows": timings(batches),
+             "cli_retrieve": timings(processes),
              "rss_rise_mb": rise,
              "rows_per_probed_list": {str(r): int(c)
                                       for r, c in enumerate(reuse) if r and c}}

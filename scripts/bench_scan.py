@@ -70,6 +70,13 @@ def machine() -> dict:
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
+def quartiles(samples: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3) of the samples; a single sample is all three."""
+    if len(samples) > 1:
+        return tuple(statistics.quantiles(samples, n=4))
+    return (samples[0],) * 3
+
+
 def unit_rows(rng, n, dim):
     rows = rng.standard_normal((n, dim)).astype(np.float32)
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
@@ -98,8 +105,7 @@ def time_search(bank, queries, repeats) -> dict:
     finally:
         if real is not None:
             index_mod._rescore = real
-    q1, median, q3 = (statistics.quantiles(times, n=4) if repeats > 1
-                      else [times[0]] * 3)
+    q1, median, q3 = quartiles(times)
     n = queries.shape[0]
     return {"query_rows": n, "bank_rows": bank.count, "dim": bank.dim,
             "k": K, "repeats": repeats,
@@ -124,9 +130,7 @@ def time_cli_retrieve(bank, query, repeats, tmp) -> dict:
         t0 = time.perf_counter()
         subprocess.run(cmd, check=True)
         times.append(time.perf_counter() - t0)
-    times = times[1:]
-    q1, median, q3 = (statistics.quantiles(times, n=4) if repeats > 1
-                      else [times[0]] * 3)
+    q1, median, q3 = quartiles(times[1:])
     return {"query_rows": 1, "bank_rows": bank.count, "dim": bank.dim,
             "k": K, "repeats": repeats,
             "ms_median": median * 1e3, "ms_q1": q1 * 1e3, "ms_q3": q3 * 1e3,

@@ -19,11 +19,17 @@ functions it calls:
   (the full-bank assignment pass), ``save`` (``index.save_index``), and
   ``load``, the rest (mapping the bank, sampling, building the lists).
 
-Each stage records the median and quartiles over the repeats. ``process``
-runs each command once more in a fresh interpreter and records its wall
-time (with imports) and peak RSS (``VmHWM``, so Linux only). ``outputs``
-holds the SHA-256 of the bank, sidecar and index files, so two runs can be
-checked for identical bytes.
+Each stage records the median and quartiles over the repeats; every
+repeat of ``index build`` but the first writes over the index file the one
+before wrote. ``save_index`` times ``index.save_index`` of the built index
+``--repeats`` times as a first write to a new path (``first_ms``) and then
+as an overwrite of that file (``overwrite_ms``). ``process`` runs each
+command once more in a fresh interpreter and records its wall time (with
+imports) and peak RSS (``VmHWM``, so Linux only): ``bank build``, ``index
+build``, and a ``retroclass retrieve`` of 32 noisy bank rows at k 10, exact
+(``retrieve_exact``) and through the index at nprobe 8
+(``retrieve_index``). ``outputs`` holds the SHA-256 of the bank, sidecar
+and index files, so two runs can be checked for identical bytes.
 Machine facts are recorded as in ``scripts/bench_scan.py``.
 
 The run is stored under ``runs[LABEL]`` of ``--out``; other labels already
@@ -36,7 +42,6 @@ import argparse
 import contextlib
 import hashlib
 import json
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -48,7 +53,7 @@ import numpy as np
 import retroclass.bank as bank_mod
 import retroclass.cli as cli_mod
 import retroclass.index as index_mod
-from bench_scan import machine
+from bench_scan import machine, quartiles
 
 # run one command in a fresh interpreter; print its wall time and peak RSS.
 # VmHWM, not ru_maxrss: a child's ru_maxrss starts at this process's RSS.
@@ -156,14 +161,46 @@ def index_build(argv: list[str]) -> dict[str, float]:
     return stages.run(argv)
 
 
+def spread(times: list[float]) -> dict:
+    q1, median, q3 = quartiles(times)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
 def summarize(samples: list[dict[str, float]]) -> dict:
     out = {"repeats": len(samples)}
     for stage in samples[0]:
-        times = [s[stage] for s in samples]
-        q1, median, q3 = (statistics.quantiles(times, n=4) if len(times) > 1
-                          else [times[0]] * 3)
-        out[f"{stage}_ms"] = {"median": median, "q1": q1, "q3": q3}
+        out[f"{stage}_ms"] = spread([s[stage] for s in samples])
     return out
+
+
+def save_timings(bank_path: Path, clusters: int, repeats: int,
+                 tmp: Path) -> dict:
+    """``save_index`` of the built index, as a first write and then as an
+    overwrite of the same file, in milliseconds."""
+    index = index_mod.build_ivf(bank_mod.bank_load(bank_path), clusters, 0)
+    first, again = [], []
+    for r in range(repeats):
+        path = tmp / f"save{r}.ivf"
+        for times in (first, again):
+            t0 = time.perf_counter()
+            index_mod.save_index(index, path)
+            times.append((time.perf_counter() - t0) * 1e3)
+        path.unlink()
+    return {"repeats": repeats, "first_ms": spread(first),
+            "overwrite_ms": spread(again)}
+
+
+def write_queries(vectors: Path, path: Path, n: int = 32) -> None:
+    """``n`` rows of the input plus Gaussian noise, as a bank file."""
+    rows = np.load(vectors, mmap_mode="r")
+    rng = np.random.default_rng(1)
+    picks = np.sort(rng.choice(rows.shape[0], min(n, rows.shape[0]),
+                               replace=False))
+    np.save(path.with_suffix(".npy"), rows[picks] + rng.standard_normal(
+        (len(picks), rows.shape[1]), dtype=np.float32) / np.sqrt(rows.shape[1]))
+    if cli_mod.main(["bank", "build", "--vectors", str(path.with_suffix(".npy")),
+                     "--tag", "llm-text", "--out", str(path)]) != 0:
+        raise SystemExit("retroclass bank build of the queries failed")
 
 
 def in_child(argv: list[str]) -> dict:
@@ -205,8 +242,17 @@ def main() -> None:
         for _ in range(args.repeats):
             bank_runs.append(bank_build(bank_argv))
             index_runs.append(index_build(index_argv))
+        save = save_timings(bank, args.clusters, args.repeats, tmp)
+        write_queries(vectors, tmp / "queries.bank")
+        retrieve_argv = ["retrieve", "--bank", str(bank), "--queries",
+                         str(tmp / "queries.bank"), "--k", "10", "--out",
+                         str(tmp / "hits.jsonl")]
         process = {"bank_build": in_child(bank_argv),
-                   "index_build": in_child(index_argv)}
+                   "index_build": in_child(index_argv),
+                   "retrieve_exact": in_child(retrieve_argv),
+                   "retrieve_index": in_child(retrieve_argv + [
+                       "--index", str(index), "--nprobe",
+                       str(min(8, args.clusters))])}
         outputs = {"bank": sha256(bank),
                    "sidecar": sha256(bank.with_name(bank.name + ".meta.jsonl")),
                    "index": sha256(index)}
@@ -216,7 +262,7 @@ def main() -> None:
                        "clusters": args.clusters},
              "bank_build": summarize(bank_runs),
              "index_build": summarize(index_runs),
-             "process": process, "outputs": outputs}
+             "save_index": save, "process": process, "outputs": outputs}
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data.setdefault("runs", {})[args.label] = entry
@@ -227,6 +273,13 @@ def main() -> None:
                            if name.endswith("_ms") and name != "total_ms")
         print(f"{args.label} {command}: {entry[command]['total_ms']['median']:.0f} ms "
               f"({stages}); process {process[command]['wall_s']:.2f} s, "
+              f"{process[command]['peak_rss_mb']:.0f} MB")
+    print(f"{args.label} save_index: first write "
+          f"{save['first_ms']['median']:.0f} ms, overwrite "
+          f"{save['overwrite_ms']['median']:.0f} ms")
+    for command in ("retrieve_exact", "retrieve_index"):
+        print(f"{args.label} {command}: process "
+              f"{process[command]['wall_s']:.2f} s, "
               f"{process[command]['peak_rss_mb']:.0f} MB")
 
 

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import errors
-from .files import read_jsonl, replace_atomically
+from .files import read_jsonl, replace_atomically, windows
 
 MAGIC = b"RTRCBANK"
 FORMAT_VERSION = 2
@@ -248,13 +248,18 @@ def bank_save(bank: EmbeddingBank, path) -> None:
     """Write the bank file and its metadata sidecar.
 
     A bank loaded with a sidecar keeps its records; a bank without records
-    gets ``item-<id>`` placeholders.
+    gets ``item-<id>`` placeholders. The rows are written window by window
+    (:func:`files.windows`), so a mapped bank's pages do not all stay
+    resident.
     """
     records = bank._records
     if records is None and bank._meta_path is not None:
         records = bank._load_records()
-    _write(Path(path), bank.space_tag, bank.vectors.shape, lambda fh: fh.write(
-        np.ascontiguousarray(bank.vectors, dtype="<f4")), records)
+
+    def payload(fh):
+        for _, window in windows(bank.vectors):
+            fh.write(np.ascontiguousarray(window, dtype="<f4"))
+    _write(Path(path), bank.space_tag, bank.vectors.shape, payload, records)
 
 
 def bank_build(matrix: np.ndarray, space_tag: str, path,
@@ -262,7 +267,10 @@ def bank_build(matrix: np.ndarray, space_tag: str, path,
     """``bank_save(EmbeddingBank.from_matrix(matrix, space_tag, records),
     path)``, without holding the normalized rows: they are normalized into
     one reused buffer of ``_INGEST_STEPS`` steps, and each buffer is
-    written before the next is filled."""
+    written before the next is filled. A mapped ``matrix`` (an ``.npy``
+    loaded with ``mmap_mode="r"``) is read buffer by buffer through
+    :func:`files.windows`, so at most ``_MAP_BYTES`` of it plus one buffer
+    stays resident."""
     matrix = _check_matrix(matrix)
     count, dim = matrix.shape
     if records is not None and len(records) != count:
@@ -271,9 +279,8 @@ def bank_build(matrix: np.ndarray, space_tag: str, path,
 
     def payload(fh):
         buf = np.empty((min(rows, count), dim), "<f4")
-        for start in range(0, count, rows):
-            fh.write(_normalize_rows(matrix[start:start + rows],
-                                     buf[:min(rows, count - start)], start))
+        for start, block in windows(matrix, rows):
+            fh.write(_normalize_rows(block, buf[:len(block)], start))
     _write(Path(path), space_tag, matrix.shape, payload, records)
 
 
@@ -361,11 +368,11 @@ def norm_bound(rows: np.ndarray) -> float:
 
     Each block's float32 sums of squares are within ``dim * 2**-24`` of
     the true ones, and the bound is widened by twice that. No float64 copy
-    of a block is made.
+    of a block is made. A mapped bank is read through
+    :func:`files.windows`.
     """
     top = np.float32(0)
-    for start in range(0, rows.shape[0], _NORM_BLOCK):
-        block = rows[start:start + _NORM_BLOCK]
+    for _, block in windows(rows, _NORM_BLOCK):
         top = np.maximum(top, np.einsum("ij,ij->i", block, block).max())
     return float(np.sqrt(np.float64(top))) * (1 + rows.shape[1] * 2.0 ** -23)
 
@@ -374,12 +381,11 @@ def check_norms(bank: EmbeddingBank, atol: float = NORM_ATOL) -> bool:
     """Full scan verifying the unit-norm invariant. Opt-in, O(count * dim).
 
     It takes the steps :func:`_normalize_rows` takes, so that its float64
-    temporaries stay in L2.
+    temporaries stay in L2, through :func:`files.windows`.
     """
     step = max(1, _NORMALIZE_VALUES // bank.dim)
-    for start in range(0, bank.count, step):
-        block = np.asarray(bank.vectors[start:start + step], np.float64)
-        norms = np.linalg.norm(block, axis=1)
+    for _, block in windows(bank.vectors, step):
+        norms = np.linalg.norm(np.asarray(block, np.float64), axis=1)
         if not np.all(np.abs(norms - 1.0) <= atol):
             return False
     return True

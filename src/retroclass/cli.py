@@ -66,7 +66,8 @@ def _load_config(path: str | None) -> EnrichmentConfig:
 
 def _cmd_bank_build(args) -> int:
     try:
-        # mapped: bank_build reads it in steps, so no whole copy is made
+        # mapped: bank_build reads it buffer by buffer and drops its pages
+        # every 64 MiB, so neither a copy nor the whole file stays resident
         matrix = np.load(args.vectors, mmap_mode="r")
     except (OSError, ValueError) as exc:
         raise errors.IoError(f"cannot read vectors {args.vectors}: {exc}") from exc

@@ -14,18 +14,29 @@ A parse function therefore needs no ``try`` of its own: indexing a missing
 key, converting a string that is not a number or calling a method on the
 wrong type all surface as such an error, with the file (and line) named. A
 parse function that raises a subclass of that class keeps its type.
+
+Every full pass over a memory-mapped bank or index reads it through
+:func:`windows` or a :class:`PageBudget`, which drop the mapping's
+resident pages each time ``_MAP_BYTES`` of it have been read, so such a
+pass keeps at most that much plus one block resident, not the whole file.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import stat
 import uuid
 from contextlib import contextmanager
+from math import prod
 from pathlib import Path
 
+import numpy as np
+
 from . import errors
+
+_MAP_BYTES = 64 << 20  # bytes of a mapped file read between page releases
 
 # what a parse function raises when it meets a value of the wrong shape;
 # ValueError also covers bad UTF-8 and bad JSON, RecursionError deep nesting
@@ -117,3 +128,67 @@ def replace_atomically(path, what: str, mode: str = "w"):
             raise
     except OSError as exc:
         raise errors.IoError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def _shared_mapping(array):
+    """The shared file mapping under ``array``, or ``None``.
+
+    An in-memory array has none. A copy-on-write ``np.memmap`` (mode
+    ``"c"``) is never released: dropping its pages would discard its
+    edits. A shared mapping's pages stay in the page cache, dirty ones
+    included, so a later read faults them back in without disk I/O.
+    """
+    while isinstance(array, np.ndarray) and not isinstance(array, np.memmap):
+        array = array.base
+    if not isinstance(array, np.memmap) or array.mode == "c":
+        return None
+    return getattr(array, "_mmap", None)
+
+
+def _release(mapping) -> None:
+    """Drop a shared mapping's resident pages from this process."""
+    mapping.madvise(mmap.MADV_DONTNEED)
+
+
+class PageBudget:
+    """Counts the bytes a pass reads from ``array``: after each block, once
+    ``_MAP_BYTES`` have been read, :meth:`read` drops the pages of the file
+    mapping under it, and :meth:`close` drops the rest at the end of a pass
+    that has done so, so a pass over more than ``_MAP_BYTES`` leaves none
+    resident while a smaller one stays resident for the next. It does
+    nothing for an in-memory array, a copy-on-write mapping, or where
+    ``madvise`` is missing."""
+
+    def __init__(self, array):
+        self._mapping = (_shared_mapping(array)
+                         if hasattr(mmap, "MADV_DONTNEED") else None)
+        self._read = 0
+        self._released = False
+
+    def read(self, nbytes: int) -> None:
+        if self._mapping is None:
+            return
+        self._read += nbytes
+        if self._read >= _MAP_BYTES:
+            _release(self._mapping)
+            self._read, self._released = 0, True
+
+    def close(self) -> None:
+        if self._released and self._read:
+            _release(self._mapping)
+            self._read = 0
+
+
+def windows(array, rows: int | None = None):
+    """``(start, array[start:start + rows])`` over every row of ``array``,
+    in order, released through a :class:`PageBudget` once each block has
+    been used. ``rows`` defaults to the rows in ``_MAP_BYTES``."""
+    if rows is None:
+        row_bytes = array.itemsize * prod(array.shape[1:])
+        rows = max(1, _MAP_BYTES // max(1, row_bytes))
+    budget = PageBudget(array)
+    for start in range(0, array.shape[0], rows):
+        block = array[start:start + rows]
+        yield start, block
+        budget.read(block.nbytes)
+    budget.close()

@@ -47,7 +47,6 @@ by ascending id.
 
 from __future__ import annotations
 
-import mmap
 import os
 import struct
 import weakref
@@ -58,7 +57,7 @@ import numpy as np
 from . import errors
 from .bank import EmbeddingBank, NORM_ATOL, norm_bound, row_norms
 from .errors import row_error
-from .files import replace_atomically
+from .files import PageBudget, replace_atomically, windows
 
 INDEX_MAGIC = b"RTRCIVF1"
 INDEX_VERSION = 2
@@ -67,7 +66,7 @@ QUERY_BLOCK = 64  # query rows per selection product at SCAN_BLOCK rows: 32 MB
 _RESCORE_ROWS = 4096  # candidate rows per exact re-score gather
 _GROUPS = 256  # strided column groups whose maxima bound a k-th score
 _TILE_BYTES = 1 << 20  # IVF list bytes per tile: half a 2 MiB per-core L2
-_MAP_BYTES = 64 << 20  # index file rows one mapping serves before a remap
+_PREFILL_BYTES = 4 << 20  # zero bytes per write that save_index prefills
 DEFAULT_MAX_ITERS = 25
 _TRAIN_ROWS_PER_CLUSTER = 256
 
@@ -324,14 +323,17 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
     scores every row against every vector. A group reads each block of at
     most ``SCAN_BLOCK`` ids once: the ids' rows are ``vectors[first:first +
     len(ids)]`` when ``first`` is a row, and are gathered as
-    ``vectors[ids]`` when it is ``None``. ``vectors`` may instead be a
-    function that maps a loaded index's rows (``_IndexFile.rows``); the
-    mapping is then dropped and taken afresh once it has served
-    ``_MAP_BYTES`` of rows, so the pages read stay resident only that
-    long. A group scores its block into one score buffer per run of at
-    most ``QUERY_BLOCK * SCAN_BLOCK // m`` of its rows, tile by tile: each tile of ``_TILE_BYTES`` (a multiple of
-    16 rows; the last one takes the rest, and rows of at most 8 values
-    keep the block whole, as :func:`_rescore` requires) gets one
+    ``vectors[ids]`` when it is ``None``. When ``vectors`` is a mapped file
+    (a bank's payload, or a loaded index's rows from ``_IndexFile.rows``),
+    every pass over it, the whole-bank one and the groups', reads it
+    through :func:`files.windows` or a :class:`files.PageBudget`: after
+    each block, once ``_MAP_BYTES`` have been read, the mapping's resident
+    pages are dropped, so at most that much plus one block stays resident,
+    and a pass that read more than that drops the rest at its end. A group scores its block into one score buffer per run of at most
+    ``QUERY_BLOCK * SCAN_BLOCK // m`` of its rows, tile by tile: each tile
+    of ``_TILE_BYTES`` (a multiple of 16 rows; the last one takes the
+    rest, and rows of at most 8 values keep the block whole, as
+    :func:`_rescore` requires) gets one
     ``tile @ query`` per row before the next tile is read, so it is read
     from memory once and from L2 after. A slice and a gather of the same
     rows give the same bits, and at one BLAS thread those of one ``block
@@ -366,10 +368,6 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
     :func:`_merge` sorts into the table; they are merged down to each row's
     top k whenever they outgrow twice the table plus ``_RESCORE_ROWS``.
     """
-    remap = vectors if callable(vectors) else None
-    if remap is not None:
-        vectors = remap()
-    served = 0
     n = queries.shape[0]
     width = min(k, vectors.shape[0])
     found, limit = [], 2 * n * width + _RESCORE_ROWS
@@ -386,8 +384,9 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
     if groups is None:
         bound = norm_bound(vectors) if bound is None else bound
         margin = 4 * vectors.shape[1] * 2.0 ** -23 * bound
-        for start in range(0, vectors.shape[0], SCAN_BLOCK):
-            block = vectors[start:start + SCAN_BLOCK]
+        # the block boundaries are SCAN_BLOCK's: _rescore's tail rule
+        # depends on them
+        for start, block in windows(vectors, SCAN_BLOCK):
             if n > 1 and not block.flags.aligned:
                 # a mapped bank file's payload: numpy copies an unaligned
                 # operand whole for every product, and its Q @ block.T is
@@ -418,16 +417,13 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
                         at, ids, top = _block_candidates(
                             scores[None, a:b], k, pos[a:b] + start, what)
                         keep(at + r, ids, top)
+    pages = PageBudget(vectors)
     for ids, rows, first in groups or ():
         for start in range(0, len(ids), SCAN_BLOCK):
             chunk = ids[start:start + SCAN_BLOCK]
-            if remap is not None and served >= _MAP_BYTES:
-                vectors = None  # unmap the old rows before mapping anew
-                vectors, served = remap(), 0
             block = vectors[chunk] if first is None else \
                 vectors[first + start:first + start + len(chunk)]
             m, dim = block.shape
-            served += block.nbytes
             # tiles of a multiple of 16 rows, the last one taking the rest
             step = m if dim <= 8 else max(16, _TILE_BYTES // (64 * dim) * 16)
             cuts = list(range(0, m, step))[:max(1, m // step)] + [m]
@@ -441,9 +437,11 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
                         np.matmul(tile, queries[r], out=scores[i, a:b])
                 at, hit_ids, top = _block_candidates(scores, k, chunk, what)
                 keep(part[at], hit_ids, top)
+            pages.read(block.nbytes)
             # free a gathered block before the next gather, so that gather
             # reuses its pages instead of faulting in fresh ones
             block = tile = None
+    pages.close()
     table = HitTable(np.zeros((n, width), np.int64), np.zeros((n, width)),
                      np.zeros(n, np.int64))
     if found:
@@ -461,9 +459,9 @@ def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
     With ``index`` (attached to ``bank``) a row scans the ids of its
     ``nprobe`` best lists; otherwise, or when every list is probed, the whole
     bank. A loaded index scores its lists from its own file, mapped for this
-    call only (afresh after every ``_MAP_BYTES`` of rows read), and never
-    reads the bank's rows. ``space_tag``, when given, must be the bank's.
-    An error about one row names it as ``what i``.
+    call only (its pages released after every ``_MAP_BYTES`` of rows
+    read), and never reads the bank's rows. ``space_tag``, when given, must
+    be the bank's. An error about one row names it as ``what i``.
     """
     if k < 1:
         raise errors.ValidationError(f"k must be >= 1, got {k}")
@@ -496,7 +494,7 @@ def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
                                  np.split(order // nprobe, starts[1:]))]
     if file is None:
         return _scan(bank.vectors, queries, k, groups)
-    return _scan(file.rows, queries, k, groups, what="index row")
+    return _scan(file.rows(), queries, k, groups, what="index row")
 
 
 def exact_topk(query: QueryEmbedding, bank: EmbeddingBank, k: int) -> list[RetrievalHit]:
@@ -511,9 +509,10 @@ class _IndexFile:
     Row ``offsets[c] + j`` of :meth:`rows` is the bank row ``ids[offsets[c]
     + j]``, the j-th id of list c. The file stays open until the object is
     collected; its rows are mapped only while an array from :meth:`rows`
-    lives. A search maps them afresh after every ``_MAP_BYTES`` of list rows
-    it reads, so at most that much of them, plus one block, stays resident
-    during a search, and none between searches.
+    lives. A search or a save reads them through :func:`files.windows` or
+    a :class:`files.PageBudget`, which drop their resident pages after
+    every ``_MAP_BYTES`` read, so at most that much of them, plus one
+    block, stays resident during a search, and none between searches.
     """
 
     def __init__(self, fh, offsets: np.ndarray, ids: np.ndarray,
@@ -524,10 +523,12 @@ class _IndexFile:
         weakref.finalize(self, fh.close)
 
     def rows(self) -> np.ndarray:
-        """The (count, dim) float32 rows, list after list, read-only."""
-        mapped = mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ)
-        return np.frombuffer(mapped, "<f4", len(self.ids) * self._dim,
-                             self._start).reshape(-1, self._dim)
+        """The (count, dim) float32 rows, list after list, read-only: a
+        plain array over an ``np.memmap``, which slices faster."""
+        if not len(self.ids):
+            return np.empty((0, self._dim), "<f4")
+        return np.memmap(self._fh, "<f4", "r", self._start,
+                         (len(self.ids), self._dim)).view(np.ndarray)
 
 
 @dataclass
@@ -604,13 +605,15 @@ def _assign(rows: np.ndarray, centroids: np.ndarray,
 
     With ``check``, a row with a non-finite score against finite centroids
     is a corrupt bank row: :class:`CorruptBank` names it by its position.
+    Mapped rows are read through :func:`files.windows`.
     """
     out = np.empty(rows.shape[0], dtype=np.int64)
-    for start in range(0, rows.shape[0], SCAN_BLOCK):
-        scores = rows[start:start + SCAN_BLOCK] @ centroids.T
+    for start, block in windows(rows, SCAN_BLOCK):
+        scores = block @ centroids.T
         if check:
             _check_finite_rows(scores, np.arange(start, start + len(scores)))
         out[start:start + SCAN_BLOCK] = np.argmax(scores, axis=1)
+        del scores  # before the next block's scores are allocated
     return out
 
 
@@ -672,7 +675,9 @@ def build_ivf(bank: EmbeddingBank, n_clusters: int, seed: int,
 
     Training runs on a seeded subsample of at most 256 rows per centroid;
     the final assignment pass always covers the full bank. A non-finite bank
-    row raises :class:`CorruptBank`.
+    row raises :class:`CorruptBank`. A mapped bank is read in sequential
+    windows (:func:`files.windows`), the sample's rows taken from each:
+    one scattered gather of the sample would map nearly the whole file.
     """
     if bank.count == 0:
         raise errors.EmptyBank("cannot index an empty bank")
@@ -690,7 +695,10 @@ def build_ivf(bank: EmbeddingBank, n_clusters: int, seed: int,
     budget = _TRAIN_ROWS_PER_CLUSTER * n_clusters
     if bank.count > budget:
         train_idx = np.sort(rng.choice(bank.count, size=budget, replace=False))
-        train = np.ascontiguousarray(bank.vectors[train_idx])
+        train = np.empty((budget, bank.dim), np.float32)
+        for start, window in windows(bank.vectors):
+            a, b = np.searchsorted(train_idx, [start, start + len(window)])
+            train[a:b] = window[train_idx[a:b] - start]
     else:
         train_idx = np.arange(bank.count)
         train = np.asarray(bank.vectors)
@@ -699,6 +707,7 @@ def build_ivf(bank: EmbeddingBank, n_clusters: int, seed: int,
     _check_finite_rows(train, train_idx)
 
     centroids = _spherical_kmeans(train, n_clusters, seed, max_iters)
+    del train  # before the full pass allocates its scores
     labels = _assign(np.asarray(bank.vectors), centroids, check=True)
     # one stable sort groups the ids by cluster, ascending within each
     order = np.argsort(labels, kind="stable").astype(np.uint64)
@@ -793,9 +802,17 @@ def save_index(index: IvfIndex, path) -> None:
         padding   zero bytes up to a multiple of 64
         f32       rows, (count, dim): row i holds bank row ids[i]
 
-    The rows are written one list at a time, at most ``SCAN_BLOCK`` at
-    once: gathered from the bank for a built index, read from its own file
-    for a loaded one.
+    The lists must hold every id of 0..n-1 once, the rule
+    :func:`load_index` checks; otherwise this raises
+    :class:`ValidationError` and leaves an existing file as it was. The
+    rows are copied from their source, the bank for a built index and the
+    index's own file for a loaded one, in windows of ``_MAP_BYTES``
+    (:func:`files.windows`): each run of a window's rows that lands on
+    consecutive file rows (one per list and window, as a list's ids
+    ascend) is gathered and written after one seek, at most
+    ``_TILE_BYTES`` per write, so no scattered gather maps the whole
+    source. A target that cannot seek (a pipe) gets the rows in file order
+    from one window.
     """
     if index.file is None and index.bank is None:
         raise errors.ValidationError("index is not attached to a bank")
@@ -803,27 +820,64 @@ def save_index(index: IvfIndex, path) -> None:
                                 index.n_clusters, index.dim, index.seed)
     offsets = np.zeros(index.n_clusters + 1, "<u8")
     np.cumsum([len(lst) for lst in index.lists], out=offsets[1:])
-    if index.file is None:
-        vectors, where = index.bank.vectors, None
-    else:
-        vectors = index.file.rows()
-        # the file row of each id
+    ids = np.concatenate([np.asarray(lst, "<u8") for lst in index.lists])
+    if not _dense_range(ids):
+        raise errors.ValidationError("id lists do not cover a dense range")
+    source = index.bank.vectors if index.file is None else index.file.rows()
+    if len(ids) != len(source):
+        raise errors.BankMisalignment(
+            f"index covers {len(ids)} ids, its rows number {len(source)}")
+    src = ids.astype(np.int64)  # the source row of each file row
+    if index.file is not None:
         where = np.empty(len(index.file.ids), np.int64)
         where[index.file.ids] = np.arange(len(where))
+        src = where[src]
+    dest = np.empty(len(ids), np.int64)  # the file row of each source row
+    dest[src] = np.arange(len(ids))
     ids_end = (_INDEX_HEADER.size + 4 * index.n_clusters * index.dim
-               + offsets.nbytes + 8 * int(offsets[-1]))
+               + offsets.nbytes + ids.nbytes)
+    rows_at = ids_end + -ids_end % _PAYLOAD_ALIGN  # zero padding between
     with replace_atomically(path, "index", "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(index.centroids, "<f4").tobytes())
         fh.write(offsets.tobytes())
-        for lst in index.lists:
-            fh.write(np.ascontiguousarray(lst, "<u8"))
-        fh.write(bytes(-ids_end % _PAYLOAD_ALIGN))
-        for lst in index.lists:
-            for start in range(0, len(lst), SCAN_BLOCK):
-                chunk = lst[start:start + SCAN_BLOCK]
-                rows = vectors[chunk if where is None else where[chunk]]
-                fh.write(np.ascontiguousarray(rows, "<f4"))
+        fh.write(ids)
+        fh.write(bytes(rows_at - ids_end))
+        payload = len(ids) * 4 * index.dim
+        if fh.seekable() and payload:
+            # zeros first, in large sequential writes: the page cache then
+            # holds the rows in large folios, which the out-of-order writes
+            # below fill in place. Written straight out of order, the rows
+            # land in small folios, and a mapped read of the file faults
+            # about four times as often (256 against 55 faults per one-row
+            # search of the 440k x 256 index, ext4, Linux 6.18)
+            zeros = bytes(min(_PREFILL_BYTES, payload))
+            for left in range(payload, 0, -len(zeros)):
+                fh.write(zeros[:left])
+            fh.seek(rows_at)
+        # each write gathers at most _TILE_BYTES of rows
+        piece = max(1, _TILE_BYTES // (4 * index.dim))
+        at = 0  # the file row written next
+        for start, window in windows(source, None if fh.seekable()
+                                     else max(1, len(ids))):
+            order = np.argsort(dest[start:start + len(window)])
+            rows = dest[start:start + len(window)][order]
+            cuts = np.union1d(np.flatnonzero(np.diff(rows) != 1) + 1,
+                              np.arange(0, len(rows), piece)).tolist()
+            for a, b in zip(cuts, cuts[1:] + [len(rows)]):
+                if rows[a] != at:
+                    fh.seek(rows_at + int(rows[a]) * 4 * index.dim)
+                fh.write(np.ascontiguousarray(window[order[a:b]], "<f4"))
+                at = int(rows[b - 1]) + 1
+
+
+def _dense_range(ids: np.ndarray) -> bool:
+    """Whether the n ids are each below n and cover 0..n-1: a permutation."""
+    total = int(ids.shape[0])
+    seen = np.zeros(total, dtype=bool)
+    if total and int(ids.max()) < total:
+        seen[ids] = True
+    return bool(seen.all())
 
 
 def load_index(path, bank: EmbeddingBank | None = None) -> IvfIndex:
@@ -894,12 +948,7 @@ def _read_index(fh) -> IvfIndex:
             f"{kind}: expected {expected} payload bytes, found {actual}",
             byte_offset=start + min(actual, expected))
 
-    # n ids, each below n and every one of 0..n-1 among them: a permutation
-    total = int(ids.shape[0])
-    seen = np.zeros(total, dtype=bool)
-    if total and int(ids.max()) < total:
-        seen[ids] = True
-    if not seen.all():
+    if not _dense_range(ids):
         raise errors.CorruptIndex("id lists do not cover a dense range")
     offsets = offsets.astype(np.int64)
     # each list is a view of the one id array

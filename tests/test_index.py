@@ -3,7 +3,6 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 
 import retroclass
 import retroclass.bank as bank_mod
+import retroclass.files as files_mod
 import retroclass.index as index_mod
 from retroclass import errors
 from retroclass.bank import EmbeddingBank, bank_load, bank_save
@@ -862,52 +862,46 @@ def test_loaded_index_slices_each_probed_list_once_per_chunk(monkeypatch,
     assert np.array_equal(table.scores, plain.scores)
 
 
-def _mapping_spy(monkeypatch):
-    """Wrap ``_IndexFile.rows``: the returned list holds a weak reference
-    to each mapping made, and each new mapping asserts that every earlier
-    one is gone (unmapped)."""
-    maps = []
-    real = index_mod._IndexFile.rows
+def _release_spy(monkeypatch):
+    """Count the page releases of mapped files: the returned list gets one
+    entry per release, before it happens."""
+    released = []
+    real = files_mod._release
 
-    def rows(self):
-        assert all(ref() is None for ref in maps)
-        out = real(self)
-        base = out
-        while isinstance(base, np.ndarray):
-            base = base.base
-        maps.append(weakref.ref(base))
-        return out
+    def release(mapping):
+        released.append(mapping)
+        real(mapping)
 
-    monkeypatch.setattr(index_mod._IndexFile, "rows", rows)
-    return maps
+    monkeypatch.setattr(files_mod, "_release", release)
+    return released
 
 
-def test_mapping_budget_remaps_without_changing_hits(monkeypatch, rng,
-                                                     tmp_path):
-    """A batch search maps a loaded index once under the default budget;
-    with a budget of 64 rows it drops its mapping and maps afresh many
-    times, and its table is bitwise the same."""
+def test_mapping_budget_releases_without_changing_hits(monkeypatch, rng,
+                                                       tmp_path):
+    """A batch search over a small loaded index releases none of its pages
+    under the default budget; with a budget of 64 rows it releases them
+    many times, and its table is bitwise the same."""
     bank = make_bank(rng, 2000, 16)
     built = build_ivf(bank, 8, seed=2)
     save_index(built, tmp_path / "s.ivf")
     index = load_index(tmp_path / "s.ivf", bank)
     queries = np.vstack([query_for(bank, rng).vector for _ in range(40)])
-    maps = _mapping_spy(monkeypatch)
+    released = _release_spy(monkeypatch)
     want = search(bank, queries, 10, index, 3)
-    assert len(maps) == 1
-    monkeypatch.setattr(index_mod, "_MAP_BYTES", 64 * 16 * 4)
+    assert released == []
+    monkeypatch.setattr(files_mod, "_MAP_BYTES", 64 * 16 * 4)
     got = search(bank, queries, 10, index, 3)
-    assert len(maps) > 5
+    assert len(released) > 5
     assert np.array_equal(got.counts, want.counts)
     assert np.array_equal(got.ids, want.ids)
     assert np.array_equal(got.scores.view(np.uint64),
                           want.scores.view(np.uint64))
 
 
-def test_nan_row_scored_after_a_remap_names_the_same_index_row(
+def test_nan_row_scored_after_a_release_names_the_same_index_row(
         monkeypatch, rng, tmp_path):
-    """A NaN row in the last list a search scores, read from a later
-    mapping, raises the ``CorruptIndex`` of the unbudgeted search."""
+    """A NaN row in the last list a search scores, read after its pages
+    were released, raises the ``CorruptIndex`` of the unbudgeted search."""
     bank = make_bank(rng, 400, 8)
     built = build_ivf(bank, 4, seed=1)
     path = tmp_path / "nan.ivf"
@@ -922,11 +916,11 @@ def test_nan_row_scored_after_a_remap_names_the_same_index_row(
     queries = np.array(built.centroids)  # with nprobe 2, every list
     with pytest.raises(errors.CorruptIndex, match=message):
         search(bank, queries, 5, index, 2)
-    maps = _mapping_spy(monkeypatch)
-    monkeypatch.setattr(index_mod, "_MAP_BYTES", 1)
+    released = _release_spy(monkeypatch)
+    monkeypatch.setattr(files_mod, "_MAP_BYTES", 1)
     with pytest.raises(errors.CorruptIndex, match=message):
         search(bank, queries, 5, index, 2)
-    assert len(maps) == 4  # one per list
+    assert len(released) == 3  # after each list the NaN row's list follows
 
 
 def _ivf_bits(out, workdir, blas_threads):
@@ -1395,12 +1389,48 @@ def test_save_onto_the_loaded_file_keeps_its_bytes(tmp_path, rng):
 
 
 def test_index_sparse_ids_rejected(tmp_path, rng):
+    """An id list that repeats one id and so misses another is corrupt.
+    ``save_index`` refuses to write one, so the file is edited here."""
     path, bank = _saved_index(tmp_path, rng)
-    index = load_index(path)
-    index.lists[0] = index.lists[0][:-1]  # drop one id
-    save_index(index, path)
+    ids = _layout(path)[1]
+    raw = bytearray(path.read_bytes())
+    raw[ids + 8:ids + 16] = raw[ids:ids + 8]
+    path.write_bytes(bytes(raw))
     with pytest.raises(errors.CorruptIndex, match="dense"):
         load_index(path)
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+@pytest.mark.parametrize("damage", ["repeat", "drop", "beyond"])
+def test_save_index_refuses_lists_load_index_refuses(tmp_path, rng, loaded,
+                                                     damage):
+    """Lists that are not a permutation of 0..n-1 (an id repeated in place
+    of another, an id dropped, or an id past the end) would write a file
+    that ``load_index`` refuses: ``save_index`` raises ``ValidationError``
+    and keeps the old file."""
+    path, bank = _saved_index(tmp_path, rng)
+    before = path.read_bytes()
+    index = load_index(path, bank) if loaded else build_ivf(bank, 3, seed=0)
+    first = index.lists[0]
+    index.lists[0] = {"repeat": np.concatenate([first[:-1], first[:1]]),
+                      "drop": first[:-1],
+                      "beyond": np.append(first[:-1], np.uint64(50))}[damage]
+    with pytest.raises(errors.ValidationError, match="dense range"):
+        save_index(index, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ivf"]
+
+
+def test_save_index_refuses_lists_of_another_row_count(tmp_path, rng):
+    """Lists that are a permutation of fewer ids than the bank has rows
+    would write a file no bank of that row count attaches to."""
+    bank = make_bank(rng, 50, 6)
+    short = IvfIndex(1, 6, 0, np.array(bank.vectors[:1]),
+                     [np.arange(40, dtype=np.uint64)])
+    short.bank = bank  # past attach(), which would refuse it too
+    with pytest.raises(errors.BankMisalignment, match="covers 40 ids"):
+        save_index(short, tmp_path / "short.ivf")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_attach_misaligned_bank(tmp_path, rng):
