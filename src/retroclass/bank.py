@@ -16,8 +16,9 @@ On-disk layout, all little-endian:
     padding   zero bytes up to a multiple of 64
     payload   count * dim float32 values, row-major
 
-A version-1 file has no padding: its payload follows the tag. Both load;
-every writer writes version 2, whose aligned payload numpy reads in place.
+The padding aligns the payload, so numpy reads it in place once mapped.
+Any other version is corrupt; a version-1 file, whose payload follows the
+tag, is rebuilt from its vectors with ``bank build``.
 
 The metadata sidecar lives at ``<bankfile>.meta.jsonl`` with one JSON object
 per row: ``{"id": int, "text": str, "source": str | null}``. It is only read
@@ -35,7 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from . import errors
-from .files import read_jsonl, replace_atomically, windows
+from .files import (PAYLOAD_ALIGN, payload_start, read_jsonl,
+                    replace_atomically, windows)
 
 MAGIC = b"RTRCBANK"
 FORMAT_VERSION = 2
@@ -45,7 +47,6 @@ ZERO_NORM_EPS = 1e-8
 
 # magic, version, dtype, dim, count, tag byte length
 _HEADER = struct.Struct("<8sIIIQH")
-_PAYLOAD_ALIGN = 64  # a version-2 payload starts at a multiple of this
 _NORM_BLOCK = 65536  # rows per float32 pass of norm_bound
 # float64 values normalized or checked per step: 2 MB, so a step's
 # temporaries stay in a core's L2 cache. numpy sums each row of a row-major
@@ -143,7 +144,7 @@ class EmbeddingBank:
 
     def __init__(self, vectors: np.ndarray, space_tag: str,
                  records: list[CaptionRecord] | None = None,
-                 meta_path: Path | None = None, version: int | None = None):
+                 meta_path: Path | None = None):
         vectors = np.asanyarray(vectors, dtype=np.float32)
         if vectors.ndim != 2:
             raise errors.InvalidDimension("bank vectors must be a 2-D matrix")
@@ -158,7 +159,6 @@ class EmbeddingBank:
                 f"{len(records)} records for {vectors.shape[0]} rows")
         self._records = records
         self._meta_path = meta_path
-        self.version = version  # of the file the bank was loaded from
 
     @property
     def vectors(self) -> np.ndarray:
@@ -228,7 +228,7 @@ def _write(path: Path, space_tag: str, shape: tuple[int, int], payload,
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, DTYPE_F32, dim, count,
                           len(tag_bytes)) + tag_bytes
     with replace_atomically(path, "bank", "wb") as fh:
-        fh.write(header + bytes(-len(header) % _PAYLOAD_ALIGN))
+        fh.write(header + bytes(-len(header) % PAYLOAD_ALIGN))
         payload(fh)
         with replace_atomically(_meta_path(path), "metadata sidecar") as meta:
             if records is None:
@@ -287,9 +287,9 @@ def bank_build(matrix: np.ndarray, space_tag: str, path,
 def bank_load(path) -> EmbeddingBank:
     """Load a bank, memory-mapping the payload.
 
-    Structural checks (magic, version, dtype, dim, payload size) run here;
-    row norms are an ingest-time guarantee and are not re-scanned, so loading
-    stays cheap for very large banks.
+    Structural checks (magic, version, dtype, dim, padding, payload size)
+    run here; row norms are an ingest-time guarantee and are not re-scanned,
+    so loading stays cheap for very large banks.
     """
     path = Path(path)
     try:
@@ -302,7 +302,7 @@ def bank_load(path) -> EmbeddingBank:
             magic, version, dtype, dim, count, tag_len = _HEADER.unpack(fixed)
             if magic != MAGIC:
                 raise errors.CorruptBank(f"bad magic {magic!r}", byte_offset=0)
-            if version not in (1, FORMAT_VERSION):
+            if version != FORMAT_VERSION:
                 raise errors.CorruptBank(f"unsupported version {version}",
                                          byte_offset=8)
             if dtype != DTYPE_F32:
@@ -321,36 +321,19 @@ def bank_load(path) -> EmbeddingBank:
             except UnicodeDecodeError as exc:
                 raise errors.CorruptBank("space tag is not valid UTF-8",
                                          byte_offset=_HEADER.size) from exc
-            header_size = _HEADER.size + tag_len
-            if version > 1:
-                pad = fh.read(-header_size % _PAYLOAD_ALIGN)
-                header_size += len(pad)
-                if header_size % _PAYLOAD_ALIGN:
-                    raise errors.CorruptBank("truncated padding",
-                                             byte_offset=header_size)
-                if pad.strip(b"\0"):
-                    raise errors.CorruptBank(
-                        "non-zero padding",
-                        byte_offset=header_size - len(pad.lstrip(b"\0")))
+            start = payload_start(fh, file_size, count * dim,
+                                  errors.CorruptBank)
     except OSError as exc:
         raise errors.IoError(f"cannot read bank at {path}: {exc}") from exc
 
-    expected = count * dim * 4
-    actual = file_size - header_size
-    if actual != expected:
-        kind = "truncated payload" if actual < expected else "trailing bytes after payload"
-        raise errors.CorruptBank(
-            f"{kind}: expected {expected} payload bytes, found {actual}",
-            byte_offset=header_size + min(actual, expected))
     if count == 0:
         vectors = np.empty((0, dim), dtype=np.float32)
     else:
         vectors = np.memmap(path, dtype="<f4", mode="r",
-                            offset=header_size, shape=(count, dim))
+                            offset=start, shape=(count, dim))
     meta = _meta_path(path)
     return EmbeddingBank(vectors, space_tag,
-                         meta_path=meta if meta.exists() else None,
-                         version=version)
+                         meta_path=meta if meta.exists() else None)
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:

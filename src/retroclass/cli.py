@@ -13,6 +13,7 @@ threads come from OPENBLAS_NUM_THREADS.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -22,8 +23,8 @@ import traceback
 import numpy as np
 
 from . import errors
-from .bank import (CaptionRecord, EmbeddingBank, bank_build, bank_load,
-                   bank_save, check_norms, parse_caption_record)
+from .bank import (FORMAT_VERSION, CaptionRecord, EmbeddingBank, bank_build,
+                   bank_load, bank_save, check_norms, parse_caption_record)
 from .classify import classify_batch, write_predictions
 from .enrich import EnrichmentConfig, PrototypeSet, enrich_all_prototypes
 from .files import read_json, read_jsonl, replace_atomically
@@ -102,7 +103,7 @@ def _cmd_bank_inspect(args) -> int:
         "count": bank.count,
         "space_tag": bank.space_tag,
         "dtype": "float32",
-        "version": bank.version,
+        "version": FORMAT_VERSION,
     }
     if args.check_norms:
         info["norms_ok"] = check_norms(bank)
@@ -151,15 +152,20 @@ def _cmd_retrieve(args) -> int:
     return errors.EXIT_OK
 
 
-def _cmd_enrich_prototypes(args) -> int:
+def _class_table(args):
+    """The class table of ``--classes``, ``--proto-bank`` and
+    ``--retrieval-bank``."""
     classes, zs_template, rt_template = load_class_config(args.classes)
-    proto_bank = bank_load(args.proto_bank)
-    rquery_bank = bank_load(args.retrieval_bank)
+    return build_class_specs(classes, zs_template, rt_template,
+                             bank_load(args.proto_bank),
+                             bank_load(args.retrieval_bank))
+
+
+def _cmd_enrich_prototypes(args) -> int:
+    table = _class_table(args)
     llm_bank = bank_load(args.llm_bank)
     vlm_bank = bank_load(args.vlm_bank)
     config = _load_config(args.config)
-    table = build_class_specs(classes, zs_template, rt_template,
-                              proto_bank, rquery_bank)
     index = load_index(args.index, llm_bank) if args.index is not None else None
     retriever = Retriever(llm_bank, index, args.nprobe)
     proto_set = enrich_all_prototypes(
@@ -222,11 +228,7 @@ def _eval_inputs(args):
         if missing:
             raise errors.ValidationError(
                 f"missing {', '.join(missing)} (or pass --fixture-dir)")
-        classes, zs_template, rt_template = load_class_config(args.classes)
-        proto_bank = bank_load(args.proto_bank)
-        rquery_bank = bank_load(args.retrieval_bank)
-        table = build_class_specs(classes, zs_template, rt_template,
-                                  proto_bank, rquery_bank)
+        table = _class_table(args)
         query_bank = bank_load(args.queries)
         labels = list(read_json(args.labels, "labels", parse_labels))
         inputs = (table, query_bank, labels, bank_load(args.llm_bank),
@@ -293,7 +295,9 @@ def _add_eval_io(parser: argparse.ArgumentParser) -> None:
                         help="merge alias prototypes after enrichment")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after."""
     parser = argparse.ArgumentParser(
         prog="retroclass",
         description="Training-free retrieval enrichment for zero-shot "
@@ -400,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_nprobe(args)
         return args.func(args)

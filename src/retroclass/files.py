@@ -15,6 +15,10 @@ key, converting a string that is not a number or calling a method on the
 wrong type all surface as such an error, with the file (and line) named. A
 parse function that raises a subclass of that class keeps its type.
 
+A bank file and an index file each end in a float32 payload after zero
+padding to a multiple of ``PAYLOAD_ALIGN``, so a mapped payload is aligned;
+:func:`payload_start` checks that layout for both.
+
 Every full pass over a memory-mapped bank or index reads it through
 :func:`windows` or a :class:`PageBudget`, which drop the mapping's
 resident pages each time ``_MAP_BYTES`` of it have been read, so such a
@@ -37,6 +41,7 @@ import numpy as np
 from . import errors
 
 _MAP_BYTES = 64 << 20  # bytes of a mapped file read between page releases
+PAYLOAD_ALIGN = 64  # a bank's or index's float32 payload starts here
 
 # what a parse function raises when it meets a value of the wrong shape;
 # ValueError also covers bad UTF-8 and bad JSON, RecursionError deep nesting
@@ -128,6 +133,28 @@ def replace_atomically(path, what: str, mode: str = "w"):
             raise
     except OSError as exc:
         raise errors.IoError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def payload_start(fh, size: int, values: int, error: type) -> int:
+    """Where the float32 payload of a ``size``-byte file starts: after the
+    zero padding that ``fh`` is positioned at, up to a multiple of
+    ``PAYLOAD_ALIGN``. Truncated or non-zero padding, or a payload other
+    than ``values`` floats to the end of the file, raises ``error`` at the
+    first byte that fails."""
+    pad = fh.read(-fh.tell() % PAYLOAD_ALIGN)
+    start = fh.tell()
+    if start % PAYLOAD_ALIGN:
+        raise error("truncated padding", byte_offset=start)
+    if pad.strip(b"\0"):
+        raise error("non-zero padding",
+                    byte_offset=start - len(pad.lstrip(b"\0")))
+    expected, actual = values * 4, size - start
+    if actual != expected:
+        kind = ("truncated payload" if actual < expected
+                else "trailing bytes after payload")
+        raise error(f"{kind}: expected {expected} payload bytes, found {actual}",
+                    byte_offset=start + min(actual, expected))
+    return start
 
 
 def _shared_mapping(array):

@@ -57,7 +57,8 @@ import numpy as np
 from . import errors
 from .bank import EmbeddingBank, NORM_ATOL, norm_bound, row_norms
 from .errors import row_error
-from .files import PageBudget, replace_atomically, windows
+from .files import (PAYLOAD_ALIGN, PageBudget, payload_start,
+                    replace_atomically, windows)
 
 INDEX_MAGIC = b"RTRCIVF1"
 INDEX_VERSION = 2
@@ -71,7 +72,6 @@ DEFAULT_MAX_ITERS = 25
 _TRAIN_ROWS_PER_CLUSTER = 256
 
 _INDEX_HEADER = struct.Struct("<8sIIIQ")  # magic, version, n_clusters, dim, seed
-_PAYLOAD_ALIGN = 64  # the rows start at a multiple of this many bytes
 
 
 @dataclass(frozen=True)
@@ -285,8 +285,9 @@ def _rescore(block: np.ndarray, rows: np.ndarray, pos: np.ndarray,
         src[dest] = pos_b
         # one gather straight into the buffer, then its padding (read from
         # the block's last row) zeroed: faster than a gather and a scatter.
-        # Not np.take(..., out=): it copies an unaligned block (a mapped
-        # bank file's payload) whole, 52 ms at 131072 x 256
+        # Not np.take(..., out=): it buffers out, 1.75 against 0.75 ms for
+        # 4112 rows of a mapped 131072 x 256 block (numpy 2.4, Xeon), and
+        # with mode="wrap" it is no faster than this gather
         gathered = block[src]
         gathered[src < 0] = 0.0
         scores = np.empty(src.shape[0], np.float32)
@@ -387,11 +388,6 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
         # the block boundaries are SCAN_BLOCK's: _rescore's tail rule
         # depends on them
         for start, block in windows(vectors, SCAN_BLOCK):
-            if n > 1 and not block.flags.aligned:
-                # a mapped bank file's payload: numpy copies an unaligned
-                # operand whole for every product, and its Q @ block.T is
-                # many times slower than on the copy, so copy it once
-                block = np.array(block)
             # a cell budget: at most QUERY_BLOCK * SCAN_BLOCK selection
             # scores per run, so a short block takes more rows at once
             run = QUERY_BLOCK * SCAN_BLOCK // block.shape[0]
@@ -836,7 +832,7 @@ def save_index(index: IvfIndex, path) -> None:
     dest[src] = np.arange(len(ids))
     ids_end = (_INDEX_HEADER.size + 4 * index.n_clusters * index.dim
                + offsets.nbytes + ids.nbytes)
-    rows_at = ids_end + -ids_end % _PAYLOAD_ALIGN  # zero padding between
+    rows_at = ids_end + -ids_end % PAYLOAD_ALIGN  # zero padding between
     with replace_atomically(path, "index", "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(index.centroids, "<f4").tobytes())
@@ -935,18 +931,7 @@ def _read_index(fh) -> IvfIndex:
         raise errors.CorruptIndex("list offsets do not ascend from 0",
                                   byte_offset=offset + 8 * at)
     ids = read(int(offsets[-1]), "<u8", "id lists")
-    pad = read(-fh.tell() % _PAYLOAD_ALIGN, "u1", "padding")
-    if pad.any():
-        raise errors.CorruptIndex("non-zero padding", byte_offset=fh.tell()
-                                  - pad.size + int(np.argmax(pad != 0)))
-    start = fh.tell()
-    expected, actual = len(ids) * dim * 4, size - start
-    if actual != expected:
-        kind = ("truncated payload" if actual < expected
-                else "trailing bytes after payload")
-        raise errors.CorruptIndex(
-            f"{kind}: expected {expected} payload bytes, found {actual}",
-            byte_offset=start + min(actual, expected))
+    start = payload_start(fh, size, len(ids) * dim, errors.CorruptIndex)
 
     if not _dense_range(ids):
         raise errors.CorruptIndex("id lists do not cover a dense range")

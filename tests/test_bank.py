@@ -19,7 +19,6 @@ from retroclass.bank import (MAGIC, CaptionRecord, EmbeddingBank,
                              bank_build, bank_load, bank_save, check_norms)
 from retroclass.classify import Prediction, write_predictions
 from retroclass.harness import accuracy, emit_report
-from retroclass.index import search
 
 HEADER_FMT = struct.Struct("<8sIIIQH")
 
@@ -398,17 +397,15 @@ def test_truncated_tag(tmp_path, rng):
         bank_load(path)
 
 
-def test_check_norms_catches_denormalized_payload(tmp_path, rng, save_v1):
-    """The first payload value, after a version-2 file's padding and right
-    after a version-1 file's tag."""
+def test_check_norms_catches_denormalized_payload(tmp_path, rng):
+    """The first payload value, after the file's padding."""
     bank = make_bank(rng)
-    bank_save(bank, tmp_path / "v2.bank")
-    save_v1(bank, tmp_path / "v1.bank")
-    for path in (tmp_path / "v2.bank", tmp_path / "v1.bank"):
-        assert check_norms(bank_load(path))
-        _patch(path, path.stat().st_size - bank.count * bank.dim * 4,
-               struct.pack("<f", 40.0))
-        assert not check_norms(bank_load(path))
+    path = tmp_path / "a.bank"
+    bank_save(bank, path)
+    assert check_norms(bank_load(path))
+    _patch(path, path.stat().st_size - bank.count * bank.dim * 4,
+           struct.pack("<f", 40.0))
+    assert not check_norms(bank_load(path))
 
 
 @pytest.mark.parametrize("scale, ok", [
@@ -466,7 +463,7 @@ def test_payload_starts_at_a_multiple_of_64(tmp_path, rng, tag):
     assert HEADER_FMT.unpack_from(raw)[1:] == (2, 1, bank.dim, bank.count,
                                                 len(tag))
     loaded = bank_load(path)
-    assert loaded.version == 2 and loaded.vectors.flags.aligned
+    assert loaded.vectors.flags.aligned
     assert np.array_equal(loaded.vectors, bank.vectors)
 
 
@@ -491,31 +488,30 @@ def test_truncated_padding_is_corrupt(tmp_path, rng, size):
     assert exc.value.byte_offset == size
 
 
-def test_version_1_bank_loads_and_searches_as_its_rewrite(tmp_path, rng,
-                                                          save_v1, capsys):
-    """A version-1 file (payload right after the tag) still loads, inspects
-    as version 1, and gives the search table of its version-2 rewrite,
-    whose payload bytes are the same."""
+def test_version_1_bank_is_refused_at_its_version(tmp_path, rng, save_v1,
+                                                  capsys):
+    """A version-1 file (payload right after the tag) is corrupt at its
+    version field, for the loader and for every command that loads it."""
     bank = make_bank(rng, n=300, d=16)
     save_v1(bank, tmp_path / "v1.bank")
-    v1 = bank_load(tmp_path / "v1.bank")
-    assert v1.version == 1 and not v1.vectors.flags.aligned
-    assert np.array_equal(v1.vectors, bank.vectors)
-    assert cli.main(["bank", "inspect", "--bank",
-                     str(tmp_path / "v1.bank")]) == 0
-    assert json.loads(capsys.readouterr().out)["version"] == 1
-    bank_save(v1, tmp_path / "v2.bank")
-    payload = bank.count * bank.dim * 4
-    assert (tmp_path / "v2.bank").read_bytes()[-payload:] == \
-        (tmp_path / "v1.bank").read_bytes()[-payload:]
-    v2 = bank_load(tmp_path / "v2.bank")
-    assert v2.version == 2
-    queries = make_bank(rng, n=9, d=16).vectors
-    for n in (1, 9):
-        old, new = search(v1, queries[:n], 10), search(v2, queries[:n], 10)
-        assert np.array_equal(old.ids, new.ids)
-        assert np.array_equal(old.scores.view(np.uint64),
-                              new.scores.view(np.uint64))
+    bank_save(bank, tmp_path / "v2.bank")
+    with pytest.raises(errors.CorruptBank,
+                       match="^unsupported version 1 ") as exc:
+        bank_load(tmp_path / "v1.bank")
+    assert exc.value.byte_offset == 8
+    v1, v2 = str(tmp_path / "v1.bank"), str(tmp_path / "v2.bank")
+    out = str(tmp_path / "hits.jsonl")
+    for argv in (["bank", "inspect", "--bank", v1],
+                 ["index", "build", "--bank", v1, "--clusters", "2",
+                  "--out", str(tmp_path / "a.ivf")],
+                 ["retrieve", "--bank", v1, "--queries", v2, "--k", "3",
+                  "--out", out],
+                 ["retrieve", "--bank", v2, "--queries", v1, "--k", "3",
+                  "--out", out]):
+        assert cli.main(argv) == errors.EXIT_CORRUPT
+        assert "unsupported version 1 (byte offset 8)" in \
+            capsys.readouterr().err
+
 
 
 # bank_build: streamed ingest, and the order in which a save commits

@@ -75,6 +75,18 @@ def test_bank_build_and_inspect(tmp_path):
                     "dtype": "float32", "version": 2, "norms_ok": True}
 
 
+def test_parser_is_built_once_and_keeps_no_arguments(tmp_path, capsys):
+    """``cli.main`` reuses one parser; a flag of one call does not carry
+    over to the next."""
+    from retroclass import cli
+    assert cli.build_parser() is cli.build_parser()
+    path = tmp_path / "a.bank"
+    bank_save(EmbeddingBank.from_matrix(np.eye(3), "llm-text"), path)
+    for argv, norms in ((["--check-norms"], True), ([], None)):
+        assert cli.main(["bank", "inspect", "--bank", str(path)] + argv) == 0
+        assert json.loads(capsys.readouterr().out).get("norms_ok") is norms
+
+
 def test_bank_build_meta_count_mismatch(tmp_path):
     rng = np.random.default_rng(0)
     np.save(tmp_path / "v.npy", rng.standard_normal((3, 4)))

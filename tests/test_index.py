@@ -391,20 +391,19 @@ def assert_same_row(table, row, single):
                           single.scores[0].view(np.uint64))
 
 
-@pytest.mark.parametrize("version", [None, 1, 2],
-                         ids=["in-memory", "mapped", "mapped-v2"])
+@pytest.mark.parametrize("mapped", [False, True],
+                         ids=["in-memory", "mapped-v2"])
 def test_search_batch_rows_equal_one_row_calls(monkeypatch, tmp_path, rng,
-                                               save_v1, version):
+                                               mapped):
     """A row's hits do not depend on the batch it is in: exact, IVF at
     nprobe 1 and full probe, with several blocks per scan. A kernel whose
-    scores change with the batch width fails here. A mapped version-1
-    bank's payload is unaligned, and a batch scan copies its blocks."""
+    scores change with the batch width fails here."""
     monkeypatch.setattr(index_mod, "SCAN_BLOCK", 16)
     bank = make_bank(rng, 300, 64)
-    if version is not None:
-        (save_v1 if version == 1 else bank_save)(bank, tmp_path / "b.bank")
+    if mapped:
+        bank_save(bank, tmp_path / "b.bank")
         bank = bank_load(tmp_path / "b.bank")
-        assert bank.vectors.flags.aligned == (version == 2)
+        assert bank.vectors.flags.aligned
     index = build_ivf(bank, 6, seed=3)
     queries = np.vstack([query_for(bank, rng).vector for _ in range(64)])
     for n in (1, 2, 7, 64):
