@@ -337,12 +337,12 @@ def bank_load(path) -> EmbeddingBank:
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
-    """L2 norm of each float64 row, each one ``sqrt(row.dot(row))``.
-
-    That is what ``np.linalg.norm`` computes for a single vector, so a row's
-    norm does not depend on the rows stacked around it.
-    """
-    return np.sqrt(np.array([row.dot(row) for row in rows], dtype=np.float64))
+    """L2 norm of each row, ``sqrt(row.dot(row))`` of the C-contiguous
+    float64 row, as ``np.linalg.norm`` computes for one vector. One stacked
+    ``matmul`` runs that ``ddot`` per row, so a row's norm depends neither
+    on the rows stacked around it nor on the strides it came in."""
+    r = np.ascontiguousarray(rows, dtype=np.float64)
+    return np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
 
 
 def norm_bound(rows: np.ndarray) -> float:

@@ -9,7 +9,8 @@ argmax(query . prototype) over the zero-shot prototypes.
 Scoring works on stacks of query rows; the one-query functions are the same
 code applied to one row. Each query's logits come from its own
 matrix-vector product and dot-product norm, never from a product across
-queries, so a query's result is bitwise the same whatever the batch size.
+queries (one stacked ``matmul`` runs them), so a query's result is bitwise
+the same whatever the batch size. Eval ranks only the label, unsorted.
 """
 
 from __future__ import annotations
@@ -64,12 +65,6 @@ def prototype_norms(prototypes) -> np.ndarray:
     return pnorms
 
 
-def _check_dims(queries: np.ndarray, matrix: np.ndarray) -> None:
-    if queries.shape[1] != matrix.shape[1]:
-        raise errors.DimensionMismatch(
-            f"query dim {queries.shape[1]} != prototype dim {matrix.shape[1]}")
-
-
 def cosine_rows(queries, prototypes, qnorms: np.ndarray,
                 pnorms: np.ndarray) -> np.ndarray:
     """:func:`logits_rows` given :func:`query_norms` of ``queries`` and
@@ -77,26 +72,35 @@ def cosine_rows(queries, prototypes, qnorms: np.ndarray,
     stack against several sets (or several stacks against one set) takes
     each norm once."""
     matrix = _prototype_matrix(prototypes)
-    q = np.asarray(queries, dtype=np.float64)
-    _check_dims(q, matrix)
-    p64 = matrix.astype(np.float64)
-    raw = np.empty((q.shape[0], matrix.shape[0]), dtype=np.float64)
-    for i, row in enumerate(q):
-        raw[i] = p64 @ row
+    q = np.ascontiguousarray(queries, dtype=np.float64)
+    if q.shape[1] != matrix.shape[1]:
+        raise errors.DimensionMismatch(
+            f"query dim {q.shape[1]} != prototype dim {matrix.shape[1]}")
+    p64 = np.ascontiguousarray(matrix, dtype=np.float64)
+    # one stacked matmul, one prototypes-by-row gemv per query row
+    raw = np.matmul(p64, q[:, :, None])[:, :, 0]
     return np.clip(raw / (pnorms * qnorms[:, None]), -1.0, 1.0)
 
 
 def logits_rows(queries, prototypes) -> np.ndarray:
     """Cosine of each query row against every prototype row, (n, C) float64."""
-    matrix = _prototype_matrix(prototypes)
-    q = np.asarray(queries, dtype=np.float64)
-    _check_dims(q, matrix)
-    return cosine_rows(q, matrix, query_norms(q), prototype_norms(matrix))
+    q = np.ascontiguousarray(queries, dtype=np.float64)
+    return cosine_rows(q, prototypes, query_norms(q),
+                       prototype_norms(prototypes))
 
 
 def rank_rows(logit_rows: np.ndarray) -> np.ndarray:
     """Class indices of each row, score-desc, ties to the lowest index."""
     return np.argsort(-logit_rows, axis=1, kind="stable")
+
+
+def label_ranks(logit_rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each row's label's position in :func:`rank_rows`' order, unsorted:
+    the classes above the label, and those tying it at a lower index."""
+    own = np.take_along_axis(logit_rows, labels[:, None], axis=1)
+    before = np.arange(logit_rows.shape[1]) < labels[:, None]
+    return np.count_nonzero(
+        (logit_rows > own) | ((logit_rows == own) & before), axis=1)
 
 
 def logits(query_vector, prototypes) -> np.ndarray:
@@ -127,17 +131,6 @@ class Prediction:
         return {"query_id": self.query_id,
                 "topk": [[i, s] for i, s in self.topk],
                 "enriched": self.enriched}
-
-
-def rank_queries(queries: np.ndarray,
-                 prototypes: PrototypeSet) -> tuple[np.ndarray, np.ndarray]:
-    """Rank every class for each query row: (class order, logits), both (n, C).
-
-    ``queries`` are the rows :func:`~retroclass.enrich.fuse_queries` gives
-    for the config.
-    """
-    scores = logits_rows(queries, prototypes)
-    return rank_rows(scores), scores
 
 
 def classify_query(query: QueryEmbedding, prototypes: PrototypeSet,
@@ -176,8 +169,9 @@ def classify_batch(queries: EmbeddingBank, prototypes: PrototypeSet,
         hits = retriever.search(queries.vectors, config.k,
                                 space_tag=queries.space_tag)
         captions = retriever.bank
-    order, scores = rank_queries(
-        fuse_queries(queries.vectors, hits, captions, config), prototypes)
+    scores = logits_rows(fuse_queries(queries.vectors, hits, captions,
+                                      config), prototypes)
+    order = rank_rows(scores)
     ranked = np.take_along_axis(scores, order, axis=1)
     return [Prediction(first_query_id + i, tuple(zip(ids, vals)), active)
             for i, (ids, vals) in enumerate(zip(order.tolist(),

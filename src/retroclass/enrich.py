@@ -15,7 +15,8 @@ average.
 Fusion works on stacks of rows (:func:`fuse_rows`); the one-vector functions
 are that code applied to one row. Every step is elementwise or runs along one
 row (row softmax, centroid sums taken in hit order, one dot-product norm per
-row), so a row's result is bitwise the same whatever the batch it is in.
+row, one stacked call for a stack; alias merges sum each class's rows in order
+in one ``reduceat``), so a row's result is bitwise the same whatever the batch.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from .bank import CaptionRecord, EmbeddingBank, bank_load, bank_save
 # classify_batch stays importable from here: perfbench's tracer tests check
 # that wrapping it rebinds this module's name too
 from .classify import (Prediction, classify_batch,  # noqa: F401
-                       cosine_rows, prototype_norms, query_norms, rank_rows)
+                       cosine_rows, label_ranks, prototype_norms, query_norms)
 from .enrich import (EnrichmentConfig, check_enrichment_banks,
                      enrichment_queries, fuse_prototypes, fuse_queries,
                      zeroshot_prototypes)
@@ -84,47 +84,48 @@ def accuracy(predictions: list[Prediction], labels, ms=(1, 5),
     for pred in predictions:
         if len(pred.topk) != n_classes:
             raise errors.LabelMismatch("predictions rank differing class counts")
+    labels = _check_labels(labels, len(predictions), n_classes)
     order = np.array([[c for c, _ in pred.topk] for pred in predictions],
                      dtype=np.int64).reshape(len(predictions), n_classes)
-    return rank_accuracy(order, labels, ms, dataset, config, wall_time_ms)
+    found = order == labels[:, None]
+    ranks = np.where(found.any(axis=1), found.argmax(axis=1), n_classes)
+    return _rank_report(ranks, labels, n_classes, ms, dataset, config,
+                        wall_time_ms)
 
 
-def rank_accuracy(order: np.ndarray, labels, ms=(1, 5),
-                  dataset: str = "unknown",
-                  config: EnrichmentConfig | None = None,
-                  wall_time_ms: dict[str, float] | None = None) -> EvalReport:
-    """:func:`accuracy` for a (queries, classes) matrix of ranked class ids."""
+def _check_labels(labels, n: int, n_classes: int) -> np.ndarray:
+    """``labels`` as int64: one per query, each a class index."""
     labels = np.asarray([int(x) for x in labels], dtype=np.int64)
-    n, n_classes = order.shape
     if n != labels.shape[0]:
-        raise errors.LabelMismatch(f"{n} predictions but {labels.shape[0]} labels")
+        raise errors.LabelMismatch(f"{n} queries but {labels.shape[0]} labels")
     if n == 0:
         raise errors.LabelMismatch("cannot score an empty prediction list")
     out_of_range = (labels < 0) | (labels >= n_classes)
     if out_of_range.any():
         raise errors.LabelMismatch(
             f"label {int(labels[out_of_range][0])} outside [0, {n_classes})")
+    return labels
 
+
+def _rank_report(ranks: np.ndarray, labels: np.ndarray, n_classes: int, ms,
+                 dataset: str, config, wall_time_ms) -> EvalReport:
+    """:func:`accuracy`'s report from the position of each query's label in
+    its ranking (``n_classes`` where the ranking lacks it)."""
     acc_at = {}
     for m in ms:
         if m < 1:
             raise errors.InvalidM(f"m must be >= 1, got {m}")
-        depth = min(m, n_classes)
-        hits = int(np.count_nonzero(
-            (order[:, :depth] == labels[:, None]).any(axis=1)))
-        acc_at[int(m)] = hits / n
-
+        acc_at[int(m)] = int(np.count_nonzero(
+            ranks < min(m, n_classes))) / len(labels)
     counts = np.bincount(labels, minlength=n_classes)
-    correct = np.bincount(labels[order[:, 0] == labels], minlength=n_classes)
-    per_class = tuple(
-        float(correct[c] / counts[c]) if counts[c] else 0.0
-        for c in range(n_classes))
-
+    correct = np.bincount(labels[ranks == 0], minlength=n_classes)
     return EvalReport(dataset=dataset,
                       config=config if config is not None else EnrichmentConfig(),
                       acc_at=acc_at,
-                      per_class_acc=per_class,
-                      n_queries=n,
+                      per_class_acc=tuple(
+                          float(correct[c] / counts[c]) if counts[c] else 0.0
+                          for c in range(n_classes)),
+                      n_queries=len(labels),
                       wall_time_ms=wall_time_ms or {})
 
 
@@ -166,10 +167,7 @@ def _evaluate(configs: list[EnrichmentConfig], table: ClassTable,
     the norms) done at that config.
     """
     check_threads(threads)
-    labels = [int(x) for x in labels]
-    if len(labels) != query_bank.count:
-        raise errors.LabelMismatch(
-            f"{query_bank.count} queries but {len(labels)} labels")
+    labels = _check_labels(labels, query_bank.count, len(table))
     if table.prototype_space != query_bank.space_tag:
         raise errors.SpaceMismatch(
             f"prototype space {table.prototype_space!r} "
@@ -210,11 +208,11 @@ def _evaluate(configs: list[EnrichmentConfig], table: ClassTable,
             query_rows[query_key] = rows, query_norms(rows)
         rows, qnorms = query_rows[query_key]
         protos, pnorms = prototype_sets[proto_key]
-        order = rank_rows(cosine_rows(rows, protos, qnorms, pnorms))
+        ranks = label_ranks(cosine_rows(rows, protos, qnorms, pnorms),
+                            labels)
         t3 = time.perf_counter()
-        reports.append(rank_accuracy(
-            order, labels, ms=(1, 5), dataset=dataset, config=config,
-            wall_time_ms={
+        reports.append(_rank_report(
+            ranks, labels, len(table), (1, 5), dataset, config, {
                 "retrieve": retrieve_ms,
                 "enrich_prototypes": (t2 - t1) * 1000.0,
                 "classify": (t3 - t2) * 1000.0,

@@ -105,7 +105,7 @@ class QueryEmbedding:
 def check_unit_rows(queries: np.ndarray, what: str) -> None:
     """Every row of the float32 stack is unit norm within ``NORM_ATOL``; an
     error about one row of several names it as ``what i``."""
-    norms = row_norms(queries.astype(np.float64))
+    norms = row_norms(queries)
     # written so that a NaN norm fails it too
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_ATOL))
     if bad.size:

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import errors
-from .bank import EmbeddingBank
+from .bank import EmbeddingBank, row_norms
 from .files import read_json
 
 GENERIC_PREFIX = "a photo of a"
@@ -94,9 +94,15 @@ class ClassTable:
 
     def merged(self, rows) -> np.ndarray:
         """One :func:`merge_alias_prototypes` row per class of ``rows``,
-        which are laid out like the table's."""
-        return np.vstack([merge_alias_prototypes(rows[a:b])
-                          for a, b in zip(self.bounds[:-1], self.bounds[1:])])
+        which are laid out like the table's, with its bits: one ``reduceat``
+        sums each class's rows in order, as its mean does."""
+        means = np.add.reduceat(np.asarray(rows, dtype=np.float64),
+                                self.bounds[:-1], axis=0)
+        means /= np.diff(self.bounds)[:, None]
+        norms = row_norms(means)
+        if (norms <= 1e-8).any():
+            raise errors.DegenerateMerge("merged vectors cancel out")
+        return (means / norms[:, None]).astype(np.float32)
 
     @cached_property
     def merged_prototypes(self) -> np.ndarray:

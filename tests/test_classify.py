@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import retroclass
 from retroclass import errors
-from retroclass.bank import EmbeddingBank
+from retroclass.bank import EmbeddingBank, row_norms
 from retroclass.classify import (Prediction, classify_batch, classify_query,
                                  logits, logits_rows, predict_topk,
-                                 read_predictions, write_predictions)
+                                 query_norms, read_predictions,
+                                 write_predictions)
 from retroclass.enrich import (EnrichmentConfig, PrototypeSet,
                                enrich_all_prototypes, enrich_query,
                                gather_captions, zeroshot_prototypes)
@@ -70,6 +77,60 @@ def test_logits_reject_nonfinite_rows(rng):
         with pytest.raises(errors.DegeneratePrototype,
                            match="prototype row 1 has non-finite norm"):
             logits_rows(queries, rows)
+
+
+def test_strided_float64_rows_score_as_their_copy(rng):
+    """A float64 view one element in two gets the bits of its contiguous
+    copy: its norms, its logits and its query norms."""
+    for d in (8, 64, 256):
+        rows = rng.standard_normal((40, 2 * d))[:, ::2]
+        copy = np.ascontiguousarray(rows)
+        protos = rng.standard_normal((9, d)).astype(np.float32)
+        assert np.array_equal(row_norms(rows).view(np.uint64),
+                              row_norms(copy).view(np.uint64))
+        assert np.array_equal(query_norms(rows).view(np.uint64),
+                              query_norms(copy).view(np.uint64))
+        assert np.array_equal(logits_rows(rows, protos).view(np.uint64),
+                              logits_rows(copy, protos).view(np.uint64))
+
+
+def _score_bits(out, blas_threads, core):
+    """Run ``tests/score_bits.py`` under ``OPENBLAS_NUM_THREADS`` and, if
+    given, ``OPENBLAS_CORETYPE``, and load what it writes."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(retroclass.__file__).resolve().parent.parent),
+         env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, Path(__file__).with_name(
+        "score_bits.py"), out], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return np.load(out)
+
+
+@pytest.mark.parametrize("core", [None, "SkylakeX", "Haswell",
+                                  "Sandybridge", "Nehalem"])
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_stacked_calls_have_the_per_row_loop_bits(tmp_path, blas_threads,
+                                                  core):
+    """``cosine_rows``, ``logits_rows``, ``row_norms``, ``ClassTable.merged``
+    and ``label_ranks`` give the bits of a loop of one-row BLAS calls (and
+    of a full stable sort), at 1 and 2 BLAS threads and under each forced
+    OpenBLAS core; see ``score_bits.py`` for the cases. A forced core must
+    be the one that ran."""
+    got = _score_bits(tmp_path / "bits.npz", blas_threads, core)
+    if core is not None:
+        assert str(got["core"]) == core
+    names = [name[len("got_"):] for name in got.files
+             if name.startswith("got_")]
+    assert len(names) >= 60
+    for name in names:
+        new, ref = got[f"got_{name}"], got[f"ref_{name}"]
+        assert (new.dtype, new.shape) == (ref.dtype, ref.shape), name
+        assert new.tobytes() == ref.tobytes(), name
+    assert str(got["got_merged_cancel64"]) == "DegenerateMerge"
 
 
 # -- predict_topk ------------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import retroclass
 
@@ -130,3 +131,30 @@ def test_bench_ivf_small(tmp_path):
     assert sum(int(r) * c for r, c in reuse.items()) == 32 * 2
     assert sum(reuse.values()) <= 8
     assert after["machine"]["numpy"] == np.__version__
+
+
+def test_bench_sweep_small(tmp_path):
+    out = tmp_path / "bench.json"
+    for label in ("before", "after"):
+        run_script("bench_sweep.py", "--out", out, "--label", label,
+                   "--n-classes", 4, "--dim", 16, "--queries-per-class", 3,
+                   "--captions-per-class", 6, "--repeats", 3, cwd=tmp_path)
+    runs = json.loads(out.read_text())["runs"]
+    assert sorted(runs) == ["after", "before"]
+    after = runs["after"]
+    assert after["shape"] == {"seed": 3, "n_classes": 4, "dim": 16,
+                              "queries_per_class": 3,
+                              "captions_per_class": 6, "grid_points": 6}
+    sweep = after["pass"]
+    assert sweep["repeats"] == 3
+    assert 0 < sweep["ms_q1"] <= sweep["ms_median"] <= sweep["ms_q3"]
+    # 12 queries at each of the 6 grid points per median pass
+    assert sweep["queries_per_s"] == pytest.approx(
+        12 * 6 / sweep["ms_median"] * 1e3)
+    assert sorted(after["stages"]) == ["classify_ms", "enrich_prototypes_ms",
+                                       "rest_ms", "retrieve_ms"]
+    for stage in after["stages"].values():
+        assert stage["q1"] <= stage["median"] <= stage["q3"]
+    # the same fixture gives the same CSV on every run
+    assert after["csv_sha256"] == runs["before"]["csv_sha256"]
+    assert "blas_core" in after["machine"]
