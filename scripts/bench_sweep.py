@@ -16,10 +16,11 @@ its CSV. The run records:
   ``queries_per_s``, the fixture's queries times the grid points over the
   median pass;
 * ``stages``: per pass, the reports' ``wall_time_ms``: ``retrieve`` (shared
-  by every point), and ``enrich_prototypes`` and ``classify`` summed over
-  the points; ``rest`` is the pass less those three (zero-shot
-  prototypes, the class table and the CSV). Each is a median and quartiles
-  over the passes;
+  by every point), and ``enrich_prototypes`` (with the alias merges of
+  the zero-shot prototypes and the retrieval queries) and ``classify``
+  summed over the points; ``rest`` is the pass less those three (the
+  class table and the CSV). Each is a median and quartiles over the
+  passes;
 * ``csv_sha256``: the CSV's digest, so two runs can be checked for
   identical output;
 * the machine facts of ``scripts/bench_scan.py``, the running OpenBLAS

@@ -47,7 +47,6 @@ ZERO_NORM_EPS = 1e-8
 
 # magic, version, dtype, dim, count, tag byte length
 _HEADER = struct.Struct("<8sIIIQH")
-_NORM_BLOCK = 65536  # rows per float32 pass of norm_bound
 # float64 values normalized or checked per step: 2 MB, so a step's
 # temporaries stay in a core's L2 cache. numpy sums each row of a row-major
 # block on its own, so a row's norm does not depend on the step.
@@ -349,13 +348,14 @@ def norm_bound(rows: np.ndarray) -> float:
     """An upper bound on the largest row norm; NaN or inf if a row is not
     finite.
 
-    Each block's float32 sums of squares are within ``dim * 2**-24`` of
-    the true ones, and the bound is widened by twice that. No float64 copy
-    of a block is made. A mapped bank is read through
-    :func:`files.windows`.
+    Each row's float32 sum of squares is within ``dim * 2**-24`` of the
+    true one, whatever the rows around it, and the bound is widened by
+    twice that. No float64 copy of a block is made. The rows are read
+    through :func:`files.windows` in windows of at most ``_MAP_BYTES``, at
+    any width.
     """
     top = np.float32(0)
-    for _, block in windows(rows, _NORM_BLOCK):
+    for _, block in windows(rows):
         top = np.maximum(top, np.einsum("ij,ij->i", block, block).max())
     return float(np.sqrt(np.float64(top))) * (1 + rows.shape[1] * 2.0 ** -23)
 

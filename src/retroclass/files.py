@@ -21,8 +21,11 @@ padding to a multiple of ``PAYLOAD_ALIGN``, so a mapped payload is aligned;
 
 Every full pass over a memory-mapped bank or index reads it through
 :func:`windows` or a :class:`PageBudget`, which drop the mapping's
-resident pages each time ``_MAP_BYTES`` of it have been read, so such a
-pass keeps at most that much plus one block resident, not the whole file.
+resident pages each time ``_MAP_BYTES`` (64 MiB) of it have been read.
+Each block such a pass reads is at most ``_MAP_BYTES`` too (the rows of
+:func:`window_rows`), or one unit of the kernel that scores it where the
+budget holds fewer rows, so a pass keeps at most twice the budget of the
+file resident, whatever the file's size or row width.
 """
 
 from __future__ import annotations
@@ -182,9 +185,10 @@ class PageBudget:
     ``_MAP_BYTES`` have been read, :meth:`read` drops the pages of the file
     mapping under it, and :meth:`close` drops the rest at the end of a pass
     that has done so, so a pass over more than ``_MAP_BYTES`` leaves none
-    resident while a smaller one stays resident for the next. It does
-    nothing for an in-memory array, a copy-on-write mapping, or where
-    ``madvise`` is missing."""
+    resident while a smaller one stays resident for the next. With blocks
+    of at most ``_MAP_BYTES`` each, at most twice that many bytes of the
+    file are resident. It does nothing for an in-memory array, a
+    copy-on-write mapping, or where ``madvise`` is missing."""
 
     def __init__(self, array):
         self._mapping = (_shared_mapping(array)
@@ -206,13 +210,19 @@ class PageBudget:
             self._read = 0
 
 
+def window_rows(array) -> int:
+    """The rows of ``array`` in ``_MAP_BYTES``, at least one."""
+    row_bytes = array.itemsize * prod(array.shape[1:])
+    return max(1, _MAP_BYTES // max(1, row_bytes))
+
+
 def windows(array, rows: int | None = None):
     """``(start, array[start:start + rows])`` over every row of ``array``,
     in order, released through a :class:`PageBudget` once each block has
-    been used. ``rows`` defaults to the rows in ``_MAP_BYTES``."""
+    been used. ``rows`` defaults to :func:`window_rows`, so that no window
+    is larger than ``_MAP_BYTES`` unless it holds one row."""
     if rows is None:
-        row_bytes = array.itemsize * prod(array.shape[1:])
-        rows = max(1, _MAP_BYTES // max(1, row_bytes))
+        rows = window_rows(array)
     budget = PageBudget(array)
     for start in range(0, array.shape[0], rows):
         block = array[start:start + rows]

@@ -41,6 +41,12 @@ every row's candidates, the exact scan's and the IVF lists' alike.
 So a row's hits are bitwise the same in a batch of any size, and probing
 every IVF list is the exact scan.
 
+A mapped bank or index file is read in pieces of at most ``_MAP_BYTES``
+(64 MiB), whatever its size or row width: the exact scan's selection and
+re-score windows, the IVF tiles and the assignment's products, each
+counted in one :class:`files.PageBudget`, so a scan or a build keeps at
+most twice the budget of the file resident.
+
 Ordering contract everywhere: hits sorted by descending score, ties broken
 by ascending id.
 """
@@ -58,7 +64,7 @@ from . import errors
 from .bank import EmbeddingBank, NORM_ATOL, norm_bound, row_norms
 from .errors import row_error
 from .files import (PAYLOAD_ALIGN, PageBudget, payload_start,
-                    replace_atomically, windows)
+                    replace_atomically, window_rows, windows)
 
 INDEX_MAGIC = b"RTRCIVF1"
 INDEX_VERSION = 2
@@ -305,6 +311,12 @@ def _rescore(block: np.ndarray, rows: np.ndarray, pos: np.ndarray,
     return out
 
 
+def _cuts(m: int, step: int) -> list[int]:
+    """The edges of m rows cut into pieces of ``step`` rows, the last one
+    taking the rest, so that only a piece of all m rows is shorter."""
+    return list(range(0, m, step))[:max(1, m // step)] + [m]
+
+
 def _merge(rows: np.ndarray, ids: np.ndarray, scores: np.ndarray,
            k: int) -> tuple[np.ndarray, ...]:
     """(rows, ids, scores, ranks) of each row's k best entries, sorted by
@@ -324,32 +336,39 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
     scores every row against every vector. A group reads each block of at
     most ``SCAN_BLOCK`` ids once: the ids' rows are ``vectors[first:first +
     len(ids)]`` when ``first`` is a row, and are gathered as
-    ``vectors[ids]`` when it is ``None``. When ``vectors`` is a mapped file
-    (a bank's payload, or a loaded index's rows from ``_IndexFile.rows``),
-    every pass over it, the whole-bank one and the groups', reads it
-    through :func:`files.windows` or a :class:`files.PageBudget`: after
-    each block, once ``_MAP_BYTES`` have been read, the mapping's resident
-    pages are dropped, so at most that much plus one block stays resident,
-    and a pass that read more than that drops the rest at its end. A group scores its block into one score buffer per run of at most
-    ``QUERY_BLOCK * SCAN_BLOCK // m`` of its rows, tile by tile: each tile
-    of ``_TILE_BYTES`` (a multiple of 16 rows; the last one takes the
-    rest, and rows of at most 8 values keep the block whole, as
-    :func:`_rescore` requires) gets one
-    ``tile @ query`` per row before the next tile is read, so it is read
-    from memory once and from L2 after. A slice and a gather of the same
-    rows give the same bits, and at one BLAS thread those of one ``block
-    @ query``. One :func:`_block_candidates` per buffer keeps each row's
-    top k.
+    ``vectors[ids]`` tile by tile when it is ``None``. When ``vectors`` is
+    a mapped file (a bank's payload, or a loaded index's rows from
+    ``_IndexFile.rows``), every pass over it counts what it reads in one
+    :class:`files.PageBudget`, which drops the mapping's resident pages
+    once ``_MAP_BYTES`` have been read, and no piece it counts is larger
+    than ``_MAP_BYTES`` (or than one tile, where the budget holds fewer
+    rows), so at most twice the budget stays resident, and a pass that
+    read more than the budget drops the rest at its end. A group scores
+    its block into one score buffer per run of at most ``QUERY_BLOCK *
+    SCAN_BLOCK // m`` of its rows, tile by tile: each tile of
+    ``_TILE_BYTES`` (a multiple of 16 rows; the last one takes the rest,
+    and rows of at most 8 values keep the block whole, as
+    :func:`_rescore` requires) gets one ``tile @ query`` per row before
+    the next tile is read, so it is read from memory once and from L2
+    after, and is counted in the budget once its rows are scored. A slice
+    and a gather of the same rows give the same bits, and at one BLAS
+    thread those of one ``block @ query``. One :func:`_block_candidates`
+    per buffer keeps each row's top k.
 
     The whole-bank scan gives each row the bits of a one-thread
     ``block @ query``, whatever the batch and the BLAS thread count (as far
     as :func:`_rescore` holds). One ``Q @ block.T`` per run of
     ``QUERY_BLOCK * SCAN_BLOCK // m`` rows for an m-row block (one ``sgemv``
     per row for runs of fewer than 4, where the GEMM is slower) selects,
-    and :func:`_rescore` scores the selected cells exactly. The run width
-    only sizes the selection product, which picks candidates and gives no
-    final score. Any float32 dot product of a unit query with a row of norm
-    at most ``bound`` is within about ``dim * 2**-24 * bound`` of the true
+    and :func:`_rescore` scores the selected cells exactly. A block larger
+    than ``_MAP_BYTES`` is selected in products over windows of the rows
+    of :func:`files.window_rows`, and re-scored window by window, each
+    window counted in the budget after each pass over it: the fault on a
+    candidate's row maps the page cache's whole folio, up to 2 MiB, so a
+    run's candidates could otherwise map most of a block. The run width
+    and the windows only size the selection products, which pick
+    candidates and give no final score. Any float32 dot product of a unit
+    query with a row of norm at most ``bound`` is within about ``dim * 2**-24 * bound`` of the true
     one (Higham's bound), so a selection score and an exact score differ
     by at most twice that, and a row of the exact top k scores at least
     the k-th selection score minus ``4 * dim * 2**-24 * bound``. ``margin``
@@ -363,7 +382,8 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
     Rows whose squares overflow make it infinite, and a non-finite row
     makes it infinite or NaN; then every cell is a candidate, and each
     gather keeps each row's :func:`_block_candidates`, which names the
-    first non-finite score's row as ``what`` and its id, in row order.
+    first non-finite score's row as ``what`` and its id, window by window
+    in row order.
 
     The candidates go into flat (row, id, score) arrays, which one
     :func:`_merge` sorts into the table; they are merged down to each row's
@@ -382,61 +402,75 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
             found[:] = [_merge(*map(np.concatenate, zip(*found)), k)[:3]]
             held = found[0][0].shape[0]
 
+    pages = PageBudget(vectors)
     if groups is None:
         bound = norm_bound(vectors) if bound is None else bound
         margin = 4 * vectors.shape[1] * 2.0 ** -23 * bound
+        step = window_rows(vectors)
         # the block boundaries are SCAN_BLOCK's: _rescore's tail rule
         # depends on them
-        for start, block in windows(vectors, SCAN_BLOCK):
+        for start in range(0, vectors.shape[0], SCAN_BLOCK):
+            block = vectors[start:start + SCAN_BLOCK]
+            m = block.shape[0]
             # a cell budget: at most QUERY_BLOCK * SCAN_BLOCK selection
             # scores per run, so a short block takes more rows at once
-            run = QUERY_BLOCK * SCAN_BLOCK // block.shape[0]
+            run = QUERY_BLOCK * SCAN_BLOCK // m
             for lo in range(0, n, run):
                 hi = min(lo + run, n)
-                if hi - lo < 4:
-                    select = np.array([block @ queries[r]
-                                       for r in range(lo, hi)])
-                else:
-                    select = queries[lo:hi] @ block.T
+                select = np.empty((hi - lo, m), np.float32)
+                for a in range(0, m, step):
+                    window = block[a:a + step]
+                    out = select[:, a:a + step]
+                    if hi - lo < 4:
+                        for i in range(hi - lo):
+                            np.matmul(window, queries[lo + i], out=out[i])
+                    else:
+                        np.matmul(queries[lo:hi], window.T, out=out)
+                    pages.read(window.nbytes)
                 mask = _candidates(select, k, margin)
                 del select  # the re-score needs only the mask
-                for rows, pos in _cells(mask, hi - lo, block.shape[0],
-                                        block.shape[1] <= 8):
-                    rows += lo
-                    scores = _rescore(block, rows, pos, queries)
-                    if mask is not None:
-                        keep(rows, pos + start, scores)
-                        continue
-                    # every cell: keep each row's top k, and name a
-                    # non-finite score's row
-                    for r, a, b in _row_spans(rows):
-                        at, ids, top = _block_candidates(
-                            scores[None, a:b], k, pos[a:b] + start, what)
-                        keep(at + r, ids, top)
-    pages = PageBudget(vectors)
+                # re-score window by window too: the fault on a candidate's
+                # row maps the page cache's whole folio, up to 2 MiB
+                for a in range(0, m, step):
+                    window = block[a:a + step]
+                    in_window = None if mask is None else mask[:, a:a + step]
+                    cells = _cells(in_window, hi - lo, window.shape[0],
+                                   block.shape[1] <= 8)
+                    for rows, pos in cells:
+                        rows += lo
+                        pos += a
+                        scores = _rescore(block, rows, pos, queries)
+                        if mask is not None:
+                            keep(rows, pos + start, scores)
+                            continue
+                        # every cell: keep each row's top k, and name a
+                        # non-finite score's row
+                        for r, c, d in _row_spans(rows):
+                            at, ids, top = _block_candidates(
+                                scores[None, c:d], k, pos[c:d] + start, what)
+                            keep(at + r, ids, top)
+                    pages.read(window.nbytes)
     for ids, rows, first in groups or ():
         for start in range(0, len(ids), SCAN_BLOCK):
             chunk = ids[start:start + SCAN_BLOCK]
-            block = vectors[chunk] if first is None else \
-                vectors[first + start:first + start + len(chunk)]
-            m, dim = block.shape
-            # tiles of a multiple of 16 rows, the last one taking the rest
+            m, dim = len(chunk), vectors.shape[1]
+            # tiles of a multiple of 16 rows
             step = m if dim <= 8 else max(16, _TILE_BYTES // (64 * dim) * 16)
-            cuts = list(range(0, m, step))[:max(1, m // step)] + [m]
+            cuts = _cuts(m, step)
             run = QUERY_BLOCK * SCAN_BLOCK // m
             for lo in range(0, len(rows), run):
                 part = rows[lo:lo + run]
                 scores = np.empty((len(part), m), np.float32)
                 for a, b in zip(cuts, cuts[1:]):
-                    tile = block[a:b]
+                    if a:  # the tile before, scored against every row
+                        pages.read(tile.nbytes)
+                    tile = vectors[chunk[a:b]] if first is None else \
+                        vectors[first + start + a:first + start + b]
                     for i, r in enumerate(part.tolist()):
                         np.matmul(tile, queries[r], out=scores[i, a:b])
                 at, hit_ids, top = _block_candidates(scores, k, chunk, what)
                 keep(part[at], hit_ids, top)
-            pages.read(block.nbytes)
-            # free a gathered block before the next gather, so that gather
-            # reuses its pages instead of faulting in fresh ones
-            block = tile = None
+                pages.read(tile.nbytes)
     pages.close()
     table = HitTable(np.zeros((n, width), np.int64), np.zeros((n, width)),
                      np.zeros(n, np.int64))
@@ -455,8 +489,9 @@ def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
     With ``index`` (attached to ``bank``) a row scans the ids of its
     ``nprobe`` best lists; otherwise, or when every list is probed, the whole
     bank. A loaded index scores its lists from its own file, mapped for this
-    call only (its pages released after every ``_MAP_BYTES`` of rows
-    read), and never reads the bank's rows. ``space_tag``, when given, must
+    call only (its pages released after every ``_MAP_BYTES`` of rows read,
+    tile by tile), and never reads the bank's rows. A mapped bank is read
+    in windows of at most ``_MAP_BYTES``. ``space_tag``, when given, must
     be the bank's. An error about one row names it as ``what i``.
     """
     if k < 1:
@@ -507,8 +542,9 @@ class _IndexFile:
     collected; its rows are mapped only while an array from :meth:`rows`
     lives. A search or a save reads them through :func:`files.windows` or
     a :class:`files.PageBudget`, which drop their resident pages after
-    every ``_MAP_BYTES`` read, so at most that much of them, plus one
-    block, stays resident during a search, and none between searches.
+    every ``_MAP_BYTES`` read, in tiles and windows of at most that many
+    bytes, so at most twice that of them stays resident during a search,
+    and none between searches.
     """
 
     def __init__(self, fh, offsets: np.ndarray, ids: np.ndarray,
@@ -599,17 +635,41 @@ def _assign(rows: np.ndarray, centroids: np.ndarray,
             check: bool = False) -> np.ndarray:
     """Argmax-cosine assignment; ties go to the lowest cluster id.
 
+    Each row's scores are its row of one ``piece @ centroids.T`` product.
+    Each ``SCAN_BLOCK`` block of rows is cut into pieces of a multiple of
+    12 rows, the last one taking the rest, of at most half ``_MAP_BYTES``
+    of rows and ``_TILE_BYTES`` of scores (but at least 12 rows): a mapped
+    bank is read in pieces of at most the page budget, each counted in a
+    :class:`files.PageBudget`, and a piece's scores stay in L2.
+
+    OpenBLAS 0.3.31's Haswell core gives a row other bits when the rows
+    before it in its product are not a multiple of 12, or when it is one
+    of the product's last ``m mod 12`` rows. So pieces of a multiple of 12
+    rows that end where their block ends give each row the bits of one
+    product over its whole ``SCAN_BLOCK`` block. This is measured under
+    its SkylakeX, Haswell, Sandybridge and Nehalem cores at one BLAS
+    thread, and under SkylakeX and Sandybridge at two; under Haswell and
+    Nehalem at two threads a row's bits depend on where OpenBLAS splits
+    each product between its threads, so no piece size keeps them.
+
     With ``check``, a row with a non-finite score against finite centroids
     is a corrupt bank row: :class:`CorruptBank` names it by its position.
-    Mapped rows are read through :func:`files.windows`.
     """
     out = np.empty(rows.shape[0], dtype=np.int64)
-    for start, block in windows(rows, SCAN_BLOCK):
-        scores = block @ centroids.T
-        if check:
-            _check_finite_rows(scores, np.arange(start, start + len(scores)))
-        out[start:start + SCAN_BLOCK] = np.argmax(scores, axis=1)
-        del scores  # before the next block's scores are allocated
+    step = min(_TILE_BYTES // (4 * centroids.shape[0]), window_rows(rows) // 2)
+    step = max(12, step // 12 * 12)
+    pages = PageBudget(rows)
+    for start in range(0, rows.shape[0], SCAN_BLOCK):
+        cuts = [start + a for a in
+                _cuts(min(SCAN_BLOCK, rows.shape[0] - start), step)]
+        for a, b in zip(cuts, cuts[1:]):
+            piece = rows[a:b]
+            scores = piece @ centroids.T
+            if check:
+                _check_finite_rows(scores, np.arange(a, b))
+            out[a:b] = np.argmax(scores, axis=1)
+            pages.read(piece.nbytes)
+    pages.close()
     return out
 
 
@@ -674,6 +734,10 @@ def build_ivf(bank: EmbeddingBank, n_clusters: int, seed: int,
     row raises :class:`CorruptBank`. A mapped bank is read in sequential
     windows (:func:`files.windows`), the sample's rows taken from each:
     one scattered gather of the sample would map nearly the whole file.
+    The assignment pass reads it in pieces of at most half
+    ``_MAP_BYTES`` (:func:`_assign`). A bank of at most 256 rows per
+    centroid is trained on as it is, and a mapped one is then mapped
+    whole while it trains, as much as the sample would hold.
     """
     if bank.count == 0:
         raise errors.EmptyBank("cannot index an empty bank")

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +334,34 @@ def test_run_sweep_retrieves_once_per_query(small_fixture, monkeypatch,
     assert len(calls) == {"classes+queries": 2, "nothing": 0}.get(retrieves, 1)
     assert sum(rows for tag, rows in calls if tag == "llm-text") == \
         (n_classes if "classes" in retrieves else 0)
+
+
+def test_alias_merges_are_timed_as_prototype_enrichment(small_fixture,
+                                                       monkeypatch):
+    """The alias merges of the zero-shot prototypes and of the retrieval
+    queries run before retrieval and count toward the first report's
+    ``enrich_prototypes``, not toward ``retrieve``; each report's
+    ``total`` is the sum of its stages. Each merge is slowed by 150 ms."""
+    delay_ms = 150.0
+    for name in ("zeroshot_prototypes", "enrichment_queries"):
+        real = getattr(harness_mod, name)
+
+        def slow(*args, _real=real):
+            time.sleep(delay_ms / 1000.0)
+            return _real(*args)
+
+        monkeypatch.setattr(harness_mod, name, slow)
+    fx = small_fixture
+    grid = SweepGrid(alphas=(0.0, 0.5), betas=(0.0, 0.5))
+    times = [r.wall_time_ms for r in run_sweep(
+        grid, fx.build_specs(), fx.queries, list(fx.labels), fx.llm_bank,
+        fx.vlm_bank, base_config=EnrichmentConfig())]
+    assert times[0]["enrich_prototypes"] >= 2 * delay_ms
+    for t in times:
+        assert t["retrieve"] < delay_ms
+        assert t["total"] == pytest.approx(
+            t["retrieve"] + t["enrich_prototypes"] + t["classify"])
+    assert all(t["enrich_prototypes"] < delay_ms for t in times[1:])
 
 
 @pytest.mark.parametrize("merge_aliases", ["before", "after"])

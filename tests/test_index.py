@@ -420,15 +420,18 @@ def test_search_batch_rows_equal_one_row_calls(monkeypatch, tmp_path, rng,
         assert (exact.counts == 10).all()
 
 
-def _scan_bits(out, blas_threads):
-    """Run ``tests/scan_bits.py`` under ``OPENBLAS_NUM_THREADS`` and load
-    what it writes."""
+def _run_bits(script, out, blas_threads, *args, core=None):
+    """Run ``tests/<script> OUT ARGS...`` under ``OPENBLAS_NUM_THREADS``
+    and, if given, ``OPENBLAS_CORETYPE``, and load what it writes."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(retroclass.__file__).resolve().parent.parent),
          env.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, Path(__file__).with_name(
-        "scan_bits.py"), out], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, Path(__file__).with_name(script),
+                           out, *args], capture_output=True, text=True,
+                          env=env)
     assert proc.returncode == 0, proc.stderr
     return np.load(out)
 
@@ -445,8 +448,8 @@ def test_exact_search_is_the_one_thread_plain_scan_at_1_and_2_threads(
     the rows its block's cell budget allows: 4, 300 and 1,000 rows over
     small banks, and 64 then 130 rows over the two blocks of a
     ``SCAN_BLOCK`` + 1,000-row bank."""
-    one = _scan_bits(tmp_path / "one.npz", 1)
-    two = _scan_bits(tmp_path / "two.npz", 2)
+    one = _run_bits("scan_bits.py", tmp_path / "one.npz", 1)
+    two = _run_bits("scan_bits.py", tmp_path / "two.npz", 2)
     n = sum(name.startswith("ids") for name in one.files)
     assert n >= 26
     for i in range(n):
@@ -922,27 +925,14 @@ def test_nan_row_scored_after_a_release_names_the_same_index_row(
     assert len(released) == 3  # after each list the NaN row's list follows
 
 
-def _ivf_bits(out, workdir, blas_threads):
-    """Run ``tests/ivf_bits.py`` under ``OPENBLAS_NUM_THREADS`` and load
-    what it writes."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(retroclass.__file__).resolve().parent.parent),
-         env.get("PYTHONPATH", "")])
-    workdir.mkdir()
-    proc = subprocess.run([sys.executable, Path(__file__).with_name(
-        "ivf_bits.py"), out, workdir], capture_output=True, text=True,
-        env=env)
-    assert proc.returncode == 0, proc.stderr
-    return np.load(out)
-
-
 @pytest.fixture(scope="module")
 def ivf_bits(tmp_path_factory):
     """``tests/ivf_bits.py``'s arrays at 1 and 2 BLAS threads, by count."""
     tmp = tmp_path_factory.mktemp("ivf_bits")
-    return {threads: _ivf_bits(tmp / f"t{threads}.npz", tmp / f"w{threads}",
-                               threads)
+    for threads in (1, 2):
+        (tmp / f"w{threads}").mkdir()
+    return {threads: _run_bits("ivf_bits.py", tmp / f"t{threads}.npz",
+                               threads, tmp / f"w{threads}")
             for threads in (1, 2)}
 
 
@@ -991,6 +981,54 @@ def test_ivf_rows_get_the_same_hits_in_a_batch_as_alone(ivf_bits):
                                   got[f"{name}_alone_ids{i}"])
                 assert _same_bits(got[f"{name}_scores{i}"],
                                   got[f"{name}_alone_scores{i}"])
+
+
+@pytest.mark.parametrize("core", [None, "SkylakeX", "Haswell",
+                                  "Sandybridge", "Nehalem"])
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_assignment_has_the_bits_of_one_product_per_block(tmp_path,
+                                                          blas_threads, core):
+    """``_assign`` scores each ``SCAN_BLOCK`` block in products of a
+    multiple of 12 rows, the last taking the rest, each at most half the
+    page budget, and each row's scores and label are those of one
+    ``block @ centroids.T`` per ``SCAN_BLOCK`` rows: at one BLAS thread
+    under each forced OpenBLAS core, and at two under SkylakeX and
+    Sandybridge. Under Haswell and Nehalem at two threads a row's bits
+    depend on where OpenBLAS splits each product between its threads, so
+    there a label may differ only where the block product's two best
+    scores are within ``4 * dim * 2**-24``, the most that two float32 sums
+    of the same unit rows can differ by twice. See ``assign_bits.py`` for
+    the cases. A forced core must be the one that ran."""
+    got = _run_bits("assign_bits.py", tmp_path / "bits.npz", blas_threads,
+                    core=core)
+    if core is not None:
+        assert str(got["core"]) == core
+    split = blas_threads == 2 and str(got["core"]) in ("Haswell", "Nehalem")
+    n = sum(name.startswith("labels") for name in got.files)
+    assert n == 9
+    for i in range(n):
+        rows, dim, _ = got[f"shape{i}"].tolist()
+        pieces = got[f"pieces{i}"]
+        assert pieces.max() <= max(int(got[f"window{i}"]), 23), i
+        ends = np.cumsum(pieces).tolist()
+        for start in range(0, rows, index_mod.SCAN_BLOCK):
+            end = min(start + index_mod.SCAN_BLOCK, rows)
+            block = pieces[ends.index(start) + 1 if start else 0:
+                           ends.index(end) + 1]
+            step = int(block[0])
+            assert (block[:-1] == step).all() and step % 12 == 0 or \
+                len(block) == 1, i
+            assert block[-1] < 2 * step, i
+        ref, labels = got[f"ref_labels{i}"], got[f"labels{i}"]
+        if not split:
+            assert np.array_equal(labels, ref), i
+            assert _same_bits(got[f"scores{i}"], got[f"ref_scores{i}"]), i
+            continue
+        scores = got[f"ref_scores{i}"]
+        best = scores[np.arange(rows), ref]
+        moved = np.flatnonzero(labels != ref)
+        assert (best[moved] - scores[moved, labels[moved]]
+                <= 4 * dim * 2.0 ** -24).all(), i
 
 
 def _bank_with_nan_row(tmp_path, rng, row):
