@@ -24,9 +24,10 @@ repeat of ``index build`` but the first writes over the index file the one
 before wrote. ``save_index`` times ``index.save_index`` of the built index
 ``--repeats`` times as a first write to a new path (``first_ms``) and then
 as an overwrite of that file (``overwrite_ms``). ``process`` runs each
-command once more in a fresh interpreter and records its wall time (with
-imports) and peak RSS (``VmHWM``, so Linux only): ``bank build``, ``index
-build``, and a ``retroclass retrieve`` of 32 noisy bank rows at k 10, exact
+command ``--repeats`` times more, each in a fresh interpreter, and records
+the median and quartiles of its wall time (with imports) and peak RSS
+(``VmHWM``, so Linux only): ``bank build``, ``index build``, and a
+``retroclass retrieve`` of 32 noisy bank rows at k 10, exact
 (``retrieve_exact``) and through the index at nprobe 8
 (``retrieve_index``). ``outputs`` holds the SHA-256 of the bank, sidecar
 and index files, so two runs can be checked for identical bytes.
@@ -203,13 +204,20 @@ def write_queries(vectors: Path, path: Path, n: int = 32) -> None:
         raise SystemExit("retroclass bank build of the queries failed")
 
 
-def in_child(argv: list[str]) -> dict:
-    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], check=True,
-                          capture_output=True, text=True)
-    code, wall, rss = proc.stdout.split()
-    if code != "0":
-        raise SystemExit(f"retroclass {' '.join(argv[:2])} exited {code}")
-    return {"wall_s": float(wall), "peak_rss_mb": float(rss)}
+def in_child(argv: list[str], repeats: int) -> dict:
+    """Wall time and peak RSS of ``repeats`` runs of one command, each in a
+    fresh interpreter: one noisy run does not move the median."""
+    walls, rss = [], []
+    for _ in range(repeats):
+        proc = subprocess.run([sys.executable, "-c", CHILD, *argv],
+                              check=True, capture_output=True, text=True)
+        code, wall, mb = proc.stdout.split()
+        if code != "0":
+            raise SystemExit(f"retroclass {' '.join(argv[:2])} exited {code}")
+        walls.append(float(wall))
+        rss.append(float(mb))
+    return {"repeats": repeats, "wall_s": spread(walls),
+            "peak_rss_mb": spread(rss)}
 
 
 def sha256(path: Path) -> str:
@@ -247,12 +255,12 @@ def main() -> None:
         retrieve_argv = ["retrieve", "--bank", str(bank), "--queries",
                          str(tmp / "queries.bank"), "--k", "10", "--out",
                          str(tmp / "hits.jsonl")]
-        process = {"bank_build": in_child(bank_argv),
-                   "index_build": in_child(index_argv),
-                   "retrieve_exact": in_child(retrieve_argv),
+        process = {"bank_build": in_child(bank_argv, args.repeats),
+                   "index_build": in_child(index_argv, args.repeats),
+                   "retrieve_exact": in_child(retrieve_argv, args.repeats),
                    "retrieve_index": in_child(retrieve_argv + [
                        "--index", str(index), "--nprobe",
-                       str(min(8, args.clusters))])}
+                       str(min(8, args.clusters))], args.repeats)}
         outputs = {"bank": sha256(bank),
                    "sidecar": sha256(bank.with_name(bank.name + ".meta.jsonl")),
                    "index": sha256(index)}
@@ -272,15 +280,15 @@ def main() -> None:
                            for name, value in entry[command].items()
                            if name.endswith("_ms") and name != "total_ms")
         print(f"{args.label} {command}: {entry[command]['total_ms']['median']:.0f} ms "
-              f"({stages}); process {process[command]['wall_s']:.2f} s, "
-              f"{process[command]['peak_rss_mb']:.0f} MB")
+              f"({stages}); process {process[command]['wall_s']['median']:.2f}"
+              f" s, {process[command]['peak_rss_mb']['median']:.0f} MB")
     print(f"{args.label} save_index: first write "
           f"{save['first_ms']['median']:.0f} ms, overwrite "
           f"{save['overwrite_ms']['median']:.0f} ms")
     for command in ("retrieve_exact", "retrieve_index"):
         print(f"{args.label} {command}: process "
-              f"{process[command]['wall_s']:.2f} s, "
-              f"{process[command]['peak_rss_mb']:.0f} MB")
+              f"{process[command]['wall_s']['median']:.2f} s, "
+              f"{process[command]['peak_rss_mb']['median']:.0f} MB")
 
 
 if __name__ == "__main__":

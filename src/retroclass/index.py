@@ -35,8 +35,9 @@ list before the next tile is read, so the rows after the first find the
 tile in L2. At one BLAS thread a tile's scores are the bits of the whole
 list block's ``block @ query``; at more, OpenBLAS splits a tile's product
 between threads, so a list's bits can move with the thread count, but
-every list is tiled alike however many rows probe it. One merge orders
-every row's candidates, the exact scan's and the IVF lists' alike.
+every list is tiled alike however many rows probe it. A list's final
+scores keep the cells at or above the same bound, with no margin, and one
+merge cuts every row's candidates to k, the exact scan's and the lists'.
 
 So a row's hits are bitwise the same in a batch of any size, and probing
 every IVF list is the exact scan.
@@ -144,36 +145,24 @@ class HitTable:
                 zip(self.ids[row, :c].tolist(), self.scores[row, :c].tolist())]
 
 
-def _block_candidates(scores: np.ndarray, k: int, ids: np.ndarray,
-                      what: str = "bank row") -> tuple[np.ndarray, ...]:
-    """(rows, ids, scores) of each row's top-k scores of the (n, m)
-    ``scores``, boundary ties included, row by row and in column order.
-
-    ``ids`` holds the m columns' ids. Unit-norm rows only give finite
-    scores, so a non-finite one means a corrupt row: the error names the
-    first such cell's column, in row order, as ``what`` and its id, and is
-    :class:`CorruptBank` for a ``"bank row"`` and :class:`CorruptIndex` for
-    a centroid or an index file's row.
-    """
+def _check_finite(scores: np.ndarray, ids: np.ndarray, what: str) -> None:
+    """Unit-norm rows only give finite scores, so a non-finite one means a
+    corrupt row. Raise for the first non-finite cell of ``scores`` in row
+    order, naming its column as ``what`` and its id: ``ids`` holds the id
+    of each of the m columns of an (n, m) buffer, or of each score of a
+    flat gather. The error is :class:`CorruptBank` for a ``"bank row"``
+    and :class:`CorruptIndex` for a centroid or an index file's row."""
     finite = np.isfinite(scores)
-    n, m = scores.shape
     if not finite.all():
-        row, pos = divmod(int(np.flatnonzero(~finite)[0]), m)
+        at = int(np.argmin(finite))  # the first False, in row order
         error = errors.CorruptBank if what == "bank row" else errors.CorruptIndex
-        raise error(f"{what} {int(ids[pos])} gives a non-finite score "
-                    f"({scores[row, pos]})")
-    if m <= k:
-        cells = np.arange(n * m)
-    else:
-        kth = np.partition(scores, m - k, axis=1)[:, m - k]
-        cells = np.flatnonzero(scores >= kth[:, None])
-    rows, pos = np.divmod(cells, m)
-    return rows, ids[pos], scores.ravel()[cells]
+        raise error(f"{what} {int(ids[at % len(ids)])} gives a non-finite "
+                    f"score ({scores.flat[at]})")
 
 
 def _kth_lower_bound(scores: np.ndarray, k: int) -> np.ndarray:
     """A lower bound on the k-th largest score of each row of ``scores``,
-    for ``1 <= k <= m`` columns.
+    for ``1 <= k <= m`` columns: the bound that every scan selects with.
 
     Column j falls in group ``j % _GROUPS``. The k largest group maxima
     are k scores of distinct columns, so the k-th largest of them is at
@@ -182,7 +171,7 @@ def _kth_lower_bound(scores: np.ndarray, k: int) -> np.ndarray:
     groups put a row's top scores into a few groups and lower the bound.
     With k at least the group count, or m at most it, this is the exact
     k-th score. NaN ranks above every number, as in ``np.sort``. Each
-    ``np.partition`` copies at most ``SCAN_BLOCK`` scores, not the run.
+    ``np.partition`` copies at most ``SCAN_BLOCK`` scores, not the buffer.
     """
     n, m = scores.shape
     if k < _GROUPS < m:
@@ -203,11 +192,11 @@ def _kth_lower_bound(scores: np.ndarray, k: int) -> np.ndarray:
 
 def _candidates(scores: np.ndarray, k: int,
                 margin: float) -> np.ndarray | None:
-    """The candidate mask of a selection run: the cells at or above their
-    row's :func:`_kth_lower_bound` minus ``margin``. ``None`` means every
-    cell: when the block has at most k rows, or when ``margin`` is not
-    finite (a row norm overflows, or a row is not finite, which is also
-    the only way a selection score can be)."""
+    """The candidate mask of a selection run, or of an IVF list buffer at
+    ``margin`` 0: the cells at or above their row's :func:`_kth_lower_bound`
+    minus ``margin``. ``None`` means every cell: when the block has at most
+    k rows, or when ``margin`` is not finite (a row norm overflows, or a
+    row is not finite, the only way a selection score can be)."""
     if scores.shape[1] <= k or not np.isfinite(margin):
         return None
     return scores >= (_kth_lower_bound(scores, k) - margin)[:, None]
@@ -352,8 +341,8 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
     the next tile is read, so it is read from memory once and from L2
     after, and is counted in the budget once its rows are scored. A slice
     and a gather of the same rows give the same bits, and at one BLAS
-    thread those of one ``block @ query``. One :func:`_block_candidates`
-    per buffer keeps each row's top k.
+    thread those of one ``block @ query``. Each buffer is checked by
+    :func:`_check_finite` and keeps its :func:`_candidates` at margin 0.
 
     The whole-bank scan gives each row the bits of a one-thread
     ``block @ query``, whatever the batch and the BLAS thread count (as far
@@ -380,12 +369,12 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
     ``_RESCORE_ROWS``. ``bound`` defaults to ``norm_bound(vectors)``. A
     finite bound bounds every score, so no score can then be non-finite.
     Rows whose squares overflow make it infinite, and a non-finite row
-    makes it infinite or NaN; then every cell is a candidate, and each
-    gather keeps each row's :func:`_block_candidates`, which names the
-    first non-finite score's row as ``what`` and its id, window by window
+    makes it infinite or NaN; then every cell is a candidate. Each
+    re-scored gather goes through :func:`_check_finite`, which names the
+    first non-finite score's row as ``what`` and its id, gather by gather
     in row order.
 
-    The candidates go into flat (row, id, score) arrays, which one
+    Both scans' candidates go into flat (row, id, score) arrays, which one
     :func:`_merge` sorts into the table; they are merged down to each row's
     top k whenever they outgrow twice the table plus ``_RESCORE_ROWS``.
     """
@@ -440,15 +429,8 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
                         rows += lo
                         pos += a
                         scores = _rescore(block, rows, pos, queries)
-                        if mask is not None:
-                            keep(rows, pos + start, scores)
-                            continue
-                        # every cell: keep each row's top k, and name a
-                        # non-finite score's row
-                        for r, c, d in _row_spans(rows):
-                            at, ids, top = _block_candidates(
-                                scores[None, c:d], k, pos[c:d] + start, what)
-                            keep(at + r, ids, top)
+                        _check_finite(scores, pos + start, what)
+                        keep(rows, pos + start, scores)
                     pages.read(window.nbytes)
     for ids, rows, first in groups or ():
         for start in range(0, len(ids), SCAN_BLOCK):
@@ -468,8 +450,12 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
                         vectors[first + start + a:first + start + b]
                     for i, r in enumerate(part.tolist()):
                         np.matmul(tile, queries[r], out=scores[i, a:b])
-                at, hit_ids, top = _block_candidates(scores, k, chunk, what)
-                keep(part[at], hit_ids, top)
+                _check_finite(scores, chunk, what)
+                mask = _candidates(scores, k, 0.0)  # final scores
+                cells = (np.arange(scores.size) if mask is None
+                         else np.flatnonzero(mask))
+                at, pos = np.divmod(cells, m)
+                keep(part[at], chunk[pos], scores.ravel()[cells])
                 pages.read(tile.nbytes)
     pages.close()
     table = HitTable(np.zeros((n, width), np.int64), np.zeros((n, width)),

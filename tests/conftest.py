@@ -1,9 +1,14 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import retroclass
 from retroclass.harness import synth_fixture
 
 # property tests must be reproducible run-to-run; derandomize pins the
@@ -50,6 +55,28 @@ def save_v1():
                                      bank.count, len(tag)) + tag
                          + np.ascontiguousarray(bank.vectors, "<f4").tobytes())
     return save
+
+
+def run_bits(script, out, blas_threads, *args, core=None):
+    """Run ``tests/<script> OUT ARGS...`` under ``OPENBLAS_NUM_THREADS``,
+    and under ``OPENBLAS_CORETYPE`` ``core`` when given (an inherited
+    ``OPENBLAS_CORETYPE`` otherwise stays, so a whole run under a forced
+    core reaches the scripts), and load what it writes. The scripts write
+    the core that ran (``core``): a forced one must have taken."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(retroclass.__file__).resolve().parent.parent),
+         env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, Path(__file__).with_name(script),
+                           out, *args], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    got = np.load(out)
+    if core is not None:
+        assert str(got["core"]) == core
+    return got
 
 
 def unit_rows(rng, n, d):

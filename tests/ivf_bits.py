@@ -19,7 +19,9 @@ edges (at d 7 a chunk is one tile). A d 256 case keeps the module's own
 sizes: its lists take 1,024-row tiles, whose products OpenBLAS splits
 between threads when more than one is allowed, and at 2 threads such a
 tile's bits can differ from a whole-list product's. ``test_index.py``
-runs it at 1 and 2 BLAS threads and compares.
+runs it at 1 and 2 BLAS threads and compares. It also writes the OpenBLAS
+core it ran (``core``, empty where it cannot be read), so that a forced
+``OPENBLAS_CORETYPE`` can be checked to have taken.
 """
 
 import sys
@@ -27,9 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-import retroclass.index as index_mod
-from retroclass.bank import EmbeddingBank
-from retroclass.index import IvfIndex, load_index, save_index, search
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from bench_scan import blas_core  # noqa: E402
+
+import retroclass.index as index_mod  # noqa: E402
+from retroclass.bank import EmbeddingBank  # noqa: E402
+from retroclass.index import (IvfIndex, load_index, save_index,  # noqa: E402
+                              search)
 
 SCAN_BLOCK = 1500
 LONG_LIST = 4000  # chunks of 1,500, 1,500 and 1,000 rows
@@ -102,7 +108,7 @@ def main(out_path: str, workdir: str) -> None:
     defaults = index_mod.SCAN_BLOCK, index_mod._TILE_BYTES
     index_mod.SCAN_BLOCK, index_mod._TILE_BYTES = SCAN_BLOCK, TILE_BYTES
     rng = np.random.default_rng(1516)
-    out, i = {}, 0
+    out, i = {"core": np.array(blas_core() or "")}, 0
     for dim in (48, 7):
         i = case(rng, dim, list_sizes(rng), Path(workdir) / f"d{dim}.ivf",
                  out, i)

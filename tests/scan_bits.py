@@ -9,8 +9,10 @@ its ids and scores (``ids<i>``, ``scores<i>``) and those of a plain scan
 is the reference only when this runs with ``OPENBLAS_NUM_THREADS=1``;
 ``test_index.py`` runs it at 1 and 2 threads and compares. It also writes
 the case's bank rows, query rows and scan block (``shape<i>``) and the
-query rows of each selection product, in scan order (``runs<i>``).
-WORKDIR holds the memory-mapped banks (default: a temporary directory).
+query rows of each selection product, in scan order (``runs<i>``), and
+the OpenBLAS core it ran (``core``, empty where it cannot be read), so
+that a forced ``OPENBLAS_CORETYPE`` can be checked to have taken. WORKDIR
+holds the memory-mapped banks (default: a temporary directory).
 """
 
 import sys
@@ -125,8 +127,12 @@ def plain_scan(vectors, queries, k):
 
 
 def main(out, workdir):
+    # here, not at the top: test_index.py imports this module
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+    from bench_scan import blas_core
+
     rng = np.random.default_rng(20240)
-    arrays = {}
+    arrays = {"core": np.array(blas_core() or "")}
     default_block = index_mod.SCAN_BLOCK
     for i, (m, d, nq, k, block, variant) in enumerate(cases(rng)):
         bank = make_bank(rng, m, d, variant, workdir, i)

@@ -1,12 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import retroclass
 from retroclass import errors
 from retroclass.bank import EmbeddingBank, row_norms
 from retroclass.classify import (Prediction, classify_batch, classify_query,
@@ -18,6 +12,7 @@ from retroclass.enrich import (EnrichmentConfig, PrototypeSet,
                                gather_captions, zeroshot_prototypes)
 from retroclass.index import HitTable, QueryEmbedding, Retriever, exact_topk
 from retroclass.prompts import merge_alias_prototypes
+from conftest import run_bits
 
 
 def unit32(rng, d=8):
@@ -94,22 +89,6 @@ def test_strided_float64_rows_score_as_their_copy(rng):
                               logits_rows(copy, protos).view(np.uint64))
 
 
-def _score_bits(out, blas_threads, core):
-    """Run ``tests/score_bits.py`` under ``OPENBLAS_NUM_THREADS`` and, if
-    given, ``OPENBLAS_CORETYPE``, and load what it writes."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
-    env.pop("OPENBLAS_CORETYPE", None)
-    if core is not None:
-        env["OPENBLAS_CORETYPE"] = core
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(retroclass.__file__).resolve().parent.parent),
-         env.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, Path(__file__).with_name(
-        "score_bits.py"), out], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return np.load(out)
-
-
 @pytest.mark.parametrize("core", [None, "SkylakeX", "Haswell",
                                   "Sandybridge", "Nehalem"])
 @pytest.mark.parametrize("blas_threads", [1, 2])
@@ -120,9 +99,8 @@ def test_stacked_calls_have_the_per_row_loop_bits(tmp_path, blas_threads,
     of a full stable sort), at 1 and 2 BLAS threads and under each forced
     OpenBLAS core; see ``score_bits.py`` for the cases. A forced core must
     be the one that ran."""
-    got = _score_bits(tmp_path / "bits.npz", blas_threads, core)
-    if core is not None:
-        assert str(got["core"]) == core
+    got = run_bits("score_bits.py", tmp_path / "bits.npz", blas_threads,
+                   core=core)
     names = [name[len("got_"):] for name in got.files
              if name.startswith("got_")]
     assert len(names) >= 60

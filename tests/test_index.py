@@ -1,16 +1,13 @@
-import os
 import struct
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import retroclass
 import retroclass.bank as bank_mod
 import retroclass.files as files_mod
 import retroclass.index as index_mod
@@ -20,6 +17,7 @@ from retroclass.index import (IvfIndex, QueryEmbedding, RetrievalHit,
                               Retriever, batch_topk, build_ivf, exact_topk,
                               ivf_search, load_index, recall_at_k, save_index,
                               search)
+from conftest import run_bits
 from scan_bits import near_ties, scaled_copy
 
 
@@ -420,22 +418,6 @@ def test_search_batch_rows_equal_one_row_calls(monkeypatch, tmp_path, rng,
         assert (exact.counts == 10).all()
 
 
-def _run_bits(script, out, blas_threads, *args, core=None):
-    """Run ``tests/<script> OUT ARGS...`` under ``OPENBLAS_NUM_THREADS``
-    and, if given, ``OPENBLAS_CORETYPE``, and load what it writes."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
-    if core is not None:
-        env["OPENBLAS_CORETYPE"] = core
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(retroclass.__file__).resolve().parent.parent),
-         env.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, Path(__file__).with_name(script),
-                           out, *args], capture_output=True, text=True,
-                          env=env)
-    assert proc.returncode == 0, proc.stderr
-    return np.load(out)
-
-
 def test_exact_search_is_the_one_thread_plain_scan_at_1_and_2_threads(
         tmp_path):
     """``search`` ids and scores equal a plain one-thread scan, one
@@ -448,8 +430,8 @@ def test_exact_search_is_the_one_thread_plain_scan_at_1_and_2_threads(
     the rows its block's cell budget allows: 4, 300 and 1,000 rows over
     small banks, and 64 then 130 rows over the two blocks of a
     ``SCAN_BLOCK`` + 1,000-row bank."""
-    one = _run_bits("scan_bits.py", tmp_path / "one.npz", 1)
-    two = _run_bits("scan_bits.py", tmp_path / "two.npz", 2)
+    one = run_bits("scan_bits.py", tmp_path / "one.npz", 1)
+    two = run_bits("scan_bits.py", tmp_path / "two.npz", 2)
     n = sum(name.startswith("ids") for name in one.files)
     assert n >= 26
     for i in range(n):
@@ -733,15 +715,15 @@ def test_list_rows_split_into_runs_by_the_cell_budget(monkeypatch, rng):
     queries = np.vstack([query_for(bank, rng).vector for _ in range(32)])
     whole = search(bank, queries, 10, index, 2)
     runs = []  # (chunk rows, probing rows) of each score buffer
-    real = index_mod._block_candidates
+    real = index_mod._check_finite
 
-    def logged(scores, k, ids, what="bank row"):
+    def logged(scores, ids, what):
         if what == "bank row":
             runs.append((len(ids), scores.shape[0]))
-        return real(scores, k, ids, what)
+        return real(scores, ids, what)
 
     monkeypatch.setattr(index_mod, "QUERY_BLOCK", 2)
-    monkeypatch.setattr(index_mod, "_block_candidates", logged)
+    monkeypatch.setattr(index_mod, "_check_finite", logged)
     split = search(bank, queries, 10, index, 2)
     assert all(rows <= 2 * 16 // m for m, rows in runs)
     # more buffers than chunks: some chunk's rows came in several runs
@@ -749,6 +731,149 @@ def test_list_rows_split_into_runs_by_the_cell_budget(monkeypatch, rng):
     assert np.array_equal(split.ids, whole.ids)
     assert np.array_equal(split.scores.view(np.uint64),
                           whole.scores.view(np.uint64))
+
+
+def _index_of_lists(bank, lists, centroids, tmp_path, loaded):
+    """An index over ``bank`` with the given id lists and centroids, as
+    built in memory or saved and loaded."""
+    index = IvfIndex(len(lists), bank.dim, 0, centroids,
+                     [np.sort(lst).astype(np.uint64) for lst in lists]
+                     ).attach(bank)
+    if loaded:
+        save_index(index, tmp_path / "lists.ivf")
+        index = load_index(tmp_path / "lists.ivf", bank)
+    return index
+
+
+def _list_reference(index, queries, k, nprobe):
+    """Each row's hits from its probed lists, ranked as in
+    :func:`probe_oracle`: one float32 ``chunk @ q`` per ``SCAN_BLOCK``
+    chunk of each list, then one ``np.lexsort`` (score desc, id asc)."""
+    vectors = np.asarray(index.bank.vectors)
+    out = []
+    for q in queries:
+        probed = np.lexsort((np.arange(index.n_clusters),
+                             -(index.centroids @ q)))[:nprobe]
+        ids, scores = [], []
+        for c in probed:
+            lst = index.lists[c].astype(np.int64)
+            for start in range(0, len(lst), index_mod.SCAN_BLOCK):
+                chunk = lst[start:start + index_mod.SCAN_BLOCK]
+                ids.append(chunk)
+                scores.append(vectors[chunk] @ q)
+        ids, scores = np.concatenate(ids), np.concatenate(scores)
+        order = np.lexsort((ids, -scores))[:k]
+        out.append((ids[order], scores[order]))
+    return out
+
+
+def _assert_lists_selected(bank, index, queries, k, nprobe):
+    """``search`` gives each row bitwise :func:`_list_reference`'s hits,
+    and :func:`probe_oracle`'s ids. The lists are short enough at d 16 to
+    be one tile each, so the reference's products are the scan's own,
+    which OpenBLAS also runs in one thread at this size."""
+    table = search(bank, queries, k, index, nprobe)
+    reference = _list_reference(index, queries, k, nprobe)
+    oracle = probe_oracle(index, queries, k, nprobe)
+    for i, ((ids, scores), (oracle_ids, _)) in enumerate(zip(reference,
+                                                             oracle)):
+        c = table.counts[i]
+        assert c == len(ids) == len(oracle_ids), i
+        assert np.array_equal(table.ids[i, :c], ids), i
+        assert np.array_equal(table.scores[i, :c].view(np.uint64),
+                              scores.astype(np.float64).view(np.uint64)), i
+        assert np.array_equal(table.ids[i, :c], oracle_ids), i
+    return table
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_probed_lists_of_at_most_k_rows_keep_every_row(rng, tmp_path,
+                                                       loaded):
+    """Lists of 3, 8 and 10 rows at k 10 keep every row they hold, alone
+    and beside longer lists, from a built and a loaded index."""
+    sizes = [3, 8, 10, 40, 61]
+    bank = make_bank(rng, sum(sizes), 16)
+    lists = np.split(rng.permutation(bank.count), np.cumsum(sizes)[:-1])
+    centroids = make_bank(rng, len(sizes), 16).vectors
+    index = _index_of_lists(bank, lists, centroids, tmp_path, loaded)
+    # two rows near each short list's centroid probe that list first
+    queries = make_bank(rng, 6, 16).vectors
+    queries = EmbeddingBank.from_matrix(
+        np.repeat(centroids[:3], 2, axis=0) + 0.1 * queries,
+        "llm-text").vectors
+    for nprobe in (1, 2, 3):
+        table = _assert_lists_selected(bank, index, queries, 10, nprobe)
+        if nprobe == 1:
+            assert table.counts.tolist() == [3, 3, 8, 8, 10, 10]
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_lists_above_256_rows_select_on_the_exact_kth_score(
+        monkeypatch, rng, tmp_path, loaded):
+    """Lists of 257 to 520 rows at k 256 and 300: at k at least the 256
+    column groups a list's selection bound is its exact k-th score, so a
+    list of more than k rows keeps exactly k candidates per row (no scores
+    tie here), and one of at most k rows keeps them all; the hits are the
+    reference's and the oracle's, from a built and a loaded index."""
+    sizes = [257, 300, 520, 384]
+    bank = make_bank(rng, sum(sizes), 16)
+    lists = np.split(rng.permutation(bank.count), np.cumsum(sizes)[:-1])
+    index = _index_of_lists(bank, lists, make_bank(rng, 4, 16).vectors,
+                            tmp_path, loaded)
+    queries = make_bank(rng, 12, 16).vectors
+    kept = []  # (list rows, k, candidates per row) of each list buffer
+    real = index_mod._candidates
+
+    def logged(scores, k, margin):
+        mask = real(scores, k, margin)
+        if margin == 0.0:  # a list buffer, not the centroid probe
+            kept.append((scores.shape[1], k, None if mask is None
+                         else np.count_nonzero(mask, axis=1).tolist()))
+        return mask
+
+    monkeypatch.setattr(index_mod, "_candidates", logged)
+    for k in (256, 300):
+        for nprobe in (1, 2, 3):
+            _assert_lists_selected(bank, index, queries, k, nprobe)
+    assert {(m, k) for m, k, _ in kept} == {(m, k) for m in sizes
+                                            for k in (256, 300)}
+    for m, k, counts in kept:
+        assert (counts is None) == (m <= k)
+        assert counts is None or set(counts) == {k}
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_duplicate_rows_tie_at_the_kth_score_across_two_lists(rng, tmp_path,
+                                                              loaded):
+    """Three copies of one row, the middle id in list 0 and the others in
+    list 1, rank just after the query's four nearest rows. Each list holds
+    a multiple of 8 rows, so no copy is scored in a product's tail, and
+    the copies tie exactly: at k 5 the lowest copy id wins from list 1, at
+    k 6 a copy from each list is kept, at k 7 all three, in id order."""
+    dim, n = 16, 1200
+    q = unit(rng.standard_normal(dim))
+    matrix = rng.standard_normal((n, dim))
+    ids = rng.permutation(n)
+    top, copies = ids[:4], np.sort(ids[4:7])
+    matrix[top] = q + 0.02 * rng.standard_normal((4, dim))
+    matrix[copies] = q + 0.08 * rng.standard_normal(dim)
+    bank = EmbeddingBank.from_matrix(matrix, "llm-text")
+    rest = ids[7:]
+    lists = [np.concatenate([top[:2], copies[1:2], rest[:293]]),
+             np.concatenate([top[2:], copies[::2], rest[293:593]]),
+             rest[593:897], rest[897:]]
+    assert [len(lst) for lst in lists] == [296, 304, 304, 296]
+    near = EmbeddingBank.from_matrix(q + 0.05 * rng.standard_normal(
+        (2, dim)), "llm-text").vectors
+    centroids = np.vstack([near, make_bank(rng, 2, dim).vectors])
+    index = _index_of_lists(bank, lists, centroids, tmp_path, loaded)
+    queries = np.vstack([q, make_bank(rng, 1, dim).vectors, q])
+    for k in (5, 6, 7):
+        for nprobe in (2, 3):
+            table = _assert_lists_selected(bank, index, queries, k, nprobe)
+            assert sorted(table.ids[0, :4].tolist()) == sorted(top.tolist())
+            assert table.ids[0, 4:k].tolist() == copies[:k - 4].tolist()
+            assert len(set(table.scores[0, 3:k].tolist())) == 2
 
 
 def test_nan_rows_in_later_tiles_name_the_first_in_row_order(monkeypatch,
@@ -931,7 +1056,7 @@ def ivf_bits(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("ivf_bits")
     for threads in (1, 2):
         (tmp / f"w{threads}").mkdir()
-    return {threads: _run_bits("ivf_bits.py", tmp / f"t{threads}.npz",
+    return {threads: run_bits("ivf_bits.py", tmp / f"t{threads}.npz",
                                threads, tmp / f"w{threads}")
             for threads in (1, 2)}
 
@@ -999,10 +1124,8 @@ def test_assignment_has_the_bits_of_one_product_per_block(tmp_path,
     scores are within ``4 * dim * 2**-24``, the most that two float32 sums
     of the same unit rows can differ by twice. See ``assign_bits.py`` for
     the cases. A forced core must be the one that ran."""
-    got = _run_bits("assign_bits.py", tmp_path / "bits.npz", blas_threads,
+    got = run_bits("assign_bits.py", tmp_path / "bits.npz", blas_threads,
                     core=core)
-    if core is not None:
-        assert str(got["core"]) == core
     split = blas_threads == 2 and str(got["core"]) in ("Haswell", "Nehalem")
     n = sum(name.startswith("labels") for name in got.files)
     assert n == 9

@@ -100,7 +100,13 @@ def test_bench_setup_small(tmp_path):
         assert stages["repeats"] == 2
         assert all(v["q1"] <= v["median"] <= v["q3"]
                    for k, v in stages.items() if k.endswith("_ms"))
-        assert after["process"][command]["peak_rss_mb"] > 0
+        assert after["process"][command]["peak_rss_mb"]["median"] > 0
+    assert sorted(after["process"]) == [
+        "bank_build", "index_build", "retrieve_exact", "retrieve_index"]
+    for child in after["process"].values():
+        assert child["repeats"] == 2
+        assert all(child[name]["q1"] <= child[name]["median"] <=
+                   child[name]["q3"] for name in ("wall_s", "peak_rss_mb"))
     # the same synthetic input gives the same bytes on every run
     assert after["outputs"] == runs["before"]["outputs"]
     assert after["machine"]["numpy"] == np.__version__
