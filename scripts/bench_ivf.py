@@ -34,8 +34,6 @@ a before and an after run. Run it against another checkout by putting that
 checkout's ``src`` first on ``PYTHONPATH``.
 """
 
-import argparse
-import json
 import subprocess
 import sys
 import tempfile
@@ -44,10 +42,9 @@ from pathlib import Path
 
 import numpy as np
 
-import retroclass.cli as cli_mod
 from retroclass.bank import EmbeddingBank, bank_load, bank_save
 from retroclass.index import load_index, search
-from bench_scan import machine, quartiles
+from bench_scan import bench_parser, cli, ms_spread, record
 from bench_setup import write_input
 
 K = 10
@@ -55,9 +52,7 @@ BATCH = 32
 
 
 def timings(seconds: list[float]) -> dict:
-    q1, median, q3 = quartiles(seconds)
-    return {"samples": len(seconds), "ms_median": median * 1e3,
-            "ms_q1": q1 * 1e3, "ms_q3": q3 * 1e3}
+    return {"samples": len(seconds), **ms_spread(seconds)}
 
 
 def timed(fn) -> float:
@@ -73,16 +68,8 @@ def rss_mb() -> float:
     return kb / 1024
 
 
-def cli(argv: list[str]) -> None:
-    code = cli_mod.main(argv)
-    if code != 0:
-        raise SystemExit(f"retroclass {' '.join(argv[:2])} exited {code}")
-
-
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--out", required=True, help="JSON file to update")
-    ap.add_argument("--label", required=True, help="name of this run")
+    ap = bench_parser(__doc__)
     ap.add_argument("--rows", type=int, default=440_000)
     ap.add_argument("--dim", type=int, default=256)
     ap.add_argument("--clusters", type=int, default=128)
@@ -146,8 +133,7 @@ def main() -> None:
         index_bytes = paths["bank.ivf"].stat().st_size
         del bank
 
-    entry = {"machine": machine(),
-             "shape": {"rows": args.rows, "dim": args.dim,
+    entry = {"shape": {"rows": args.rows, "dim": args.dim,
                        "clusters": args.clusters, "nprobe": args.nprobe,
                        "k": K, "queries": args.queries},
              "index_bytes": index_bytes,
@@ -158,10 +144,7 @@ def main() -> None:
              "rss_rise_mb": rise,
              "rows_per_probed_list": {str(r): int(c)
                                       for r, c in enumerate(reuse) if r and c}}
-    out = Path(args.out)
-    data = json.loads(out.read_text()) if out.exists() else {}
-    data.setdefault("runs", {})[args.label] = entry
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    record(args, entry)
     for name in ("load_index", "search_1_row", f"search_{BATCH}_rows",
                  "cli_retrieve"):
         e = entry[name]

@@ -38,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+import retroclass.cli as cli_mod
 import retroclass.index as index_mod
 from retroclass.bank import EmbeddingBank, bank_save
 
@@ -77,6 +78,40 @@ def quartiles(samples: list[float]) -> tuple[float, float, float]:
     return (samples[0],) * 3
 
 
+def spread(samples: list[float]) -> dict:
+    q1, median, q3 = quartiles(samples)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def ms_spread(seconds: list[float]) -> dict:
+    return {f"ms_{key}": value * 1e3 for key, value in spread(seconds).items()}
+
+
+def bench_parser(doc: str) -> argparse.ArgumentParser:
+    """A parser described by the first paragraph of ``doc``, with the
+    ``--out`` and ``--label`` that every bench script takes."""
+    ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
+    ap.add_argument("--out", required=True, help="JSON file to update")
+    ap.add_argument("--label", required=True, help="name of this run")
+    return ap
+
+
+def record(args, entry: dict) -> None:
+    """Store ``entry`` and the machine facts as ``runs[args.label]`` of the
+    JSON file ``args.out``, keeping the other runs already in it."""
+    out = Path(args.out)
+    data = json.loads(out.read_text()) if out.exists() else {}
+    data.setdefault("runs", {})[args.label] = {"machine": machine(), **entry}
+    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def cli(argv: list[str]) -> None:
+    """Run ``retroclass`` with ``argv`` in this process; exit if it fails."""
+    code = cli_mod.main(argv)
+    if code != 0:
+        raise SystemExit(f"retroclass {' '.join(argv[:2])} exited {code}")
+
+
 def unit_rows(rng, n, dim):
     rows = rng.standard_normal((n, dim)).astype(np.float32)
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
@@ -105,12 +140,11 @@ def time_search(bank, queries, repeats) -> dict:
     finally:
         if real is not None:
             index_mod._rescore = real
-    q1, median, q3 = quartiles(times)
     n = queries.shape[0]
+    ms = ms_spread(times)
     return {"query_rows": n, "bank_rows": bank.count, "dim": bank.dim,
-            "k": K, "repeats": repeats,
-            "ms_median": median * 1e3, "ms_q1": q1 * 1e3, "ms_q3": q3 * 1e3,
-            "ms_per_query": median * 1e3 / n,
+            "k": K, "repeats": repeats, **ms,
+            "ms_per_query": ms["ms_median"] / n,
             "rows_scored_per_query": bank.count,
             "rescored_per_query": (sum(rescored) / n if real is not None
                                    else None)}
@@ -130,18 +164,14 @@ def time_cli_retrieve(bank, query, repeats, tmp) -> dict:
         t0 = time.perf_counter()
         subprocess.run(cmd, check=True)
         times.append(time.perf_counter() - t0)
-    q1, median, q3 = quartiles(times[1:])
+    ms = ms_spread(times[1:])
     return {"query_rows": 1, "bank_rows": bank.count, "dim": bank.dim,
-            "k": K, "repeats": repeats,
-            "ms_median": median * 1e3, "ms_q1": q1 * 1e3, "ms_q3": q3 * 1e3,
-            "ms_per_query": median * 1e3,
+            "k": K, "repeats": repeats, **ms, "ms_per_query": ms["ms_median"],
             "rows_scored_per_query": bank.count, "rescored_per_query": None}
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--out", required=True, help="JSON file to update")
-    ap.add_argument("--label", required=True, help="name of this run")
+    ap = bench_parser(__doc__)
     ap.add_argument("--rows", type=int, default=8192)
     ap.add_argument("--dim", type=int, default=256)
     ap.add_argument("--mapped-rows", type=int, default=131072)
@@ -178,11 +208,7 @@ def main() -> None:
             mapped, query, cli_repeats, Path(tmp))
         del mapped
 
-    out = Path(args.out)
-    data = json.loads(out.read_text()) if out.exists() else {}
-    data.setdefault("runs", {})[args.label] = {"machine": machine(),
-                                                "search": entries}
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    record(args, {"search": entries})
     for name, entry in entries.items():
         print(f"{args.label} {name}: {entry['ms_median']:.2f} ms "
               f"(q1 {entry['ms_q1']:.2f}, q3 {entry['ms_q3']:.2f}), "

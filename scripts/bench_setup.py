@@ -39,10 +39,8 @@ Run it against another checkout by putting that checkout's ``src`` first
 on ``PYTHONPATH``.
 """
 
-import argparse
 import contextlib
 import hashlib
-import json
 import subprocess
 import sys
 import tempfile
@@ -54,7 +52,7 @@ import numpy as np
 import retroclass.bank as bank_mod
 import retroclass.cli as cli_mod
 import retroclass.index as index_mod
-from bench_scan import machine, quartiles
+from bench_scan import bench_parser, cli, record, spread
 
 # run one command in a fresh interpreter; print its wall time and peak RSS.
 # VmHWM, not ru_maxrss: a child's ru_maxrss starts at this process's RSS.
@@ -133,13 +131,11 @@ class Stages:
     def run(self, argv: list[str]) -> dict[str, float]:
         t0 = time.perf_counter()
         try:
-            code = cli_mod.main(argv)
+            cli(argv)
         finally:
             total = (time.perf_counter() - t0) * 1e3
             for module, name, real in reversed(self.patched):
                 setattr(module, name, real)
-        if code != 0:
-            raise SystemExit(f"retroclass {' '.join(argv[:2])} exited {code}")
         self.ms["load"] = total - sum(self.ms.values())
         self.ms["total"] = total
         return self.ms
@@ -160,11 +156,6 @@ def index_build(argv: list[str]) -> dict[str, float]:
                 lambda a, k: "assign" if k.get("check") else None)
     stages.wrap(cli_mod, "save_index", lambda a, k: "save")
     return stages.run(argv)
-
-
-def spread(times: list[float]) -> dict:
-    q1, median, q3 = quartiles(times)
-    return {"median": median, "q1": q1, "q3": q3}
 
 
 def summarize(samples: list[dict[str, float]]) -> dict:
@@ -199,9 +190,8 @@ def write_queries(vectors: Path, path: Path, n: int = 32) -> None:
                                replace=False))
     np.save(path.with_suffix(".npy"), rows[picks] + rng.standard_normal(
         (len(picks), rows.shape[1]), dtype=np.float32) / np.sqrt(rows.shape[1]))
-    if cli_mod.main(["bank", "build", "--vectors", str(path.with_suffix(".npy")),
-                     "--tag", "llm-text", "--out", str(path)]) != 0:
-        raise SystemExit("retroclass bank build of the queries failed")
+    cli(["bank", "build", "--vectors", str(path.with_suffix(".npy")), "--tag",
+         "llm-text", "--out", str(path)])
 
 
 def in_child(argv: list[str], repeats: int) -> dict:
@@ -229,9 +219,7 @@ def sha256(path: Path) -> str:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--out", required=True, help="JSON file to update")
-    ap.add_argument("--label", required=True, help="name of this run")
+    ap = bench_parser(__doc__)
     ap.add_argument("--rows", type=int, default=440_000)
     ap.add_argument("--dim", type=int, default=256)
     ap.add_argument("--clusters", type=int, default=128)
@@ -265,16 +253,12 @@ def main() -> None:
                    "sidecar": sha256(bank.with_name(bank.name + ".meta.jsonl")),
                    "index": sha256(index)}
 
-    entry = {"machine": machine(),
-             "shape": {"rows": args.rows, "dim": args.dim,
+    entry = {"shape": {"rows": args.rows, "dim": args.dim,
                        "clusters": args.clusters},
              "bank_build": summarize(bank_runs),
              "index_build": summarize(index_runs),
              "save_index": save, "process": process, "outputs": outputs}
-    out = Path(args.out)
-    data = json.loads(out.read_text()) if out.exists() else {}
-    data.setdefault("runs", {})[args.label] = entry
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    record(args, entry)
     for command in ("bank_build", "index_build"):
         stages = ", ".join(f"{name[:-3]} {value['median']:.0f}"
                            for name, value in entry[command].items()

@@ -32,14 +32,12 @@ Run it against another checkout by putting that checkout's ``src`` first
 on ``PYTHONPATH``.
 """
 
-import argparse
 import hashlib
-import json
 import tempfile
 import time
 from pathlib import Path
 
-from bench_scan import machine, quartiles
+from bench_scan import bench_parser, record, spread
 
 from retroclass import harness
 
@@ -47,15 +45,8 @@ GRID = {"alphas": [0.0, 0.2, 0.4], "betas": [0.0, 0.5]}
 NOISE = dict(eta_p=0.3, eta_c=0.05, eta_q=0.175)
 
 
-def summary(samples: list[float]) -> dict:
-    q1, median, q3 = quartiles(samples)
-    return {"median": median, "q1": q1, "q3": q3}
-
-
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--out", required=True, help="JSON file to update")
-    ap.add_argument("--label", required=True, help="name of this run")
+    ap = bench_parser(__doc__)
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--n-classes", type=int, default=64)
     ap.add_argument("--dim", type=int, default=256)
@@ -92,9 +83,8 @@ def main() -> None:
         digest = hashlib.sha256(csv.read_bytes()).hexdigest()
 
     queries = fx.queries.count * len(reports)
-    pass_ms = summary(passes)
-    entry = {"machine": machine(),
-             "shape": {"seed": args.seed, "n_classes": args.n_classes,
+    pass_ms = spread(passes)
+    entry = {"shape": {"seed": args.seed, "n_classes": args.n_classes,
                        "dim": args.dim,
                        "queries_per_class": args.queries_per_class,
                        "captions_per_class": args.captions_per_class,
@@ -102,13 +92,10 @@ def main() -> None:
              "pass": {"repeats": args.repeats,
                       **{f"ms_{k}": v for k, v in pass_ms.items()},
                       "queries_per_s": queries / pass_ms["median"] * 1e3},
-             "stages": {f"{stage}_ms": summary(samples)
+             "stages": {f"{stage}_ms": spread(samples)
                         for stage, samples in stages.items()},
              "csv_sha256": digest}
-    out = Path(args.out)
-    data = json.loads(out.read_text()) if out.exists() else {}
-    data.setdefault("runs", {})[args.label] = entry
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    record(args, entry)
     p = entry["pass"]
     print(f"{args.label} pass: {p['ms_median']:.2f} ms (q1 {p['ms_q1']:.2f}, "
           f"q3 {p['ms_q3']:.2f}), {p['queries_per_s']:.0f} queries/s")

@@ -345,19 +345,25 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def norm_bound(rows: np.ndarray) -> float:
-    """An upper bound on the largest row norm; NaN or inf if a row is not
-    finite.
+    """An upper bound on the largest row norm: NaN if a row is NaN, and
+    inf if a row is infinite or its norm exceeds float32's largest finite
+    value, where its own scores can overflow.
 
     Each row's float32 sum of squares is within ``dim * 2**-24`` of the
     true one, whatever the rows around it, and the bound is widened by
-    twice that. No float64 copy of a block is made. The rows are read
-    through :func:`files.windows` in windows of at most ``_MAP_BYTES``, at
-    any width.
+    twice that. A window whose float32 squares overflow is summed again in
+    float64, where a finite row's cannot. No float64 copy of a block is
+    made. The rows are read through :func:`files.windows` in windows of at
+    most ``_MAP_BYTES``, at any width.
     """
-    top = np.float32(0)
+    top = np.float64(0)
     for _, block in windows(rows):
-        top = np.maximum(top, np.einsum("ij,ij->i", block, block).max())
-    return float(np.sqrt(np.float64(top))) * (1 + rows.shape[1] * 2.0 ** -23)
+        squares = np.einsum("ij,ij->i", block, block).max()
+        if squares == np.inf:
+            squares = np.einsum("ij,ij->i", block, block, dtype="f8").max()
+        top = np.maximum(top, squares)  # not max(): a NaN must stay NaN
+    bound = float(np.sqrt(top)) * (1 + rows.shape[1] * 2.0 ** -23)
+    return np.inf if bound > float(np.finfo(np.float32).max) else bound
 
 
 def check_norms(bank: EmbeddingBank, atol: float = NORM_ATOL) -> bool:

@@ -30,8 +30,8 @@ from .enrich import EnrichmentConfig, PrototypeSet, enrich_all_prototypes
 from .files import read_json, read_jsonl, replace_atomically
 from .harness import (SweepGrid, emit_report, load_fixture_dir, parse_labels,
                       run_eval, run_sweep, synth_fixture)
-from .index import (Retriever, build_ivf, check_threads, load_index,
-                    save_index)
+from .index import (IvfIndex, Retriever, build_ivf, check_threads,
+                    load_index, save_index)
 from .prompts import build_class_specs, load_class_config
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
@@ -59,6 +59,11 @@ def _check_nprobe(args) -> None:
 
 def _load_config(path: str | None) -> EnrichmentConfig:
     return EnrichmentConfig() if path is None else EnrichmentConfig.load(path)
+
+
+def _load_index(path: str | None, bank: EmbeddingBank) -> IvfIndex | None:
+    """The index at ``path``, attached to ``bank``; None without a path."""
+    return None if path is None else load_index(path, bank)
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +145,13 @@ def _cmd_retrieve(args) -> int:
     check_threads(args.threads)
     bank = bank_load(args.bank)
     queries = bank_load(args.queries)
-    index = load_index(args.index, bank) if args.index is not None else None
-    table = Retriever(bank, index, args.nprobe).search(
+    table = Retriever(bank, _load_index(args.index, bank), args.nprobe).search(
         queries.vectors, args.k, space_tag=queries.space_tag)
     with replace_atomically(args.out, "hits") as fh:
-        for i in range(queries.count):
-            fh.write(json.dumps({
-                "query_id": i,
-                "hits": [[h.id, h.score] for h in table.hits(i)],
-            }) + "\n")
+        for i, count in enumerate(table.counts.tolist()):
+            hits = zip(table.ids[i, :count].tolist(),
+                       table.scores[i, :count].tolist())
+            fh.write(json.dumps({"query_id": i, "hits": list(hits)}) + "\n")
     return errors.EXIT_OK
 
 
@@ -166,8 +169,8 @@ def _cmd_enrich_prototypes(args) -> int:
     llm_bank = bank_load(args.llm_bank)
     vlm_bank = bank_load(args.vlm_bank)
     config = _load_config(args.config)
-    index = load_index(args.index, llm_bank) if args.index is not None else None
-    retriever = Retriever(llm_bank, index, args.nprobe)
+    retriever = Retriever(llm_bank, _load_index(args.index, llm_bank),
+                          args.nprobe)
     proto_set = enrich_all_prototypes(
         table, llm_bank, vlm_bank, retriever, config,
         merge_aliases="after" if args.merge_after else "before")
@@ -196,9 +199,8 @@ def _cmd_classify(args) -> int:
             raise errors.ValidationError(
                 "--vlm-bank is required when config beta > 0")
         vlm_bank = bank_load(args.vlm_bank)
-        index = (load_index(args.index, vlm_bank)
-                 if args.index is not None else None)
-        retriever = Retriever(vlm_bank, index, args.nprobe)
+        retriever = Retriever(vlm_bank, _load_index(args.index, vlm_bank),
+                              args.nprobe)
     predictions = classify_batch(query_bank, proto_set, retriever, config,
                                  threads=args.threads)
     write_predictions(predictions, args.out)
@@ -235,10 +237,8 @@ def _eval_inputs(args):
                   bank_load(args.vlm_bank))
     llm_bank, vlm_bank = inputs[3:]
     return inputs, {
-        "llm_index": (load_index(args.llm_index, llm_bank)
-                      if args.llm_index is not None else None),
-        "vlm_index": (load_index(args.vlm_index, vlm_bank)
-                      if args.vlm_index is not None else None),
+        "llm_index": _load_index(args.llm_index, llm_bank),
+        "vlm_index": _load_index(args.vlm_index, vlm_bank),
         "nprobe": args.nprobe, "threads": args.threads,
         "dataset": args.dataset_tag,
         "merge_aliases": "after" if args.merge_after else "before"}

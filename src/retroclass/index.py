@@ -190,19 +190,18 @@ def _kth_lower_bound(scores: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _candidates(scores: np.ndarray, k: int,
-                margin: float) -> np.ndarray | None:
+def _candidates(scores: np.ndarray, k: int, margin: float) -> np.ndarray:
     """The candidate mask of a selection run, or of an IVF list buffer at
     ``margin`` 0: the cells at or above their row's :func:`_kth_lower_bound`
-    minus ``margin``. ``None`` means every cell: when the block has at most
-    k rows, or when ``margin`` is not finite (a row norm overflows, or a
-    row is not finite, the only way a selection score can be)."""
+    minus ``margin``; every cell when the block has at most k rows, or when
+    ``margin`` is not finite (a row is not finite, or its norm exceeds
+    float32's largest finite value, the only ways a score can fail to be)."""
     if scores.shape[1] <= k or not np.isfinite(margin):
-        return None
+        return np.ones(scores.shape, bool)
     return scores >= (_kth_lower_bound(scores, k) - margin)[:, None]
 
 
-def _cells(mask, n: int, m: int, whole_rows: bool = False):
+def _cells(mask: np.ndarray, whole_rows: bool = False):
     """(rows, positions) of the candidate cells of an (n, m) selection run,
     row by row and ascending within a row, at most ``_RESCORE_ROWS`` at a
     time; ``mask`` is :func:`_candidates`'. Each ``np.flatnonzero`` covers
@@ -211,16 +210,15 @@ def _cells(mask, n: int, m: int, whole_rows: bool = False):
     that stretch is yielded whole, so no row's cells are split: for rows
     of at most 8 values, which :func:`_rescore` scores with one whole-block
     product per query row and call."""
-    if (n * m if mask is None else np.count_nonzero(mask)) <= _RESCORE_ROWS:
+    n, m = mask.shape
+    if np.count_nonzero(mask) <= _RESCORE_ROWS:
         firsts = [0]
     else:
-        counts = (np.full(n, m) if mask is None
-                  else np.count_nonzero(mask, axis=1))
+        counts = np.count_nonzero(mask, axis=1)
         stretch = (np.cumsum(counts) - counts) // _RESCORE_ROWS
         firsts = np.flatnonzero(np.diff(stretch, prepend=-1)).tolist()
     for a, b in zip(firsts, firsts[1:] + [n]):
-        cells = (np.arange(a * m, b * m) if mask is None
-                 else np.flatnonzero(mask[a:b]) + a * m)
+        cells = np.flatnonzero(mask[a:b]) + a * m
         if whole_rows:
             yield np.divmod(cells, m)
             continue
@@ -368,8 +366,8 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
     one ``np.flatnonzero`` over its mask and re-scored in gathers of at most
     ``_RESCORE_ROWS``. ``bound`` defaults to ``norm_bound(vectors)``. A
     finite bound bounds every score, so no score can then be non-finite.
-    Rows whose squares overflow make it infinite, and a non-finite row
-    makes it infinite or NaN; then every cell is a candidate. Each
+    Only a non-finite row, or a norm above float32's largest finite value,
+    makes it infinite or NaN; then the mask holds every cell. Each
     re-scored gather goes through :func:`_check_finite`, which names the
     first non-finite score's row as ``what`` and its id, gather by gather
     in row order.
@@ -421,17 +419,14 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
                 # re-score window by window too: the fault on a candidate's
                 # row maps the page cache's whole folio, up to 2 MiB
                 for a in range(0, m, step):
-                    window = block[a:a + step]
-                    in_window = None if mask is None else mask[:, a:a + step]
-                    cells = _cells(in_window, hi - lo, window.shape[0],
-                                   block.shape[1] <= 8)
+                    cells = _cells(mask[:, a:a + step], block.shape[1] <= 8)
                     for rows, pos in cells:
                         rows += lo
                         pos += a
                         scores = _rescore(block, rows, pos, queries)
                         _check_finite(scores, pos + start, what)
                         keep(rows, pos + start, scores)
-                    pages.read(window.nbytes)
+                    pages.read(block[a:a + step].nbytes)
     for ids, rows, first in groups or ():
         for start in range(0, len(ids), SCAN_BLOCK):
             chunk = ids[start:start + SCAN_BLOCK]
@@ -451,9 +446,7 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
                     for i, r in enumerate(part.tolist()):
                         np.matmul(tile, queries[r], out=scores[i, a:b])
                 _check_finite(scores, chunk, what)
-                mask = _candidates(scores, k, 0.0)  # final scores
-                cells = (np.arange(scores.size) if mask is None
-                         else np.flatnonzero(mask))
+                cells = np.flatnonzero(_candidates(scores, k, 0.0))
                 at, pos = np.divmod(cells, m)
                 keep(part[at], chunk[pos], scores.ravel()[cells])
                 pages.read(tile.nbytes)

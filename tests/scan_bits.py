@@ -46,7 +46,7 @@ def cases(rng):
         (3000, 64, 64, 10, None, "near-ties"),        # scores ulps apart
         (3000, 64, 64, 10, None, "scaled"),           # ... mapped, x 1e3
         (4100, 256, 1, 10, None, "scaled"),
-        (3000, 64, 64, 10, None, "overflow"),         # x 1e20: N is inf
+        (3000, 64, 64, 10, None, "overflow"),         # x 1e20: N in float64
         (20001, 5, 64, 10, None, "random"),           # narrow rows
         (16390, 2, 1, 40, None, "duplicates"),
         # selection products wider than QUERY_BLOCK rows

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from retroclass.bank import EmbeddingBank, bank_load, bank_save
+from retroclass.index import load_index, search
 
 CLI = [sys.executable, "-m", "retroclass"]
 
@@ -160,6 +161,34 @@ def test_index_build_retrieve_roundtrip(workdir, tmp_path):
     first = json.loads(flat.read_text().splitlines()[0])
     assert set(first) == {"query_id", "hits"}
     assert len(first["hits"]) == 5
+
+
+def test_retrieve_lines_are_the_search_rows(tmp_path):
+    """Each line of ``retrieve``, exact and with ``--index``, is its query's
+    row of ``search``: the ids and scores of the row's first ``counts``
+    cells. At nprobe 1 over lists of fewer than k rows, a row has fewer
+    than k hits, and its line lists only those."""
+    rng = np.random.default_rng(26)
+    paths = {name: tmp_path / f"{name}.bank" for name in ("bank", "queries")}
+    for name, rows in (("bank", 60), ("queries", 9)):
+        bank_save(EmbeddingBank.from_matrix(rng.standard_normal((rows, 8)),
+                                            "llm-text"), paths[name])
+    ivf = tmp_path / "bank.ivf"
+    run_cli("index", "build", "--bank", paths["bank"], "--clusters", 12,
+            "--seed", 0, "--out", ivf)
+    bank, queries = bank_load(paths["bank"]), bank_load(paths["queries"])
+    out = tmp_path / "hits.jsonl"
+    for flags, args in (([], ()), (["--index", ivf, "--nprobe", 1],
+                                   (load_index(ivf, bank), 1))):
+        run_cli("retrieve", "--bank", paths["bank"], "--queries",
+                paths["queries"], "--k", 10, *flags, "--out", out)
+        table = search(bank, queries.vectors, 10, *args)
+        assert out.read_text() == "".join(
+            json.dumps({"query_id": i, "hits": [
+                [int(j), float(s)] for j, s in
+                zip(table.ids[i, :c], table.scores[i, :c])]}) + "\n"
+            for i, c in enumerate(table.counts))
+    assert (table.counts < 10).any()
 
 
 def test_enrich_classify_eval_flow(workdir, tmp_path):

@@ -827,8 +827,8 @@ def test_lists_above_256_rows_select_on_the_exact_kth_score(
     def logged(scores, k, margin):
         mask = real(scores, k, margin)
         if margin == 0.0:  # a list buffer, not the centroid probe
-            kept.append((scores.shape[1], k, None if mask is None
-                         else np.count_nonzero(mask, axis=1).tolist()))
+            kept.append((scores.shape[1], k,
+                         np.count_nonzero(mask, axis=1).tolist()))
         return mask
 
     monkeypatch.setattr(index_mod, "_candidates", logged)
@@ -838,8 +838,7 @@ def test_lists_above_256_rows_select_on_the_exact_kth_score(
     assert {(m, k) for m, k, _ in kept} == {(m, k) for m in sizes
                                             for k in (256, 300)}
     for m, k, counts in kept:
-        assert (counts is None) == (m <= k)
-        assert counts is None or set(counts) == {k}
+        assert set(counts) == {min(m, k)}
 
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
@@ -1215,6 +1214,80 @@ def test_norm_bound_is_computed_once_per_bank(monkeypatch, rng):
     search(bank, queries, 5)
     search(bank, queries[:1], 5)
     assert len(calls) == 1
+
+
+def _overflowing_banks(rng):
+    """A 20,000 x 48 bank of unit rows and the same rows times 2**66, whose
+    float32 squares overflow (2**132 > float32's largest, about 2**128),
+    and 7 unit queries near its rows."""
+    unit_bank = make_bank(rng, 20000, 48)
+    scaled = EmbeddingBank(unit_bank.vectors * np.float32(2.0 ** 66),
+                           "llm-text")
+    rows = np.asarray(unit_bank.vectors[:7], np.float64)
+    queries = rows + 0.2 * rng.standard_normal(rows.shape) / np.sqrt(48)
+    queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+    return unit_bank, scaled, queries.astype(np.float32)
+
+
+def test_bank_whose_float32_squares_overflow_keeps_a_finite_bound(
+        monkeypatch, rng):
+    """Rows times 2**66 get the unit rows' ids and their scores times
+    2**66, bit for bit, through the masked scan: the norm bound is taken
+    again in float64 where float32 squares overflow, so fewer than all n x
+    m cells are re-scored."""
+    unit_bank, scaled, queries = _overflowing_banks(rng)
+    assert 2.0 ** 66 <= scaled.norm_bound <= 2.0 ** 66 * (1 + 1e-4)
+    expected = search(unit_bank, queries, 10)
+    rescored = []
+    real = index_mod._rescore
+
+    def counting(block, rows, pos, q):
+        rescored.append(len(pos))
+        return real(block, rows, pos, q)
+
+    monkeypatch.setattr(index_mod, "_rescore", counting)
+    got = search(scaled, queries, 10)
+    np.testing.assert_array_equal(got.ids, expected.ids)
+    np.testing.assert_array_equal(got.counts, expected.counts)
+    assert (got.scores == expected.scores * 2.0 ** 66).all()
+    assert sum(rescored) < len(queries) * scaled.count
+
+
+def test_nan_row_in_a_bank_whose_squares_overflow_is_named(rng):
+    """A NaN row among rows whose float32 squares overflow still makes the
+    bound NaN, and the scan raises the one-row message."""
+    _, scaled, queries = _overflowing_banks(rng)
+    rows = np.array(scaled.vectors)
+    rows[12345] = np.nan
+    corrupt = EmbeddingBank(rows, "llm-text")
+    assert np.isnan(corrupt.norm_bound)
+    with pytest.raises(errors.CorruptBank, match=r"^bank row 12345 gives a "
+                       r"non-finite score \(nan\)$"):
+        search(corrupt, queries, 10)
+
+
+@pytest.mark.parametrize("window_bytes", [12, None],
+                         ids=["one-row windows", "one window"])
+@pytest.mark.parametrize("value,bound", [
+    (0.5, np.sqrt(0.75)),
+    (2.0 ** 100, 2.0 ** 100 * np.sqrt(3)),  # float32 squares overflow
+    (float(np.finfo(np.float32).max), np.inf),  # so does the norm
+    (np.inf, np.inf), (np.nan, np.nan)])
+def test_norm_bound_of_rows_whose_squares_overflow(monkeypatch, window_bytes,
+                                                   value, bound):
+    """Row 3 of five rows of 0.5 set to ``value``: a window whose float32
+    squares overflow is summed again in float64, a norm above float32's
+    largest finite value gives inf, and a NaN row gives NaN, whether the
+    row is folded in with the others or in a window of its own."""
+    if window_bytes is not None:
+        monkeypatch.setattr(files_mod, "_MAP_BYTES", window_bytes)
+    rows = np.full((5, 3), 0.5, np.float32)
+    rows[3] = value
+    got = bank_mod.norm_bound(rows)
+    if np.isnan(bound):
+        assert np.isnan(got)
+    else:
+        assert bound <= got <= bound * (1 + 2.0 ** -20)
 
 
 def test_build_ivf_names_a_nonfinite_bank_row(tmp_path, rng, monkeypatch):
