@@ -24,7 +24,7 @@ import numpy as np
 
 from . import errors
 from .bank import (FORMAT_VERSION, CaptionRecord, EmbeddingBank, bank_build,
-                   bank_load, bank_save, check_norms, parse_caption_record)
+                   bank_load, check_norms, parse_caption_record)
 from .classify import classify_batch, write_predictions
 from .enrich import EnrichmentConfig, PrototypeSet, enrich_all_prototypes
 from .files import read_json, read_jsonl, replace_atomically
@@ -178,9 +178,7 @@ def _cmd_enrich_prototypes(args) -> int:
     # so storing renormalized rows preserves every ranking
     records = [CaptionRecord(i, names[0], "prototype")
                for i, names in enumerate(table.names)]
-    out_bank = EmbeddingBank.from_matrix(proto_set.matrix, vlm_bank.space_tag,
-                                         records=records)
-    bank_save(out_bank, args.out)
+    bank_build(proto_set.matrix, vlm_bank.space_tag, args.out, records=records)
     return errors.EXIT_OK
 
 

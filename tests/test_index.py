@@ -1666,6 +1666,79 @@ def test_save_index_refuses_lists_of_another_row_count(tmp_path, rng):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_save_index_refuses_a_list_that_does_not_ascend(tmp_path, rng):
+    """A built index whose ids fall inside a list (two of them swapped)
+    breaks the rule that each list ascends: ``save_index`` raises
+    ``ValidationError``, keeps the old file and leaves no temporary file."""
+    path, bank = _saved_index(tmp_path, rng)
+    before = path.read_bytes()
+    index = build_ivf(bank, 3, seed=0)
+    c = int(np.argmax([len(lst) for lst in index.lists]))
+    swapped = index.lists[c].copy()
+    swapped[[1, 2]] = swapped[[2, 1]]
+    index.lists[c] = swapped
+    with pytest.raises(errors.ValidationError, match="does not ascend"):
+        save_index(index, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ivf"]
+
+
+@pytest.mark.parametrize("edit", ["swap lists", "trade ids"])
+def test_save_index_refuses_lists_that_are_not_the_loaded_file_s(tmp_path,
+                                                                 rng, edit):
+    """A loaded index's rows are its file's, list after list, so lists
+    moved between lists (still a permutation, each list ascending) no
+    longer match them: ``save_index`` raises ``ValidationError``, keeps
+    the old file and leaves no temporary file."""
+    path, bank = _saved_index(tmp_path, rng)
+    before = path.read_bytes()
+    index = load_index(path, bank)
+    a, b = index.lists[0], index.lists[1]
+    if edit == "swap lists":
+        index.lists[0], index.lists[1] = b, a
+    else:
+        index.lists[0] = np.sort(np.append(a[1:], b[:1]))
+        index.lists[1] = np.sort(np.append(b[1:], a[:1]))
+    with pytest.raises(errors.ValidationError, match="not the index file's"):
+        save_index(index, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ivf"]
+
+
+def test_loaded_index_lists_are_read_only(tmp_path, rng):
+    """A loaded index's lists are views of its file's ids, which it pairs
+    with the file's rows, so writing into one raises."""
+    path, bank = _saved_index(tmp_path, rng)
+    index = load_index(path, bank)
+    with pytest.raises(ValueError, match="read-only"):
+        index.lists[0][0] = index.lists[0][1]
+    assert np.array_equal(index.lists[0], build_ivf(bank, 3, seed=0).lists[0])
+
+
+def test_save_index_holds_no_array_per_row(tmp_path, rng):
+    """Saving a built and a loaded index of 200,000 x 8 rows allocates at
+    most the id block, the zero prefill, two ``_TILE_BYTES`` pieces and
+    1 MiB: no permutation of the rows, and no sort of them."""
+    bank = EmbeddingBank.from_matrix(
+        rng.standard_normal((200_000, 8), np.float32), "llm-text")
+    built = build_ivf(bank, 8, seed=0)
+    limit = (8 * bank.count  # the id block
+             + min(index_mod._PREFILL_BYTES, 4 * bank.vectors.size)
+             + 2 * index_mod._TILE_BYTES + 2**20)
+    for name in ("built", "loaded"):
+        index = built if name == "built" else load_index(
+            tmp_path / "built.ivf", bank)
+        tracemalloc.start()
+        try:
+            save_index(index, tmp_path / f"{name}.ivf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, (name, peak, limit)
+    assert (tmp_path / "loaded.ivf").read_bytes() == \
+        (tmp_path / "built.ivf").read_bytes()
+
+
 def test_attach_misaligned_bank(tmp_path, rng):
     path, bank = _saved_index(tmp_path, rng)
     small = make_bank(rng, 10, 6)
