@@ -23,6 +23,8 @@ The bank and index are then loaded as the CLI loads them
   the bank and index loads;
 * ``rss_rise_mb``: the process's ``VmRSS`` after the single-query calls
   of a fresh load, less the value before them (Linux only);
+* ``minor_faults_per_search``: the process's minor page faults
+  (``ru_minflt``) over the timed single-query loop, per search;
 * ``rows_per_probed_list``: for the 32-query batch, how many lists are
   probed by 1, 2, ... of its rows (a list's rows are read once and scored
   against every row that probes it, so this is their reuse).
@@ -34,6 +36,7 @@ a before and an after run. Run it against another checkout by putting that
 checkout's ``src`` first on ``PYTHONPATH``.
 """
 
+import resource
 import subprocess
 import sys
 import tempfile
@@ -115,7 +118,10 @@ def main() -> None:
         for i in range(len(rows)):
             one(i)
         rise = rss_mb() - before
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         singles = [timed(lambda: one(i)) for i in range(len(rows))]
+        faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                  - faults) / len(rows)
         batches = [timed(lambda: search(bank, rows[:BATCH], K, index,
                                         args.nprobe))
                    for _ in range(args.repeats)]
@@ -142,6 +148,7 @@ def main() -> None:
              f"search_{BATCH}_rows": timings(batches),
              "cli_retrieve": timings(processes),
              "rss_rise_mb": rise,
+             "minor_faults_per_search": faults,
              "rows_per_probed_list": {str(r): int(c)
                                       for r, c in enumerate(reuse) if r and c}}
     record(args, entry)
@@ -151,7 +158,7 @@ def main() -> None:
         print(f"{args.label} {name}: {e['ms_median']:.2f} ms "
               f"(q1 {e['ms_q1']:.2f}, q3 {e['ms_q3']:.2f})")
     print(f"{args.label} rss_rise_mb over {args.queries} single-query "
-          f"searches: {rise:.1f}")
+          f"searches: {rise:.1f}; minor faults per search: {faults:.1f}")
     print(f"{args.label} lists probed by r of {BATCH} rows, r: count: "
           f"{entry['rows_per_probed_list']}")
 

@@ -127,7 +127,7 @@ def _cmd_index_build(args) -> int:
 
 def _cmd_index_inspect(args) -> int:
     index = load_index(args.index)
-    sizes = np.array([len(lst) for lst in index.lists])
+    sizes = np.diff(index.offsets)
     mean = float(sizes.mean())
     _write_info({
         "n_clusters": index.n_clusters,

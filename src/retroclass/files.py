@@ -163,14 +163,16 @@ def payload_start(fh, size: int, values: int, error: type) -> int:
 def _shared_mapping(array):
     """The shared file mapping under ``array``, or ``None``.
 
-    An in-memory array has none. A copy-on-write ``np.memmap`` (mode
-    ``"c"``) is never released: dropping its pages would discard its
-    edits. A shared mapping's pages stay in the page cache, dirty ones
-    included, so a later read faults them back in without disk I/O.
+    An in-memory array has none, and none is released where ``madvise`` is
+    missing. A copy-on-write ``np.memmap`` (mode ``"c"``) is never
+    released: dropping its pages would discard its edits. A shared
+    mapping's pages stay in the page cache, dirty ones included, so a
+    later read faults them back in without disk I/O.
     """
     while isinstance(array, np.ndarray) and not isinstance(array, np.memmap):
         array = array.base
-    if not isinstance(array, np.memmap) or array.mode == "c":
+    if (not isinstance(array, np.memmap) or array.mode == "c"
+            or not hasattr(mmap, "MADV_DONTNEED")):
         return None
     return getattr(array, "_mmap", None)
 
@@ -178,6 +180,14 @@ def _shared_mapping(array):
 def _release(mapping) -> None:
     """Drop a shared mapping's resident pages from this process."""
     mapping.madvise(mmap.MADV_DONTNEED)
+
+
+def release(array) -> None:
+    """Drop the resident pages of the shared file mapping under ``array``,
+    if it has one that :class:`PageBudget` would release."""
+    mapping = _shared_mapping(array)
+    if mapping is not None:
+        _release(mapping)
 
 
 class PageBudget:
@@ -191,8 +201,7 @@ class PageBudget:
     copy-on-write mapping, or where ``madvise`` is missing."""
 
     def __init__(self, array):
-        self._mapping = (_shared_mapping(array)
-                         if hasattr(mmap, "MADV_DONTNEED") else None)
+        self._mapping = _shared_mapping(array)
         self._read = 0
         self._released = False
 

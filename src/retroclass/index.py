@@ -7,8 +7,8 @@ contiguous blocks, the IVF centroid probe as an exact scan of the
 centroids, and the IVF candidate scan, which reads each probed list once
 per search and scores it against every row that probes it. A loaded index
 reads a list as one slice of the rows its file stores in list order (the
-layout of FAISS's IVFFlat); an index built in memory gathers the list's
-rows from its bank.
+layout of FAISS's IVFFlat), mapped once at load; an index built in memory
+gathers the list's rows from its bank.
 
 An exact scan gives each row the bits of a one-thread ``block @ query``
 per block, whatever the batch, the row's place in it, or
@@ -46,7 +46,8 @@ A mapped bank or index file is read in pieces of at most ``_MAP_BYTES``
 (64 MiB), whatever its size or row width: the exact scan's selection and
 re-score windows, the IVF tiles and the assignment's products, each
 counted in one :class:`files.PageBudget`, so a scan or a build keeps at
-most twice the budget of the file resident.
+most twice the budget of the file resident. A search of a loaded index
+drops all of its rows' resident pages at its end.
 
 Ordering contract everywhere: hits sorted by descending score, ties broken
 by ascending id.
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import os
 import struct
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +64,7 @@ import numpy as np
 from . import errors
 from .bank import EmbeddingBank, NORM_ATOL, norm_bound, row_norms
 from .errors import row_error
-from .files import (PAYLOAD_ALIGN, PageBudget, payload_start,
+from .files import (PAYLOAD_ALIGN, PageBudget, payload_start, release,
                     replace_atomically, window_rows, windows)
 
 INDEX_MAGIC = b"RTRCIVF1"
@@ -324,18 +324,17 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
     most ``SCAN_BLOCK`` ids once: the ids' rows are ``vectors[first:first +
     len(ids)]`` when ``first`` is a row, and are gathered as
     ``vectors[ids]`` tile by tile when it is ``None``. When ``vectors`` is
-    a mapped file (a bank's payload, or a loaded index's rows from
-    ``_IndexFile.rows``), every pass over it counts what it reads in one
-    :class:`files.PageBudget`, which drops the mapping's resident pages
-    once ``_MAP_BYTES`` have been read, and no piece it counts is larger
-    than ``_MAP_BYTES`` (or than one tile, where the budget holds fewer
-    rows), so at most twice the budget stays resident, and a pass that
-    read more than the budget drops the rest at its end. A group scores
-    its block into one score buffer per run of at most ``QUERY_BLOCK *
-    SCAN_BLOCK // m`` of its rows, tile by tile: each tile of
-    ``_TILE_BYTES`` (a multiple of 16 rows; the last one takes the rest,
-    and rows of at most 8 values keep the block whole, as
-    :func:`_rescore` requires) gets one ``tile @ query`` per row before
+    a mapped file (a bank's payload, or a loaded index's ``rows``), every
+    pass over it counts what it reads in one :class:`files.PageBudget`,
+    which drops the mapping's resident pages once ``_MAP_BYTES`` have been
+    read, and no piece it counts is larger than ``_MAP_BYTES`` (or than
+    one tile, where the budget holds fewer rows), so at most twice the
+    budget stays resident, and a pass that read more than the budget drops
+    the rest at its end. A group scores its block into one score buffer
+    per run of at most ``QUERY_BLOCK * SCAN_BLOCK // m`` of its rows, tile
+    by tile: each tile of ``_TILE_BYTES`` (a multiple of 16 rows; the last
+    one takes the rest, and rows of at most 8 values keep the block whole,
+    as :func:`_rescore` requires) gets one ``tile @ query`` per row before
     the next tile is read, so it is read from memory once and from L2
     after, and is counted in the budget once its rows are scored. A slice
     and a gather of the same rows give the same bits, and at one BLAS
@@ -467,11 +466,12 @@ def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
 
     With ``index`` (attached to ``bank``) a row scans the ids of its
     ``nprobe`` best lists; otherwise, or when every list is probed, the whole
-    bank. A loaded index scores its lists from its own file, mapped for this
-    call only (its pages released after every ``_MAP_BYTES`` of rows read,
-    tile by tile), and never reads the bank's rows. A mapped bank is read
-    in windows of at most ``_MAP_BYTES``. ``space_tag``, when given, must
-    be the bank's. An error about one row names it as ``what i``.
+    bank. A loaded index scores its lists from its own file's rows, mapped
+    by :func:`load_index`, and never reads the bank's rows; their pages are
+    released after every ``_MAP_BYTES`` read, tile by tile, and all of them
+    at the end of the call. A mapped bank is read in windows of at most
+    ``_MAP_BYTES``. ``space_tag``, when given, must be the bank's. An error
+    about one row names it as ``what i``.
     """
     if k < 1:
         raise errors.ValidationError(f"k must be >= 1, got {k}")
@@ -497,14 +497,17 @@ def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
     probed = _scan(index.centroids, queries, nprobe, what="centroid").ids.ravel()
     order = np.argsort(probed, kind="stable")
     lists, starts = np.unique(probed[order], return_index=True)
-    file = index.file
-    groups = [(index.lists[c], rows,
-               None if file is None else int(file.offsets[c]))
+    bounds = index.offsets.tolist()
+    groups = [(index.ids[bounds[c]:bounds[c + 1]], rows,
+               None if index.rows is None else bounds[c])
               for c, rows in zip(lists.tolist(),
                                  np.split(order // nprobe, starts[1:]))]
-    if file is None:
+    if index.rows is None:
         return _scan(bank.vectors, queries, k, groups)
-    return _scan(file.rows(), queries, k, groups, what="index row")
+    try:
+        return _scan(index.rows, queries, k, groups, what="index row")
+    finally:
+        release(index.rows)
 
 
 def exact_topk(query: QueryEmbedding, bank: EmbeddingBank, k: int) -> list[RetrievalHit]:
@@ -513,64 +516,48 @@ def exact_topk(query: QueryEmbedding, bank: EmbeddingBank, k: int) -> list[Retri
                   space_tag=query.space_tag).hits(0)
 
 
-class _IndexFile:
-    """The open file of a loaded index, whose rows it scores.
-
-    Row ``offsets[c] + j`` of :meth:`rows` is the bank row ``ids[offsets[c]
-    + j]``, the j-th id of list c. The file stays open until the object is
-    collected; its rows are mapped only while an array from :meth:`rows`
-    lives. A search or a save reads them through :func:`files.windows` or
-    a :class:`files.PageBudget`, which drop their resident pages after
-    every ``_MAP_BYTES`` read, in tiles and windows of at most that many
-    bytes, so at most twice that of them stays resident during a search,
-    and none between searches.
-    """
-
-    def __init__(self, fh, offsets: np.ndarray, ids: np.ndarray,
-                 start: int, dim: int):
-        self.offsets = offsets  # (n_clusters + 1,) int64
-        self.ids = ids
-        self._fh, self._start, self._dim = fh, start, dim
-        weakref.finalize(self, fh.close)
-
-    def rows(self) -> np.ndarray:
-        """The (count, dim) float32 rows, list after list, read-only: a
-        plain array over an ``np.memmap``, which slices faster."""
-        if not len(self.ids):
-            return np.empty((0, self._dim), "<f4")
-        return np.memmap(self._fh, "<f4", "r", self._start,
-                         (len(self.ids), self._dim)).view(np.ndarray)
-
-
-@dataclass
+@dataclass(frozen=True)
 class IvfIndex:
-    """Inverted-file index: unit-norm centroids plus per-cluster id lists.
+    """Inverted-file index: unit-norm centroids plus per-cluster id lists,
+    list c being ``ids[offsets[c]:offsets[c + 1]]``, ascending; both read-only.
 
-    An index built by :func:`build_ivf` scores a list by gathering its rows
-    from the attached bank. One read by :func:`load_index` keeps its file
-    (``file``) open and scores each list as one slice of the file's rows.
-    A list's ids ascend, and a loaded index's lists are read-only views of
-    its file's ids, which :func:`search` pairs with the file's rows:
-    :func:`save_index` refuses lists that break either rule.
+    An index built by :func:`build_ivf` gathers a list's rows from the
+    attached bank. One read by :func:`load_index` also holds ``rows``, its
+    file's rows mapped in list order (row i holds bank row ``ids[i]``), and
+    scores each list as one slice of them. A bank given here is checked as
+    :meth:`attach` checks it.
     """
 
     n_clusters: int
     dim: int
     seed: int
     centroids: np.ndarray                 # (n_clusters, dim) float32
-    lists: list[np.ndarray]               # uint64 ids, ascending within a list
+    offsets: np.ndarray                   # (n_clusters + 1,) int64
+    ids: np.ndarray                       # uint64, every list in list order
     bank: EmbeddingBank | None = field(default=None, repr=False)
-    file: _IndexFile | None = field(default=None, repr=False, compare=False)
+    rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, dtype in (("offsets", np.int64), ("ids", np.uint64)):
+            view = np.asarray(getattr(self, name), dtype).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        if self.bank is not None:
+            self.attach(self.bank)
+
+    @property
+    def lists(self) -> list[np.ndarray]:
+        """Each list's ids, as read-only views of ``ids``."""
+        return np.split(self.ids, self.offsets[1:-1])
 
     def attach(self, bank: EmbeddingBank) -> "IvfIndex":
         if bank.dim != self.dim:
             raise errors.DimensionMismatch(
                 f"index dim {self.dim} != bank dim {bank.dim}")
-        total = sum(len(lst) for lst in self.lists)
-        if total != bank.count:
-            raise errors.BankMisalignment(
-                f"index covers {total} ids, bank has {bank.count} rows")
-        self.bank = bank
+        if len(self.ids) != bank.count:
+            raise errors.BankMisalignment(f"index covers {len(self.ids)} ids, "
+                                          f"bank has {bank.count} rows")
+        object.__setattr__(self, "bank", bank)
         return self
 
 
@@ -752,11 +739,11 @@ def build_ivf(bank: EmbeddingBank, n_clusters: int, seed: int,
     del train  # before the full pass allocates its scores
     labels = _assign(np.asarray(bank.vectors), centroids, check=True)
     # one stable sort groups the ids by cluster, ascending within each
-    order = np.argsort(labels, kind="stable").astype(np.uint64)
-    bounds = np.cumsum(np.bincount(labels, minlength=n_clusters))[:-1]
-    lists = np.split(order, bounds)
+    ids = np.argsort(labels, kind="stable").astype(np.uint64)
+    offsets = np.zeros(n_clusters + 1, np.int64)
+    np.cumsum(np.bincount(labels, minlength=n_clusters), out=offsets[1:])
     return IvfIndex(n_clusters=n_clusters, dim=bank.dim, seed=int(seed),
-                    centroids=centroids, lists=lists, bank=bank)
+                    centroids=centroids, offsets=offsets, ids=ids, bank=bank)
 
 
 def ivf_search(index: IvfIndex, query: QueryEmbedding, k: int,
@@ -844,49 +831,41 @@ def save_index(index: IvfIndex, path) -> None:
         padding   zero bytes up to a multiple of 64
         f32       rows, (count, dim): row i holds bank row ids[i]
 
-    The lists must hold every id of 0..n-1 once, the rule
-    :func:`load_index` checks, and each list's source rows must ascend: a
-    built index's ids, which index its bank, ascend within each list, and
-    a loaded index's lists are still its file's, so that list c's rows are
-    rows ``offsets[c]:offsets[c + 1]`` of that file. Otherwise this raises
-    :class:`ValidationError` and keeps an existing file. The payload is
-    first zero-filled in large sequential writes, so the page cache holds
-    it in large folios, which the row writes fill in place: rows written
-    straight, even in file order, land in small folios, and a one-row
-    search of the 440k x 256 index faults 227 (built) or 155 (loaded)
-    times, against 56 (ext4, Linux 6.18). Then the source is read in
-    windows of ``_MAP_BYTES`` (:func:`files.windows`); a list's rows in a
-    window are one run, found with one ``np.searchsorted`` and written
-    after one seek, at most ``_TILE_BYTES`` per gathered write. A target
-    that cannot seek (a pipe) gets the rows from one window.
+    The ids must hold every id of 0..n-1 once, the rule :func:`load_index`
+    checks. A loaded index copies its rows, which are in list order; a
+    built one gathers each list's rows from its bank, and each list's ids
+    must ascend. Otherwise this raises :class:`ValidationError` and keeps
+    an existing file. The payload is first zero-filled in large sequential
+    writes, so the page cache holds it in large folios, which the row
+    writes fill in place: rows written straight, even in file order, land
+    in small folios, and a one-row search of the 440k x 256 index faults
+    227 (built) or 155 (loaded) times, against 56 (ext4, Linux 6.18). Then
+    the source is read in windows of ``_MAP_BYTES`` (:func:`files.windows`);
+    a list's rows in a window are one run, found with one
+    ``np.searchsorted`` and written after one seek, at most ``_TILE_BYTES``
+    per gathered write. A target that cannot seek (a pipe) gets the rows
+    from one window. A loaded index's rows drop their resident pages once
+    the file is written, as after a search.
     """
-    if index.file is None and index.bank is None:
-        raise errors.ValidationError("index is not attached to a bank")
-    offsets = np.zeros(index.n_clusters + 1, "<u8")
-    np.cumsum([len(lst) for lst in index.lists], out=offsets[1:])
-    ids = np.concatenate([np.asarray(lst, "<u8") for lst in index.lists])
+    ids, bounds, rows = index.ids, index.offsets.tolist(), index.rows
     if not _dense_range(ids):
         raise errors.ValidationError("id lists do not cover a dense range")
-    file, bounds = index.file, offsets.tolist()
-    source = index.bank.vectors if file is None else file.rows()
-    if len(ids) != len(source):
-        raise errors.BankMisalignment(
-            f"index covers {len(ids)} ids, its rows number {len(source)}")
-    if file is None:  # a fall in the ids may only start a list
+    if rows is None:
+        if index.bank is None:
+            raise errors.ValidationError("index is not attached to a bank")
+        # a fall in the ids may only start a list
         if not np.isin(np.flatnonzero(ids[1:] <= ids[:-1]) + 1, bounds).all():
             raise errors.ValidationError("an id list does not ascend")
-    elif not (np.array_equal(bounds, file.offsets)
-              and np.array_equal(ids, file.ids)):
-        raise errors.ValidationError("the id lists are not the index file's")
+    source = index.bank.vectors if rows is None else rows
     ids_end = (_INDEX_HEADER.size + 4 * index.n_clusters * index.dim
-               + offsets.nbytes + ids.nbytes)
+               + 8 * len(bounds) + ids.nbytes)
     rows_at = ids_end + -ids_end % PAYLOAD_ALIGN  # zero padding between
     with replace_atomically(path, "index", "wb") as fh:
         fh.write(_INDEX_HEADER.pack(INDEX_MAGIC, INDEX_VERSION,
                                     index.n_clusters, index.dim, index.seed))
         fh.write(np.ascontiguousarray(index.centroids, "<f4").tobytes())
-        fh.write(offsets.tobytes())
-        fh.write(ids)
+        fh.write(index.offsets.astype("<u8"))
+        fh.write(np.ascontiguousarray(ids, "<u8"))
         fh.write(bytes(rows_at - ids_end))
         payload = len(ids) * 4 * index.dim
         if fh.seekable() and payload:
@@ -899,15 +878,17 @@ def save_index(index: IvfIndex, path) -> None:
             span = np.array([start, start + len(window)], ids.dtype)
             for lo, hi in zip(bounds, bounds[1:]):
                 # the list's file rows a:b whose source rows are in window
-                a, b = (lo + np.searchsorted(ids[lo:hi], span) if file is None
+                a, b = (lo + np.searchsorted(ids[lo:hi], span) if rows is None
                         else np.clip(span, lo, hi)).tolist()
                 if fh.seekable() and b > a:
                     fh.seek(rows_at + a * 4 * index.dim)
                 for p in range(a, b, piece):
                     q = min(p + piece, b)
                     fh.write(np.ascontiguousarray(
-                        window[ids[p:q] - start] if file is None
+                        window[ids[p:q] - start] if rows is None
                         else window[p - start:q - start], "<f4"))
+    if rows is not None:
+        release(rows)
 
 
 def _dense_range(ids: np.ndarray) -> bool:
@@ -920,22 +901,16 @@ def _dense_range(ids: np.ndarray) -> bool:
 
 
 def load_index(path, bank: EmbeddingBank | None = None) -> IvfIndex:
-    """Read an index file's header, centroids and id lists, and check that
-    its rows fill the rest of the file; the rows themselves are not read.
-    The file stays open for :func:`search` to map. Any other version than
-    2 is :class:`CorruptIndex`: rebuild such an index from its bank."""
+    """Read an index file's header, centroids and id lists, check that its
+    rows fill the rest of the file, and map them once, read-only; the rows
+    themselves are not read. Any other version than 2 is
+    :class:`CorruptIndex`: rebuild such an index from its bank."""
     try:
-        fh = open(path, "rb")
-        try:
+        with open(path, "rb") as fh:
             index = _read_index(fh)
-        except BaseException:
-            fh.close()
-            raise
     except OSError as exc:
         raise errors.IoError(f"cannot read index {path}: {exc}") from exc
-    if bank is not None:
-        index.attach(bank)
-    return index
+    return index if bank is None else index.attach(bank)
 
 
 def _read_index(fh) -> IvfIndex:
@@ -978,8 +953,8 @@ def _read_index(fh) -> IvfIndex:
 
     if not _dense_range(ids):
         raise errors.CorruptIndex("id lists do not cover a dense range")
-    offsets = offsets.astype(np.int64)
-    ids.flags.writeable = False  # each list is a view of the one id array
+    # a plain array over the mapping slices faster than an np.memmap
+    rows = (np.memmap(fh, "<f4", "r", start, (len(ids), dim)).view(np.ndarray)
+            if len(ids) else np.empty((0, dim), "<f4"))
     return IvfIndex(n_clusters=n_clusters, dim=dim, seed=int(seed),
-                    centroids=centroids, lists=np.split(ids, offsets[1:-1]),
-                    file=_IndexFile(fh, offsets, ids, start, dim))
+                    centroids=centroids, offsets=offsets, ids=ids, rows=rows)

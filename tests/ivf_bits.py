@@ -60,7 +60,8 @@ def case(rng, dim: int, sizes: list[int], path: Path, out: dict,
     centroids = EmbeddingBank.from_matrix(
         rng.standard_normal((len(sizes), dim)), "llm-text").vectors
     built = IvfIndex(len(sizes), dim, 0, np.array(centroids),
-                     lists).attach(bank)
+                     np.cumsum([0] + sizes), np.concatenate(lists)
+                     ).attach(bank)
     save_index(built, path)
     loaded = load_index(path, bank)
     noisy = bank.vectors[rng.integers(0, n, 40)] + \

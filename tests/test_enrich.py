@@ -358,7 +358,8 @@ def test_enrich_all_merge_after_flags_classes_with_an_empty_alias_row(
     target = (target / np.linalg.norm(target)).astype(np.float32)
     index = IvfIndex(trained.n_clusters + 1, trained.dim, trained.seed,
                      np.vstack([trained.centroids, target]),
-                     [*trained.lists, np.empty(0, np.uint64)]).attach(fx.llm_bank)
+                     np.append(trained.offsets, len(trained.ids)),
+                     trained.ids).attach(fx.llm_bank)
     retr = Retriever(fx.llm_bank, index, 1)
     cfg = EnrichmentConfig()
     out = enrich_all_prototypes(table, fx.llm_bank, fx.vlm_bank, retr, cfg,

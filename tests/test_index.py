@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import subprocess
 import sys
@@ -33,6 +34,11 @@ def make_bank(rng, n, d, tag="llm-text"):
 def query_for(bank, rng):
     return QueryEmbedding.from_raw(rng.standard_normal(bank.dim),
                                    bank.space_tag)
+
+
+def _csr(lists):
+    """(offsets, ids) of id lists: the arrays an ``IvfIndex`` holds."""
+    return np.cumsum([0] + [len(lst) for lst in lists]), np.concatenate(lists)
 
 
 def oracle_topk(query, bank, k):
@@ -326,7 +332,7 @@ def test_unattached_index_rejected(rng):
     bank = make_bank(rng, 40, 8)
     built = build_ivf(bank, 4, seed=0)
     detached = IvfIndex(built.n_clusters, built.dim, built.seed,
-                        built.centroids, built.lists)
+                        built.centroids, built.offsets, built.ids)
     with pytest.raises(errors.ValidationError):
         ivf_search(detached, query_for(bank, rng), 5, nprobe=2)
 
@@ -632,7 +638,7 @@ def _with_empty_list(index, bank, centroid, at):
     lists = list(index.lists)
     lists.insert(at, np.empty(0, np.uint64))
     return IvfIndex(index.n_clusters + 1, index.dim, index.seed, centroids,
-                    lists).attach(bank)
+                    *_csr(lists)).attach(bank)
 
 
 def probe_oracle(index, queries, k, nprobe):
@@ -689,7 +695,7 @@ def test_search_gathers_each_probed_list_once_per_chunk(monkeypatch, rng):
     spied = EmbeddingBank(np.asarray(bank.vectors).view(GatherSpy),
                           bank.space_tag)
     index = IvfIndex(built.n_clusters, built.dim, built.seed,
-                     built.centroids, built.lists).attach(spied)
+                     built.centroids, built.offsets, built.ids).attach(spied)
     queries = np.vstack([query_for(bank, rng).vector for _ in range(32)])
     table = search(spied, queries, 10, index, 3)
     probed = set()
@@ -737,7 +743,7 @@ def _index_of_lists(bank, lists, centroids, tmp_path, loaded):
     """An index over ``bank`` with the given id lists and centroids, as
     built in memory or saved and loaded."""
     index = IvfIndex(len(lists), bank.dim, 0, centroids,
-                     [np.sort(lst).astype(np.uint64) for lst in lists]
+                     *_csr([np.sort(lst).astype(np.uint64) for lst in lists])
                      ).attach(bank)
     if loaded:
         save_index(index, tmp_path / "lists.ivf")
@@ -914,7 +920,7 @@ def test_nan_rows_in_later_tiles_name_the_first_in_row_order(monkeypatch,
     (tmp_path / "nan.bank").write_bytes(bytes(raw))
     corrupt = bank_load(tmp_path / "nan.bank")
     index = IvfIndex(built.n_clusters, built.dim, built.seed,
-                     built.centroids, built.lists).attach(corrupt)
+                     built.centroids, built.offsets, built.ids).attach(corrupt)
     with pytest.raises(errors.CorruptBank, match=(
             f"^bank row {victims[0]} gives a non-finite score \\(nan\\)$")):
         search(corrupt, queries, 5, index, 2)
@@ -965,11 +971,9 @@ def test_loaded_index_slices_each_probed_list_once_per_chunk(monkeypatch,
     bank = make_bank(rng, 300, 16)
     built = build_ivf(bank, 6, seed=5)
     save_index(built, tmp_path / "s.ivf")
-    index = load_index(tmp_path / "s.ivf", bank)
+    loaded = load_index(tmp_path / "s.ivf", bank)
+    index = dataclasses.replace(loaded, rows=loaded.rows.view(ReadSpy))
     monkeypatch.setattr(ReadSpy, "reads", [])
-    real = index_mod._IndexFile.rows
-    monkeypatch.setattr(index_mod._IndexFile, "rows",
-                        lambda self: real(self).view(ReadSpy))
     queries = np.vstack([query_for(bank, rng).vector for _ in range(32)])
     table = search(bank, queries, 10, index, 3)
     probed = set()
@@ -1004,9 +1008,9 @@ def _release_spy(monkeypatch):
 
 def test_mapping_budget_releases_without_changing_hits(monkeypatch, rng,
                                                        tmp_path):
-    """A batch search over a small loaded index releases none of its pages
-    under the default budget; with a budget of 64 rows it releases them
-    many times, and its table is bitwise the same."""
+    """A batch search over a small loaded index releases its pages once,
+    at its end, under the default budget; with a budget of 64 rows it
+    releases them many times, and its table is bitwise the same."""
     bank = make_bank(rng, 2000, 16)
     built = build_ivf(bank, 8, seed=2)
     save_index(built, tmp_path / "s.ivf")
@@ -1014,7 +1018,7 @@ def test_mapping_budget_releases_without_changing_hits(monkeypatch, rng,
     queries = np.vstack([query_for(bank, rng).vector for _ in range(40)])
     released = _release_spy(monkeypatch)
     want = search(bank, queries, 10, index, 3)
-    assert released == []
+    assert len(released) == 1
     monkeypatch.setattr(files_mod, "_MAP_BYTES", 64 * 16 * 4)
     got = search(bank, queries, 10, index, 3)
     assert len(released) > 5
@@ -1046,7 +1050,8 @@ def test_nan_row_scored_after_a_release_names_the_same_index_row(
     monkeypatch.setattr(files_mod, "_MAP_BYTES", 1)
     with pytest.raises(errors.CorruptIndex, match=message):
         search(bank, queries, 5, index, 2)
-    assert len(released) == 3  # after each list the NaN row's list follows
+    # after each list the NaN row's list follows, and once at the end
+    assert len(released) == 4
 
 
 @pytest.fixture(scope="module")
@@ -1604,8 +1609,9 @@ def test_nan_index_row_loads_and_fails_the_search_that_scores_it(tmp_path,
 
 
 def test_save_onto_the_loaded_file_keeps_its_bytes(tmp_path, rng):
-    """A loaded index reads its rows from its own open file, so saving it
-    onto that path writes the same bytes, and it still searches alike."""
+    """A loaded index reads its rows from its own mapping of its file, so
+    saving it onto that path writes the same bytes, and it still searches
+    alike."""
     bank = make_bank(rng, 300, 12)
     built = build_ivf(bank, 7, seed=2)
     path = tmp_path / "i.ivf"
@@ -1644,26 +1650,21 @@ def test_save_index_refuses_lists_load_index_refuses(tmp_path, rng, loaded,
     path, bank = _saved_index(tmp_path, rng)
     before = path.read_bytes()
     index = load_index(path, bank) if loaded else build_ivf(bank, 3, seed=0)
-    first = index.lists[0]
-    index.lists[0] = {"repeat": np.concatenate([first[:-1], first[:1]]),
-                      "drop": first[:-1],
-                      "beyond": np.append(first[:-1], np.uint64(50))}[damage]
+    lists = index.lists
+    first = lists[0]
+    lists[0] = {"repeat": np.concatenate([first[:-1], first[:1]]),
+                "drop": first[:-1],
+                "beyond": np.append(first[:-1], np.uint64(50))}[damage]
+    offsets, ids = _csr(lists)
+    # attach() refuses 49 ids for 50 rows, so the dropped id's has no bank
+    damaged = IvfIndex(index.n_clusters, index.dim, index.seed,
+                       index.centroids, offsets, ids,
+                       bank=bank if len(ids) == bank.count else None,
+                       rows=index.rows)
     with pytest.raises(errors.ValidationError, match="dense range"):
-        save_index(index, path)
+        save_index(damaged, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ivf"]
-
-
-def test_save_index_refuses_lists_of_another_row_count(tmp_path, rng):
-    """Lists that are a permutation of fewer ids than the bank has rows
-    would write a file no bank of that row count attaches to."""
-    bank = make_bank(rng, 50, 6)
-    short = IvfIndex(1, 6, 0, np.array(bank.vectors[:1]),
-                     [np.arange(40, dtype=np.uint64)])
-    short.bank = bank  # past attach(), which would refuse it too
-    with pytest.raises(errors.BankMisalignment, match="covers 40 ids"):
-        save_index(short, tmp_path / "short.ivf")
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_save_index_refuses_a_list_that_does_not_ascend(tmp_path, rng):
@@ -1672,34 +1673,14 @@ def test_save_index_refuses_a_list_that_does_not_ascend(tmp_path, rng):
     ``ValidationError``, keeps the old file and leaves no temporary file."""
     path, bank = _saved_index(tmp_path, rng)
     before = path.read_bytes()
-    index = build_ivf(bank, 3, seed=0)
-    c = int(np.argmax([len(lst) for lst in index.lists]))
-    swapped = index.lists[c].copy()
-    swapped[[1, 2]] = swapped[[2, 1]]
-    index.lists[c] = swapped
+    built = build_ivf(bank, 3, seed=0)
+    lists = built.lists
+    c = int(np.argmax([len(lst) for lst in lists]))
+    lists[c] = lists[c].copy()
+    lists[c][[1, 2]] = lists[c][[2, 1]]
+    index = IvfIndex(built.n_clusters, built.dim, built.seed,
+                     built.centroids, *_csr(lists), bank=bank)
     with pytest.raises(errors.ValidationError, match="does not ascend"):
-        save_index(index, path)
-    assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ivf"]
-
-
-@pytest.mark.parametrize("edit", ["swap lists", "trade ids"])
-def test_save_index_refuses_lists_that_are_not_the_loaded_file_s(tmp_path,
-                                                                 rng, edit):
-    """A loaded index's rows are its file's, list after list, so lists
-    moved between lists (still a permutation, each list ascending) no
-    longer match them: ``save_index`` raises ``ValidationError``, keeps
-    the old file and leaves no temporary file."""
-    path, bank = _saved_index(tmp_path, rng)
-    before = path.read_bytes()
-    index = load_index(path, bank)
-    a, b = index.lists[0], index.lists[1]
-    if edit == "swap lists":
-        index.lists[0], index.lists[1] = b, a
-    else:
-        index.lists[0] = np.sort(np.append(a[1:], b[:1]))
-        index.lists[1] = np.sort(np.append(b[1:], a[:1]))
-    with pytest.raises(errors.ValidationError, match="not the index file's"):
         save_index(index, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ivf"]
@@ -1715,16 +1696,84 @@ def test_loaded_index_lists_are_read_only(tmp_path, rng):
     assert np.array_equal(index.lists[0], build_ivf(bank, 3, seed=0).lists[0])
 
 
+def test_a_loaded_index_s_arrays_cannot_drift_from_its_rows(tmp_path, rng):
+    """A loaded index's ``ids`` and ``offsets`` are read-only and cannot be
+    rebound, and ``lists`` is made from them afresh: swapping two lists
+    of it leaves every search's bytes as they were."""
+    bank = make_bank(rng, 300, 8)
+    save_index(build_ivf(bank, 4, seed=0), tmp_path / "s.ivf")
+    index = load_index(tmp_path / "s.ivf", bank)
+    queries = np.vstack([query_for(bank, rng).vector for _ in range(20)])
+    want = search(bank, queries, 5, index, 1)
+    lists = index.lists
+    lists[0], lists[1] = lists[1], lists[0]
+    got = search(bank, queries, 5, index, 1)
+    assert np.array_equal(got.ids, want.ids)
+    assert got.scores.tobytes() == want.scores.tobytes()
+    assert np.array_equal(index.lists[0], lists[1])
+    for name in ("ids", "offsets"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(index, name)[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(index, name, getattr(index, name).copy())
+
+
+def test_a_bank_given_to_the_constructor_is_checked(rng):
+    """``IvfIndex(..., bank=b)`` checks ``b`` as :meth:`attach` does: a
+    60-row bank does not attach to an index over 50 ids, nor a bank of
+    another dim."""
+    bank = make_bank(rng, 50, 6)
+    built = build_ivf(bank, 3, seed=0)
+    arrays = (built.n_clusters, built.dim, built.seed, built.centroids,
+              built.offsets, built.ids)
+    with pytest.raises(errors.BankMisalignment, match="covers 50 ids"):
+        IvfIndex(*arrays, bank=make_bank(rng, 60, 6))
+    with pytest.raises(errors.DimensionMismatch):
+        IvfIndex(*arrays, bank=make_bank(rng, 50, 7))
+    assert IvfIndex(*arrays, bank=bank).bank is bank
+
+
+def _mapped_rss_kb(path) -> int | None:
+    """The resident kB of this process's mappings of ``path``, summed
+    over ``/proc/self/smaps``; ``None`` when the file is not mapped."""
+    rss, mapped = None, False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            fields = line.split(None, 5)
+            if not fields[0].endswith(":"):  # a mapping's header line
+                mapped = fields[-1].rstrip("\n") == str(path)
+            elif mapped and fields[0] == "Rss:":
+                rss = (rss or 0) + int(fields[1])
+    return rss
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/smaps")
+def test_a_loaded_index_keeps_none_of_its_rows_resident_between_searches(
+        tmp_path, rng):
+    """A loaded index maps its file's rows once, and each search drops the
+    pages it read at its end: after searches that probe every list, the
+    mapping is there and none of it is resident."""
+    bank = make_bank(rng, 3000, 32)
+    built = build_ivf(bank, 4, seed=0)
+    path = tmp_path / "s.ivf"
+    save_index(built, path)
+    index = load_index(path, bank)
+    for _ in range(3):
+        table = search(bank, np.array(built.centroids), 5, index, 3)
+        assert (table.counts == 5).all()
+    assert _mapped_rss_kb(path.resolve()) == 0
+
+
 def test_save_index_holds_no_array_per_row(tmp_path, rng):
     """Saving a built and a loaded index of 200,000 x 8 rows allocates at
-    most the id block, the zero prefill, two ``_TILE_BYTES`` pieces and
-    1 MiB: no permutation of the rows, and no sort of them."""
+    most the zero prefill, one ``_TILE_BYTES`` piece and 1 MiB: no copy of
+    the ids, no permutation of the rows, and no sort of them."""
     bank = EmbeddingBank.from_matrix(
         rng.standard_normal((200_000, 8), np.float32), "llm-text")
     built = build_ivf(bank, 8, seed=0)
-    limit = (8 * bank.count  # the id block
-             + min(index_mod._PREFILL_BYTES, 4 * bank.vectors.size)
-             + 2 * index_mod._TILE_BYTES + 2**20)
+    limit = (min(index_mod._PREFILL_BYTES, 4 * bank.vectors.size)
+             + index_mod._TILE_BYTES + 2**20)
     for name in ("built", "loaded"):
         index = built if name == "built" else load_index(
             tmp_path / "built.ivf", bank)
