@@ -15,12 +15,14 @@ The bank and index are then loaded as the CLI loads them
   after one warm-up pass over all of them;
 * ``search_32_rows``: the first 32 queries as one batch, ``--repeats``
   times;
+* ``cli_retrieve``: whole ``retroclass retrieve --index`` processes over
+  those 32 queries (page cache warmed by one run first), so each one pays
+  the bank and index loads. ``max(2, repeats // 3)`` of them run spread
+  evenly among the ``search_32_rows`` batches, so a slow spell of the host
+  moves samples of both, not every sample of one;
 * ``load_index``: ``--repeats`` loads of the index file, after the
   searches, so that the build's writes have left the page cache's dirty
   list;
-* ``cli_retrieve``: whole ``retroclass retrieve --index`` processes over
-  those 32 queries (page cache warmed by one run first), so each one pays
-  the bank and index loads;
 * ``rss_rise_mb``: the process's ``VmRSS`` after the single-query calls
   of a fresh load, less the value before them (Linux only);
 * ``minor_faults_per_search``: the process's minor page faults
@@ -105,11 +107,12 @@ def main() -> None:
 
         index = load_index(paths["bank.ivf"], bank)
         rows = queries.vectors
-        # each batch row's probed lists, as search picks them: the top
-        # nprobe of an exact scan of the centroids
-        probed = search(EmbeddingBank(index.centroids, bank.space_tag),
-                        rows[:BATCH], args.nprobe, space_tag=bank.space_tag)
-        reuse = np.bincount(np.bincount(probed.ids.ravel()))
+        # each batch row's probed lists: the top nprobe of its one-row
+        # centroid product, ties to the lower list, as search picks them
+        probed = [np.lexsort((np.arange(args.clusters),
+                              -(index.centroids @ q)))[:args.nprobe]
+                  for q in rows[:BATCH]]
+        reuse = np.bincount(np.bincount(np.concatenate(probed)))
 
         def one(i):
             search(bank, rows[i:i + 1], K, index, args.nprobe)
@@ -122,20 +125,23 @@ def main() -> None:
         singles = [timed(lambda: one(i)) for i in range(len(rows))]
         faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                   - faults) / len(rows)
-        batches = [timed(lambda: search(bank, rows[:BATCH], K, index,
-                                        args.nprobe))
-                   for _ in range(args.repeats)]
-        del index
-        loads = [timed(lambda: load_index(paths["bank.ivf"], bank))
-                 for _ in range(args.repeats)]
-
         argv = [sys.executable, "-m", "retroclass", "retrieve", "--bank",
                 str(paths["bank.bank"]), "--queries",
                 str(paths["queries.bank"]), "--k", str(K), "--index",
                 str(paths["bank.ivf"]), "--nprobe", str(args.nprobe),
                 "--out", str(paths["hits.jsonl"])]
-        processes = [timed(lambda: subprocess.run(argv, check=True))
-                     for _ in range(max(2, args.repeats // 3) + 1)][1:]
+        subprocess.run(argv, check=True)  # warms the page cache
+        batches, processes = [], []
+        spread = max(2, args.repeats // 3)  # processes among the batches
+        for r in range(1, args.repeats + 1):
+            batches.append(timed(lambda: search(bank, rows[:BATCH], K, index,
+                                                args.nprobe)))
+            while len(processes) < r * spread // args.repeats:
+                processes.append(timed(lambda: subprocess.run(argv,
+                                                              check=True)))
+        del index
+        loads = [timed(lambda: load_index(paths["bank.ivf"], bank))
+                 for _ in range(args.repeats)]
         index_bytes = paths["bank.ivf"].stat().st_size
         del bank
 

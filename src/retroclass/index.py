@@ -3,12 +3,13 @@
 Scores are plain float32 dot products (rows are unit norm, so dot == cosine).
 :func:`search` is the one retrieval path, and one loop (:func:`_scan`) runs
 every scan over blocks of at most ``SCAN_BLOCK`` rows: the exact scan over
-contiguous blocks, the IVF centroid probe as an exact scan of the
-centroids, and the IVF candidate scan, which reads each probed list once
-per search and scores it against every row that probes it. A loaded index
-reads a list as one slice of the rows its file stores in list order (the
-layout of FAISS's IVFFlat), mapped once at load; an index built in memory
-gathers the list's rows from its bank.
+contiguous blocks, and the list scan, which reads each list chunk once per
+run of query rows and scores it against every row of the run that probes
+it. An IVF search runs the list scan twice: the centroid probe scans the
+centroids as one list, and then each row scans its probed lists. A loaded
+index reads a list as one slice of the rows its file stores in list order
+(the layout of FAISS's IVFFlat), mapped once at load; an index built in
+memory gathers the list's rows from its bank.
 
 An exact scan gives each row the bits of a one-thread ``block @ query``
 per block, whatever the batch, the row's place in it, or
@@ -19,25 +20,29 @@ fewer than 4). A run over an m-row block holds ``QUERY_BLOCK * SCAN_BLOCK //
 m`` rows, a budget of selection scores: 64 rows at a full block, every row
 of a 256-row batch over an 8192-row bank. A row's candidates are the block
 rows scoring at or above a lower bound on its k-th score minus ``4 * dim *
-2**-23 * N``, where ``N`` bounds the largest row norm (cached per bank,
-computed per call for the centroids); the bound is the k-th largest
-maximum of 256 strided column groups, one ``np.partition`` per run. Then
-each run's candidates are gathered at once, each row's into its own
-zero-padded segment of a multiple of 16 rows, and each row is scored
-exactly with one ``sgemv`` over its segment; a block's last ``m mod 8``
-rows are scored as its last ``(m mod 8) + 8`` rows. This is measured with
+2**-23 * N``, where ``N`` bounds the largest row norm (cached per bank);
+the bound is the k-th largest maximum of 256 strided column groups, one
+``np.partition`` per run. Then each run's candidates are gathered at
+once, each row's into its own zero-padded segment of a multiple of 16
+rows, and each row is scored exactly with one ``sgemv`` over its segment;
+a block's last ``m mod 8`` rows are scored as its last ``(m mod 8) + 8``
+rows. This is measured with
 OpenBLAS 0.3.31 at 1 and 2 BLAS threads: its SkylakeX core, and its
 Haswell, Zen and Nehalem cores, give these bits, and its Sandybridge core
-does not; OpenBLAS's splits at 3 or more threads are untested. An IVF
-list is scored in tiles of ``_TILE_BYTES`` (a multiple of 16 rows, the
-last tile taking the rest), each tile against every row that probes the
-list before the next tile is read, so the rows after the first find the
-tile in L2. At one BLAS thread a tile's scores are the bits of the whole
-list block's ``block @ query``; at more, OpenBLAS splits a tile's product
+does not; OpenBLAS's splits at 3 or more threads are untested. A list
+is scored in tiles of ``_TILE_BYTES`` (a multiple of 16 rows, the last
+tile taking the rest), each tile against every row that probes the list
+before the next tile is read, so the rows after the first find the tile
+in L2. At one BLAS thread a tile's scores are the bits of the whole list
+block's ``block @ query``; at more, OpenBLAS splits a tile's product
 between threads, so a list's bits can move with the thread count, but
-every list is tiled alike however many rows probe it. A list's final
-scores keep the cells at or above the same bound, with no margin, and one
-merge cuts every row's candidates to k, the exact scan's and the lists'.
+every list is tiled alike however many rows probe it. The centroid probe
+of 128 centroids of 256 values is one tile, and its bits are those of
+the plain ``centroids @ query`` at 1 and 2 threads under the SkylakeX,
+Haswell, Sandybridge and Nehalem cores. A row's scores over all of its
+probed lists keep, in one selection, the cells at or above the same
+bound, with no margin, and one merge cuts every row's candidates to k,
+the exact scan's and the lists'.
 
 So a row's hits are bitwise the same in a batch of any size, and probing
 every IVF list is the exact scan.
@@ -58,11 +63,12 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from . import errors
-from .bank import EmbeddingBank, NORM_ATOL, norm_bound, row_norms
+from .bank import EmbeddingBank, NORM_ATOL, row_norms
 from .errors import row_error
 from .files import (PAYLOAD_ALIGN, PageBudget, payload_start, release,
                     replace_atomically, window_rows, windows)
@@ -145,19 +151,24 @@ class HitTable:
                 zip(self.ids[row, :c].tolist(), self.scores[row, :c].tolist())]
 
 
-def _check_finite(scores: np.ndarray, ids: np.ndarray, what: str) -> None:
+def _check_finite(scores: np.ndarray, ids, what: str) -> None:
     """Unit-norm rows only give finite scores, so a non-finite one means a
-    corrupt row. Raise for the first non-finite cell of ``scores`` in row
-    order, naming its column as ``what`` and its id: ``ids`` holds the id
-    of each of the m columns of an (n, m) buffer, or of each score of a
-    flat gather. The error is :class:`CorruptBank` for a ``"bank row"``
-    and :class:`CorruptIndex` for a centroid or an index file's row."""
+    corrupt row. Raise for the first non-finite score of the flat
+    ``scores``, naming its row as ``what`` and its id, ``ids(i)`` for score
+    i. The exact scan checks each re-scored gather in row order; a list
+    scan checks each run's scores, which hold each query row's scores over
+    all of its probed lists, row by row, and within a row list by list in
+    ascending list order. So the id named is that of the first non-finite
+    score of the first query row that has one: in the lowest list that row
+    probes holding a corrupt row, at the lowest place in that list. The
+    error is :class:`CorruptBank` for a ``"bank row"`` and
+    :class:`CorruptIndex` for a centroid or an index file's row."""
     finite = np.isfinite(scores)
     if not finite.all():
-        at = int(np.argmin(finite))  # the first False, in row order
+        at = int(np.argmin(finite))  # the first False
         error = errors.CorruptBank if what == "bank row" else errors.CorruptIndex
-        raise error(f"{what} {int(ids[at % len(ids)])} gives a non-finite "
-                    f"score ({scores.flat[at]})")
+        raise error(f"{what} {int(ids(at))} gives a non-finite score "
+                    f"({scores[at]})")
 
 
 def _kth_lower_bound(scores: np.ndarray, k: int) -> np.ndarray:
@@ -315,33 +326,48 @@ def _merge(rows: np.ndarray, ids: np.ndarray, scores: np.ndarray,
     return rows[keep], ids[keep], scores[keep], rank[keep]
 
 
-def _scan(vectors, queries: np.ndarray, k: int, groups=None,
-          what: str = "bank row", bound: float | None = None) -> HitTable:
+def _scan(vectors, queries: np.ndarray, k: int, bound: float | None = None,
+          lists=None, what: str = "bank row") -> HitTable:
     """Top-k rows of ``vectors`` for each row of ``queries``.
 
-    ``groups`` lists (vector ids, query rows, first) triples; ``None``
-    scores every row against every vector. A group reads each block of at
-    most ``SCAN_BLOCK`` ids once: the ids' rows are ``vectors[first:first +
-    len(ids)]`` when ``first`` is a row, and are gathered as
-    ``vectors[ids]`` tile by tile when it is ``None``. When ``vectors`` is
-    a mapped file (a bank's payload, or a loaded index's ``rows``), every
+    With ``lists`` None this is the exact scan of every row of ``vectors``,
+    whose norms are at most ``bound``. Otherwise ``lists`` is ``(probed,
+    offsets, ids, sliced)``: query row r scans the lists ``probed[r]``, list
+    c being entries ``offsets[c]:offsets[c + 1]`` of ``ids``, whose rows are
+    the same slice of ``vectors`` when ``sliced`` and are gathered as
+    ``vectors[ids[...]]`` tile by tile when not. When ``vectors`` is a
+    mapped file (a bank's payload, or a loaded index's ``rows``), every
     pass over it counts what it reads in one :class:`files.PageBudget`,
     which drops the mapping's resident pages once ``_MAP_BYTES`` have been
     read, and no piece it counts is larger than ``_MAP_BYTES`` (or than
     one tile, where the budget holds fewer rows), so at most twice the
     budget stays resident, and a pass that read more than the budget drops
-    the rest at its end. A group scores its block into one score buffer
-    per run of at most ``QUERY_BLOCK * SCAN_BLOCK // m`` of its rows, tile
-    by tile: each tile of ``_TILE_BYTES`` (a multiple of 16 rows; the last
-    one takes the rest, and rows of at most 8 values keep the block whole,
-    as :func:`_rescore` requires) gets one ``tile @ query`` per row before
-    the next tile is read, so it is read from memory once and from L2
-    after, and is counted in the budget once its rows are scored. A slice
-    and a gather of the same rows give the same bits, and at one BLAS
-    thread those of one ``block @ query``. Each buffer is checked by
-    :func:`_check_finite` and keeps its :func:`_candidates` at margin 0.
+    the rest at its end.
 
-    The whole-bank scan gives each row the bits of a one-thread
+    The list scan cuts each list into chunks of at most ``SCAN_BLOCK``
+    rows. Taking the query rows in order, and each row's chunks in list
+    order, it cuts them into runs of at most ``QUERY_BLOCK * SCAN_BLOCK``
+    scores, which fill one buffer per run: each row of the run holds one
+    segment of it, its scores over all of its chunks in the run (a row
+    whose lists outgrow the budget is split between runs). A run reads each
+    of its chunks once, in list order, tile by tile: each tile of
+    ``_TILE_BYTES`` (a multiple of 16 rows; the last one takes the rest,
+    and rows of at most 8 values keep the chunk whole, as :func:`_rescore`
+    requires) gets one ``tile @ query`` per row of the run that probes it
+    before the next tile is read, so it is read from memory once and from
+    L2 after, and is counted in the budget once the next is read, the
+    run's last once its rows are selected. A slice and a gather of the
+    same rows give the same bits, and at one BLAS thread those of one
+    ``chunk @ query``. Then the buffer is checked by :func:`_check_finite`,
+    each row's segment is selected once by :func:`_candidates` at margin
+    0, the rows of a run whose segments are equally long in one call (a
+    stretch of adjacent ones as it lies in the buffer, the others as a
+    stacked copy, at most the run's cells: many rows that probe one small
+    list then cost one call, not one each), and the run's cells are found
+    with one ``np.flatnonzero`` and mapped back to ids through its chunk
+    starts.
+
+    The exact scan gives each row the bits of a one-thread
     ``block @ query``, whatever the batch and the BLAS thread count (as far
     as :func:`_rescore` holds). One ``Q @ block.T`` per run of
     ``QUERY_BLOCK * SCAN_BLOCK // m`` rows for an m-row block (one ``sgemv``
@@ -354,21 +380,20 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
     run's candidates could otherwise map most of a block. The run width
     and the windows only size the selection products, which pick
     candidates and give no final score. Any float32 dot product of a unit
-    query with a row of norm at most ``bound`` is within about ``dim * 2**-24 * bound`` of the true
-    one (Higham's bound), so a selection score and an exact score differ
-    by at most twice that, and a row of the exact top k scores at least
-    the k-th selection score minus ``4 * dim * 2**-24 * bound``. ``margin``
-    is twice that, and the k-th selection score is bounded from below by
-    the k-th largest maximum of 256 strided column groups
-    (:func:`_kth_lower_bound`): one ``np.partition`` per run over the group
-    maxima, exact when k is at least 256. A run's candidates are found with
-    one ``np.flatnonzero`` over its mask and re-scored in gathers of at most
-    ``_RESCORE_ROWS``. ``bound`` defaults to ``norm_bound(vectors)``. A
+    query with a row of norm at most ``bound`` is within about
+    ``dim * 2**-24 * bound`` of the true one (Higham's bound), so a
+    selection score and an exact score differ by at most twice that, and a
+    row of the exact top k scores at least the k-th selection score minus
+    ``4 * dim * 2**-24 * bound``. ``margin`` is twice that, and the k-th
+    selection score is bounded from below by the k-th largest maximum of
+    256 strided column groups (:func:`_kth_lower_bound`): one
+    ``np.partition`` per run over the group maxima, exact when k is at
+    least 256. A run's candidates are found with one ``np.flatnonzero``
+    over its mask and re-scored in gathers of at most ``_RESCORE_ROWS``. A
     finite bound bounds every score, so no score can then be non-finite.
     Only a non-finite row, or a norm above float32's largest finite value,
     makes it infinite or NaN; then the mask holds every cell. Each
-    re-scored gather goes through :func:`_check_finite`, which names the
-    first non-finite score's row as ``what`` and its id, gather by gather
+    re-scored gather goes through :func:`_check_finite`, gather by gather
     in row order.
 
     Both scans' candidates go into flat (row, id, score) arrays, which one
@@ -389,8 +414,7 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
             held = found[0][0].shape[0]
 
     pages = PageBudget(vectors)
-    if groups is None:
-        bound = norm_bound(vectors) if bound is None else bound
+    if lists is None:
         margin = 4 * vectors.shape[1] * 2.0 ** -23 * bound
         step = window_rows(vectors)
         # the block boundaries are SCAN_BLOCK's: _rescore's tail rule
@@ -423,32 +447,77 @@ def _scan(vectors, queries: np.ndarray, k: int, groups=None,
                         rows += lo
                         pos += a
                         scores = _rescore(block, rows, pos, queries)
-                        _check_finite(scores, pos + start, what)
-                        keep(rows, pos + start, scores)
+                        ids = pos + start
+                        _check_finite(scores, ids.__getitem__, what)
+                        keep(rows, ids, scores)
                     pages.read(block[a:a + step].nbytes)
-    for ids, rows, first in groups or ():
-        for start in range(0, len(ids), SCAN_BLOCK):
-            chunk = ids[start:start + SCAN_BLOCK]
-            m, dim = len(chunk), vectors.shape[1]
-            # tiles of a multiple of 16 rows
-            step = m if dim <= 8 else max(16, _TILE_BYTES // (64 * dim) * 16)
-            cuts = _cuts(m, step)
-            run = QUERY_BLOCK * SCAN_BLOCK // m
-            for lo in range(0, len(rows), run):
-                part = rows[lo:lo + run]
-                scores = np.empty((len(part), m), np.float32)
-                for a, b in zip(cuts, cuts[1:]):
-                    if a:  # the tile before, scored against every row
+    else:
+        probed, offsets, ids, sliced = lists
+        dim, bounds = vectors.shape[1], offsets.tolist()
+        # tiles of a multiple of 16 rows
+        tile_rows = max(16, _TILE_BYTES // (64 * dim) * 16)
+        # each row's pieces, (row, start, stop) of its lists' SCAN_BLOCK
+        # chunks in list order, cut into runs of at most the cell budget
+        runs, filled = [], QUERY_BLOCK * SCAN_BLOCK
+        for r, row in enumerate(np.sort(probed, axis=1).tolist()):
+            for c in row:
+                for a in range(bounds[c], bounds[c + 1], SCAN_BLOCK):
+                    b = min(a + SCAN_BLOCK, bounds[c + 1])
+                    if filled + b - a > QUERY_BLOCK * SCAN_BLOCK:
+                        runs.append([])
+                        filled = 0
+                    runs[-1].append((r, a, b))
+                    filled += b - a
+        for run in runs:
+            at = list(accumulate([b - a for _, a, b in run], initial=0))
+            scores = np.empty(at[-1], np.float32)
+            tile = None
+            readers = {}  # each chunk's rows, and where their scores go
+            for (r, a, b), o in zip(run, at):
+                readers.setdefault((a, b), []).append((r, o))
+            # each chunk once, tile by tile, against every row probing it
+            for (a, b), js in sorted(readers.items()):
+                cuts = _cuts(b - a, b - a if dim <= 8 else tile_rows)
+                for x, y in zip(cuts, cuts[1:]):
+                    if tile is not None:  # the tile before, fully scored
                         pages.read(tile.nbytes)
-                    tile = vectors[chunk[a:b]] if first is None else \
-                        vectors[first + start + a:first + start + b]
-                    for i, r in enumerate(part.tolist()):
-                        np.matmul(tile, queries[r], out=scores[i, a:b])
-                _check_finite(scores, chunk, what)
-                cells = np.flatnonzero(_candidates(scores, k, 0.0))
-                at, pos = np.divmod(cells, m)
-                keep(part[at], chunk[pos], scores.ravel()[cells])
-                pages.read(tile.nbytes)
+                    tile = vectors[a + x:a + y] if sliced else \
+                        vectors[ids[a + x:a + y]]
+                    for r, o in js:
+                        np.matmul(tile, queries[r], out=scores[o + x:o + y])
+            # where each row's segment starts, and the end
+            edges = [o for j, o in enumerate(at) if j == len(run) or not j
+                     or run[j][0] != run[j - 1][0]]
+            owner = np.array([r for r, _, _ in run])
+            shift = np.array([a - o for (_, a, _), o in zip(run, at)])
+            at = np.array(at)
+
+            def place(cells):  # each cell's piece, and its place in ids
+                j = np.searchsorted(at, cells, "right") - 1
+                return j, cells + shift[j]
+
+            _check_finite(scores, lambda i: ids[place(i)[1]], what)
+            # each row selects once over its scores of all its pieces, the
+            # rows of one width in one call: a row's segment, a stretch of
+            # such rows in a row, or a stack of the others
+            widths = {}
+            for a, b in zip(edges, edges[1:]):
+                widths.setdefault(b - a, []).append(a)
+            mask = np.empty(at[-1], bool)
+            for w, firsts in widths.items():
+                a, b = firsts[0], firsts[-1] + w
+                if b - a == w * len(firsts):
+                    mask[a:b] = _candidates(scores[a:b].reshape(-1, w), k,
+                                            0.0).ravel()
+                    continue
+                kept = _candidates(np.stack([scores[a:a + w] for a in firsts]),
+                                   k, 0.0)
+                for a, row in zip(firsts, kept):
+                    mask[a:a + w] = row
+            cells = np.flatnonzero(mask)
+            j, pos = place(cells)
+            keep(owner[j], ids[pos], scores[cells])
+            pages.read(tile.nbytes)
     pages.close()
     table = HitTable(np.zeros((n, width), np.int64), np.zeros((n, width)),
                      np.zeros(n, np.int64))
@@ -465,9 +534,12 @@ def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
     """Top-k bank rows of each unit-norm row of an (n, dim) query stack.
 
     With ``index`` (attached to ``bank``) a row scans the ids of its
-    ``nprobe`` best lists; otherwise, or when every list is probed, the whole
-    bank. A loaded index scores its lists from its own file's rows, mapped
-    by :func:`load_index`, and never reads the bank's rows; their pages are
+    ``nprobe`` best lists, which :func:`_probe` finds by scanning the
+    centroids as one list; otherwise, or when every list is probed, the
+    whole bank. The probed lists are one list scan of :func:`_scan`, which
+    selects once per query row over all of its lists. A loaded index
+    scores its lists from its own file's rows, mapped by
+    :func:`load_index`, and never reads the bank's rows; their pages are
     released after every ``_MAP_BYTES`` read, tile by tile, and all of them
     at the end of the call. A mapped bank is read in windows of at most
     ``_MAP_BYTES``. ``space_tag``, when given, must be the bank's. An error
@@ -492,22 +564,24 @@ def search(bank: EmbeddingBank, queries, k: int, index: IvfIndex | None = None,
     check_unit_rows(queries, what)
 
     if index is None or nprobe == index.n_clusters:
-        return _scan(bank.vectors, queries, k, bound=bank.norm_bound)
-    # group the rows by probed list, so that each list is read once
-    probed = _scan(index.centroids, queries, nprobe, what="centroid").ids.ravel()
-    order = np.argsort(probed, kind="stable")
-    lists, starts = np.unique(probed[order], return_index=True)
-    bounds = index.offsets.tolist()
-    groups = [(index.ids[bounds[c]:bounds[c + 1]], rows,
-               None if index.rows is None else bounds[c])
-              for c, rows in zip(lists.tolist(),
-                                 np.split(order // nprobe, starts[1:]))]
+        return _scan(bank.vectors, queries, k, bank.norm_bound)
+    lists = (_probe(index, queries, nprobe).ids, index.offsets, index.ids,
+             index.rows is not None)
     if index.rows is None:
-        return _scan(bank.vectors, queries, k, groups)
+        return _scan(bank.vectors, queries, k, lists=lists)
     try:
-        return _scan(index.rows, queries, k, groups, what="index row")
+        return _scan(index.rows, queries, k, lists=lists, what="index row")
     finally:
         release(index.rows)
+
+
+def _probe(index: IvfIndex, queries: np.ndarray, nprobe: int) -> HitTable:
+    """Each row's ``nprobe`` best lists of ``index``, score-desc with ties
+    list-asc: the centroids scanned as one list."""
+    every = np.arange(index.n_clusters)
+    return _scan(index.centroids, queries, nprobe, lists=(
+        np.zeros((queries.shape[0], 1), np.int64), np.array([0, len(every)]),
+        every, True), what="centroid")
 
 
 def exact_topk(query: QueryEmbedding, bank: EmbeddingBank, k: int) -> list[RetrievalHit]:

@@ -9,7 +9,13 @@ ids and scores (``built_ids<i>``, ``built_scores<i>``, ``loaded_ids<i>``,
 ``loaded_scores<i>``), the same searches made one row at a time and
 stacked (``built_alone_ids<i>`` and so on), and, for each hit of the
 built search, its score in one ``block @ query`` over the hit's whole
-``SCAN_BLOCK`` chunk of its list (``chunk_scores<i>``).
+``SCAN_BLOCK`` chunk of its list (``chunk_scores<i>``). For each nprobe it
+writes the probe's lists and scores (``probe_ids<i>``, ``probe_scores<i>``,
+keyed by that nprobe's first case) and the top nprobe of each row's plain
+one-row ``centroids @ q``, ties to the lower list (``plain_probe_ids<i>``,
+``plain_probe_scores<i>``); a last probe-only case does so for 128
+centroids of 256 values, the shape of a 440k-row bank's index, at nprobe
+8 (``probe_ids18`` on).
 
 At d 48 and d 7 the lists hold every size mod 16, one list is empty and
 one is longer than ``SCAN_BLOCK`` (set to 1,500 rows for these cases), so
@@ -68,6 +74,7 @@ def case(rng, dim: int, sizes: list[int], path: Path, out: dict,
         0.3 * rng.standard_normal((40, dim)) / np.sqrt(dim)
     queries = EmbeddingBank.from_matrix(noisy, "llm-text").vectors
     for nprobe in (1, 3, len(sizes) - 1):
+        write_probes(built, queries, nprobe, out, i)
         for k in (10, 700):
             for name, index in (("built", built), ("loaded", loaded)):
                 table = search(bank, queries, k, index, nprobe)
@@ -83,6 +90,18 @@ def case(rng, dim: int, sizes: list[int], path: Path, out: dict,
                                                            queries, table)
             i += 1
     return i
+
+
+def write_probes(index, queries, nprobe: int, out: dict, i: int) -> None:
+    """The probe's lists and scores for ``queries``, and the plain ones."""
+    probe = index_mod._probe(index, queries, nprobe)
+    out[f"probe_ids{i}"], out[f"probe_scores{i}"] = probe.ids, probe.scores
+    plain = [index.centroids @ q for q in queries]
+    ids = np.array([np.lexsort((np.arange(len(s)), -s))[:nprobe]
+                    for s in plain])
+    out[f"plain_probe_ids{i}"] = ids
+    out[f"plain_probe_scores{i}"] = np.array(
+        [s[row] for s, row in zip(plain, ids)], np.float64)
 
 
 def chunk_scores(bank, lists, queries, table) -> np.ndarray:
@@ -115,6 +134,17 @@ def main(out_path: str, workdir: str) -> None:
                  out, i)
     index_mod.SCAN_BLOCK, index_mod._TILE_BYTES = defaults
     i = case(rng, 256, LARGE_LISTS, Path(workdir) / "d256.ivf", out, i)
+    # a list of one row per centroid: only the probe is searched here
+    bank = EmbeddingBank.from_matrix(rng.standard_normal((128, 256)),
+                                     "llm-text")
+    centroids = EmbeddingBank.from_matrix(rng.standard_normal((128, 256)),
+                                          "llm-text").vectors
+    index = IvfIndex(128, 256, 0, np.array(centroids), np.arange(129),
+                     np.arange(128)).attach(bank)
+    queries = EmbeddingBank.from_matrix(
+        centroids[rng.integers(0, 128, 40)] + 0.3 * rng.standard_normal(
+            (40, 256)) / 16, "llm-text").vectors
+    write_probes(index, queries, 8, out, i)
     np.savez(out_path, **out)
 
 

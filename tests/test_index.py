@@ -511,9 +511,10 @@ def test_full_block_scan_memory_stays_near_its_selection_product(rng):
     infinite norm bound, where every cell is a candidate, and at k 300,
     where the k-th score is taken exactly. Each row's hits are those of a
     one-row scan."""
-    vectors = make_bank(rng, index_mod.SCAN_BLOCK, 16).vectors
+    bank = make_bank(rng, index_mod.SCAN_BLOCK, 16)
+    vectors, finite = bank.vectors, bank.norm_bound
     queries = np.vstack([unit(rng.standard_normal(16)) for _ in range(64)])
-    for bound, k in ((np.inf, 10), (None, 10), (None, 300)):
+    for bound, k in ((np.inf, 10), (finite, 10), (finite, 300)):
         tracemalloc.start()
         try:
             table = index_mod._scan(vectors, queries, k, bound=bound)
@@ -523,7 +524,7 @@ def test_full_block_scan_memory_stays_near_its_selection_product(rng):
         assert peak <= 1.25 * 35.8 * 2**20, (bound, k)
         for i in range(64):
             assert_same_row(table, i, index_mod._scan(
-                vectors, queries[i:i + 1], k))
+                vectors, queries[i:i + 1], k, finite))
 
 
 @pytest.mark.parametrize("dim", [7, 37])
@@ -536,13 +537,13 @@ def test_rescore_gathers_split_a_row_s_candidates(monkeypatch, rng, dim):
     whole-block product per query row and call, so their rows are not
     split: one product per query row, as in a one-row scan. Near-tied rows
     give each query row many candidates; 3,001 bank rows leave a tail."""
-    vectors = EmbeddingBank.from_matrix(near_ties(rng, 3001, dim),
-                                        "llm-text").vectors
+    bank = EmbeddingBank.from_matrix(near_ties(rng, 3001, dim), "llm-text")
+    vectors = bank.vectors
     top = vectors[0] + 0.3 * rng.standard_normal((70, dim)) / np.sqrt(dim)
     queries = (top / np.linalg.norm(top, axis=1, keepdims=True)).astype(
         np.float32)
     want = [index_mod._scan(vectors, queries, 30, bound=bound)
-            for bound in (None, np.inf)]
+            for bound in (bank.norm_bound, np.inf)]
     calls = []
     real = index_mod._rescore
 
@@ -552,7 +553,7 @@ def test_rescore_gathers_split_a_row_s_candidates(monkeypatch, rng, dim):
 
     monkeypatch.setattr(index_mod, "_RESCORE_ROWS", 24)
     monkeypatch.setattr(index_mod, "_rescore", logged)
-    for bound, expected in zip((None, np.inf), want):
+    for bound, expected in zip((bank.norm_bound, np.inf), want):
         calls.clear()
         got = index_mod._scan(vectors, queries, 30, bound=bound)
         if dim > 8:
@@ -680,8 +681,10 @@ def test_grouped_probe_matches_one_row_calls_and_oracle(monkeypatch, rng):
 
 def test_search_gathers_each_probed_list_once_per_chunk(monkeypatch, rng):
     """A search reads each probed list's rows out of the bank once per
-    ``SCAN_BLOCK`` chunk, however many rows probe it."""
+    ``SCAN_BLOCK`` chunk and run of rows; with a cell budget that holds
+    every row in one run, once, however many rows probe it."""
     monkeypatch.setattr(index_mod, "SCAN_BLOCK", 16)
+    monkeypatch.setattr(index_mod, "QUERY_BLOCK", 1024)  # 32 x 300 cells fit
     bank = make_bank(rng, 300, 16)
     built = build_ivf(bank, 6, seed=5)
     gathers = []
@@ -710,33 +713,104 @@ def test_search_gathers_each_probed_list_once_per_chunk(monkeypatch, rng):
     assert np.array_equal(table.scores, plain.scores)
 
 
+def _search_runs(monkeypatch, bank, index, queries, k, nprobe):
+    """``search`` of ``index`` (built over ``bank``) with each of its runs
+    of rows: the chunks a run reads from the bank, as id tuples in read
+    order, and the cells of each row selection it makes at ``k`` (the
+    centroid probe selects at ``nprobe``, which must differ from k)."""
+    events = []
+
+    class GatherSpy(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, np.ndarray):
+                events.append(("read", tuple(key.tolist())))
+            return np.asarray(super().__getitem__(key))
+
+    real = index_mod._candidates
+
+    def logged(scores, k_, margin):
+        if k_ == k:
+            events.append(("select", scores.size))
+        return real(scores, k_, margin)
+
+    spied = EmbeddingBank(np.asarray(bank.vectors).view(GatherSpy),
+                          bank.space_tag)
+    index = IvfIndex(index.n_clusters, index.dim, index.seed,
+                     index.centroids, index.offsets, index.ids).attach(spied)
+    monkeypatch.setattr(index_mod, "_candidates", logged)
+    table = search(spied, queries, k, index, nprobe)
+    monkeypatch.setattr(index_mod, "_candidates", real)
+    runs = []  # (reads, selections): a run reads its chunks, then selects
+    for kind, value in events:
+        if kind == "read" and (not runs or runs[-1][1]):
+            runs.append(([], []))
+        runs[-1][kind == "select"].append(value)
+    return table, runs
+
+
 def test_list_rows_split_into_runs_by_the_cell_budget(monkeypatch, rng):
-    """A list chunk of m rows is scored against at most ``QUERY_BLOCK *
-    SCAN_BLOCK // m`` of its probing rows at once, so its score buffer
-    stays within the exact scan's cell budget; splitting a list's rows
+    """The rows' scores over their probed list chunks fill one buffer per
+    run of at most ``QUERY_BLOCK * SCAN_BLOCK`` cells, so a row whose lists
+    outgrow the budget is split between runs. Each run reads each chunk it
+    scores once, and selects every row it holds once; splitting the rows
     into several runs leaves the table bitwise unchanged."""
     monkeypatch.setattr(index_mod, "SCAN_BLOCK", 16)
     bank = make_bank(rng, 300, 16)
     index = build_ivf(bank, 4, seed=5)
     queries = np.vstack([query_for(bank, rng).vector for _ in range(32)])
-    whole = search(bank, queries, 10, index, 2)
-    runs = []  # (chunk rows, probing rows) of each score buffer
-    real = index_mod._check_finite
-
-    def logged(scores, ids, what):
-        if what == "bank row":
-            runs.append((len(ids), scores.shape[0]))
-        return real(scores, ids, what)
-
+    whole, _ = _search_runs(monkeypatch, bank, index, queries, 10, 2)
     monkeypatch.setattr(index_mod, "QUERY_BLOCK", 2)
-    monkeypatch.setattr(index_mod, "_check_finite", logged)
-    split = search(bank, queries, 10, index, 2)
-    assert all(rows <= 2 * 16 // m for m, rows in runs)
-    # more buffers than chunks: some chunk's rows came in several runs
+    split, runs = _search_runs(monkeypatch, bank, index, queries, 10, 2)
+    assert all(sum(cells) <= 2 * 16 for _, cells in runs)
+    assert all(len(set(reads)) == len(reads) for reads, _ in runs)
+    # every row's probed cells are selected, in more runs than chunks: some
+    # chunk was read in several runs
+    lists = [index.lists[c] for q in queries
+             for c in np.lexsort((np.arange(4), -(index.centroids @ q)))[:2]]
+    assert sum(sum(cells) for _, cells in runs) == sum(map(len, lists))
     assert len(runs) > sum(-(-len(lst) // 16) for lst in index.lists)
     assert np.array_equal(split.ids, whole.ids)
     assert np.array_equal(split.scores.view(np.uint64),
                           whole.scores.view(np.uint64))
+
+
+def test_a_row_selects_once_over_all_of_its_probed_lists(monkeypatch, rng):
+    """A one-row IVF search makes one ``_candidates`` selection for the
+    centroid probe and one over all of its probed lists, not one per list.
+    A batch selects each row once over its probed cells, and the rows
+    probing equally many cells in one call, in the order of their first
+    row: the probe makes one call for the batch, rows probing different
+    cell counts (nprobe 8) one call each, and at nprobe 1 the rows of
+    each list, adjacent or not, one call. The hits are the one-row
+    calls'."""
+    bank = make_bank(rng, 2000, 16)
+    index = build_ivf(bank, 16, seed=3)
+    queries = np.vstack([query_for(bank, rng).vector for _ in range(24)])
+    calls = []  # (cells, k) of each selection
+    real = index_mod._candidates
+
+    def logged(scores, k, margin):
+        calls.append((scores.shape, k))
+        return real(scores, k, margin)
+
+    monkeypatch.setattr(index_mod, "_candidates", logged)
+    for n, nprobe in ((1, 8), (5, 8), (24, 1)):
+        calls.clear()
+        table = search(bank, queries[:n], 10, index, nprobe)
+        cells = [sum(len(index.lists[c]) for c in np.lexsort(
+            (np.arange(16), -(index.centroids @ q)))[:nprobe])
+            for q in queries[:n]]
+        widths = {m: cells.count(m) for m in cells}  # in first-row order
+        if nprobe == 8:
+            assert len(widths) == n
+        else:  # some rows of one width lie apart, so they are stacked
+            assert any(np.diff([i for i, m in enumerate(cells) if m == w])
+                       .max(initial=0) > 1 for w in widths)
+        assert calls == [((n, 16), nprobe)] + [((rows, m), 10)
+                                               for m, rows in widths.items()]
+        for i in range(n):
+            assert_same_row(table, i, search(bank, queries[i:i + 1], 10,
+                                             index, nprobe))
 
 
 def _index_of_lists(bank, lists, centroids, tmp_path, loaded):
@@ -817,34 +891,41 @@ def test_probed_lists_of_at_most_k_rows_keep_every_row(rng, tmp_path,
 def test_lists_above_256_rows_select_on_the_exact_kth_score(
         monkeypatch, rng, tmp_path, loaded):
     """Lists of 257 to 520 rows at k 256 and 300: at k at least the 256
-    column groups a list's selection bound is its exact k-th score, so a
-    list of more than k rows keeps exactly k candidates per row (no scores
-    tie here), and one of at most k rows keeps them all; the hits are the
-    reference's and the oracle's, from a built and a loaded index."""
+    column groups a row's selection bound is the exact k-th score of its
+    probed lists' scores, so a row probing more than k rows keeps exactly k
+    candidates (no scores tie here), and one probing at most k rows keeps
+    them all; the hits are the reference's and the oracle's, from a built
+    and a loaded index."""
     sizes = [257, 300, 520, 384]
     bank = make_bank(rng, sum(sizes), 16)
     lists = np.split(rng.permutation(bank.count), np.cumsum(sizes)[:-1])
     index = _index_of_lists(bank, lists, make_bank(rng, 4, 16).vectors,
                             tmp_path, loaded)
     queries = make_bank(rng, 12, 16).vectors
-    kept = []  # (list rows, k, candidates per row) of each list buffer
+    kept = []  # (probed rows, k, candidates) of each row's selection
     real = index_mod._candidates
 
     def logged(scores, k, margin):
         mask = real(scores, k, margin)
-        if margin == 0.0:  # a list buffer, not the centroid probe
-            kept.append((scores.shape[1], k,
-                         np.count_nonzero(mask, axis=1).tolist()))
+        if k >= 256:  # rows' lists, not the centroid probe (k nprobe)
+            kept.extend((scores.shape[1], k, int(count))
+                        for count in np.count_nonzero(mask, axis=1))
         return mask
 
     monkeypatch.setattr(index_mod, "_candidates", logged)
+    whole = set()  # whether a row kept all of its probed rows
     for k in (256, 300):
         for nprobe in (1, 2, 3):
+            kept.clear()
             _assert_lists_selected(bank, index, queries, k, nprobe)
-    assert {(m, k) for m, k, _ in kept} == {(m, k) for m in sizes
-                                            for k in (256, 300)}
-    for m, k, counts in kept:
-        assert set(counts) == {min(m, k)}
+            # one selection per row, over all of its probed lists
+            assert sorted(m for m, _, _ in kept) == sorted(
+                sum(sizes[c] for c in np.lexsort(
+                    (np.arange(4), -(index.centroids @ q)))[:nprobe])
+                for q in queries)
+            assert all(count == min(m, k) for m, _, count in kept)
+            whole.update(m <= k for m, _, _ in kept)
+    assert whole == {True, False}
 
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
@@ -894,8 +975,7 @@ def test_nan_rows_in_later_tiles_name_the_first_in_row_order(monkeypatch,
     assert len(built.lists[c]) >= 64  # tiles at 0, 16, 32 and 48
     queries = np.vstack([built.centroids[c],
                          bank.vectors[int(built.lists[c][0])]])
-    probed = index_mod._scan(built.centroids, queries, 2,
-                             what="centroid").ids
+    probed = index_mod._probe(built, queries, 2).ids
     assert (probed == c).any(axis=1).all()
     victims = [int(built.lists[c][20]), int(built.lists[c][40])]
 
@@ -924,6 +1004,52 @@ def test_nan_rows_in_later_tiles_name_the_first_in_row_order(monkeypatch,
     with pytest.raises(errors.CorruptBank, match=(
             f"^bank row {victims[0]} gives a non-finite score \\(nan\\)$")):
         search(corrupt, queries, 5, index, 2)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_two_corrupt_lists_probed_by_different_rows_name_the_first_row_s(
+        rng, tmp_path, loaded):
+    """Rows are checked in row order, then list by list within a row: with
+    a NaN row in list 1 and one in list 3, the error names the NaN row of
+    the list that the first query row probes, the lower list or not; a
+    row probing both names the one in list 1. A loaded index raises
+    ``CorruptIndex`` for its file's row, a built one ``CorruptBank``."""
+    sizes = [40, 48, 56, 64]
+    bank = make_bank(rng, sum(sizes), 16)
+    lists = [np.sort(lst) for lst in np.split(rng.permutation(bank.count),
+                                              np.cumsum(sizes)[:-1])]
+    victims = {1: int(lists[1][9]), 3: int(lists[3][30])}
+    matrix = np.array(bank.vectors)
+    matrix[list(victims.values())] = np.nan
+    corrupt = EmbeddingBank(matrix, bank.space_tag)
+    centroids = make_bank(rng, 4, 16).vectors
+    index = _index_of_lists(bank, lists, centroids, tmp_path, loaded=False)
+    what, error = "bank row", errors.CorruptBank
+    if loaded:
+        save_index(index, tmp_path / "nan.ivf")
+        raw = bytearray((tmp_path / "nan.ivf").read_bytes())
+        rows = _layout(tmp_path / "nan.ivf")[2]
+        for c, j in ((1, 9), (3, 30)):
+            at = rows + (sum(sizes[:c]) + j) * 64
+            raw[at:at + 64] = np.full(16, np.nan, "<f4").tobytes()
+        (tmp_path / "nan.ivf").write_bytes(bytes(raw))
+        index = load_index(tmp_path / "nan.ivf", bank)
+        what, error = "index row", errors.CorruptIndex
+    else:
+        index = IvfIndex(index.n_clusters, index.dim, index.seed,
+                         index.centroids, index.offsets,
+                         index.ids).attach(corrupt)
+    target = bank if loaded else corrupt
+    # each centroid probes its own list first
+    for first, second in ((3, 1), (1, 3)):
+        queries = centroids[[first, second]]
+        with pytest.raises(error, match=(
+                f"^{what} {victims[first]} gives a non-finite score")):
+            search(target, queries, 5, index, 1)
+    both = centroids[[3]]
+    assert {1, 3} <= set(index_mod._probe(index, both, 3).ids[0].tolist())
+    with pytest.raises(error, match=f"^{what} {victims[1]} gives"):
+        search(target, both, 5, index, 3)
 
 
 class ReadSpy(np.ndarray):
@@ -965,9 +1091,11 @@ def test_loaded_index_reads_no_bank_row(monkeypatch, rng, tmp_path):
 
 def test_loaded_index_slices_each_probed_list_once_per_chunk(monkeypatch,
                                                              rng, tmp_path):
-    """A loaded index reads each probed list once per ``SCAN_BLOCK``
-    chunk, as a slice of its file's rows, however many rows probe it."""
+    """A loaded index reads each probed list once per ``SCAN_BLOCK`` chunk
+    and run of rows, as a slice of its file's rows; with a cell budget that
+    holds every row in one run, once, however many rows probe it."""
     monkeypatch.setattr(index_mod, "SCAN_BLOCK", 16)
+    monkeypatch.setattr(index_mod, "QUERY_BLOCK", 1024)  # 32 x 300 cells fit
     bank = make_bank(rng, 300, 16)
     built = build_ivf(bank, 6, seed=5)
     save_index(built, tmp_path / "s.ivf")
@@ -1110,6 +1238,32 @@ def test_ivf_rows_get_the_same_hits_in_a_batch_as_alone(ivf_bits):
                                   got[f"{name}_alone_ids{i}"])
                 assert _same_bits(got[f"{name}_scores{i}"],
                                   got[f"{name}_alone_scores{i}"])
+
+
+@pytest.mark.parametrize("core", ["SkylakeX", "Haswell", "Sandybridge",
+                                  "Nehalem"])
+def test_probe_is_the_plain_one_row_centroid_product(tmp_path, core):
+    """The centroid probe scores the centroids as one list. Under each core
+    at 1 and 2 BLAS threads, its lists and score bits are each row's top
+    nprobe of a plain one-row ``centroids @ q`` (ties to the lower list),
+    and the same at both thread counts: 18, 5 and 128 centroids of 48, 7
+    and 256 values, at three nprobe each (nprobe 8 for the 128)."""
+    got = {}
+    for threads in (1, 2):
+        (tmp_path / f"w{threads}").mkdir()
+        got[threads] = run_bits("ivf_bits.py", tmp_path / f"t{threads}.npz",
+                                threads, tmp_path / f"w{threads}", core=core)
+    names = [name[len("probe_ids"):] for name in got[1].files
+             if name.startswith("probe_ids")]
+    assert len(names) == 10
+    for i in names:
+        for threads in (1, 2):
+            bits = got[threads]
+            for kind in ("ids", "scores"):
+                assert _same_bits(bits[f"probe_{kind}{i}"],
+                                  bits[f"plain_probe_{kind}{i}"])
+                assert _same_bits(bits[f"probe_{kind}{i}"],
+                                  got[1][f"probe_{kind}{i}"])
 
 
 @pytest.mark.parametrize("core", [None, "SkylakeX", "Haswell",
